@@ -26,7 +26,7 @@ from typing import TextIO
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, malformed_lines
 from .forest import FamilyForest, ForestBuilder
 
 
@@ -48,11 +48,13 @@ class Excursion:
             raise InputError("excursion must start at (0, 0)")
         if self.e[-1] != 0.0:
             raise InputError("excursion must end at height 0")
+        if not math.isfinite(self.u[-1]):
+            raise InputError("excursion duration must be finite")
         for k in range(1, len(self.u)):
             if not self.u[k] > self.u[k - 1]:
                 raise InputError("breakpoint times must increase strictly")
-            if self.e[k] < 0.0:
-                raise InputError("excursion heights must be >= 0")
+            if not 0.0 <= self.e[k] < math.inf:
+                raise InputError("excursion heights must be finite and >= 0")
 
     @property
     def duration(self) -> float:
@@ -76,15 +78,16 @@ class Excursion:
         header = fh.readline()
         if not header.startswith("# speed="):
             raise InputError("missing excursion speed header")
-        speed = float(header.split("=", 1)[1])
         us, es = [], []
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            a, b = line.split()
-            us.append(float(a))
-            es.append(float(b))
+        with malformed_lines("contour"):
+            speed = float(header.split("=", 1)[1])
+            for line in fh:
+                line = line.strip()
+                if not line:
+                    continue
+                a, b = line.split()
+                us.append(float(a))
+                es.append(float(b))
         return cls(us, es), speed
 
 

@@ -51,7 +51,7 @@ from typing import Optional
 import numpy as np
 
 from .contour import Excursion
-from .errors import InputError
+from .errors import InputError, malformed_lines
 from .particle import MassPath
 
 DEFAULT_SDE_STEP = 1e-4
@@ -97,12 +97,6 @@ class DiffusionPath:
             return math.inf
         return float(hits[0] * self.step)
 
-    def to_mass_path(self) -> MassPath:
-        """Step-function view (left-point values), for quenched media."""
-        return MassPath(self.times(), self.values.copy(),
-                        horizon=self.duration if self.absorbed_index is None
-                        else math.inf)
-
     def write(self, fh, seed: int | None = None) -> None:
         fh.write(f"# step={self.step!r} seed={seed} "
                  f"horizon={self.duration!r}\n")
@@ -114,9 +108,11 @@ class DiffusionPath:
         header = fh.readline()
         if not header.startswith("# step="):
             raise InputError("missing path header")
-        fields = dict(tok.split("=", 1) for tok in header[1:].split())
-        values = np.array([float(line) for line in fh if line.strip()])
-        return cls(float(fields["step"]), values)
+        with malformed_lines("diffusion path"):
+            fields = dict(tok.split("=", 1) for tok in header[1:].split())
+            values = np.array([float(line) for line in fh if line.strip()])
+            step = float(fields["step"])
+        return cls(step, values)
 
 
 @dataclass
@@ -128,6 +124,14 @@ class SDEConfig:
     step: float = DEFAULT_SDE_STEP
     horizon: float = 10.0
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        for name in ("b1", "b2", "step", "horizon"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise InputError(f"{name} must be finite and > 0")
+        for name in ("x0", "y0"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise InputError(f"{name} must be finite and >= 0")
 
 
 def integrate_catalytic_feller(cfg: SDEConfig) -> tuple[DiffusionPath, DiffusionPath]:

@@ -37,7 +37,7 @@ import itertools
 import math
 from typing import Iterator, NamedTuple, Optional, TextIO
 
-from .errors import InputError
+from .errors import InputError, malformed_lines
 
 NEVER = math.inf
 
@@ -48,7 +48,8 @@ class TreePoint(NamedTuple):
 
 
 class ForestBuilder:
-    """Append-only accumulator of node records; `freeze()` yields a forest."""
+    """Append-only accumulator of node records; `freeze()` yields a forest
+    that adopts the builder's lists, so the builder is done once frozen."""
 
     def __init__(self) -> None:
         self.parent: list[int] = []
@@ -89,10 +90,11 @@ class FamilyForest:
     """
     Immutable-by-convention forest of rooted ordered real trees.
 
-    Construction is cheap (the lists are adopted, not copied); treat a frozen
-    forest as read-only.  All derived structure (subtree maxima, tree index)
-    is computed lazily and cached, so forests are safe to share across
-    threads once built.
+    Construction is cheap: the five lists are adopted, not copied, so the
+    caller hands them over and must not change them afterwards.  Treat a
+    forest as read-only; forests may share lists (see `truncate`).  All
+    derived structure (subtree maxima, tree index) is computed lazily and
+    cached, so forests are safe to share across threads once built.
     """
 
     __slots__ = ("parent", "birth", "death", "children", "roots",
@@ -101,11 +103,11 @@ class FamilyForest:
     def __init__(self, parent, birth, death, children, roots,
                  height_cap: Optional[float] = None,
                  validate: bool = False) -> None:
-        self.parent = list(parent)
-        self.birth = list(birth)
-        self.death = list(death)
-        self.children = [list(c) for c in children]
-        self.roots = list(roots)
+        self.parent = parent
+        self.birth = birth
+        self.death = death
+        self.children = children
+        self.roots = roots
         self.height_cap = height_cap
         self._subtree_max: Optional[list[float]] = None
         self._tree_index: Optional[list[int]] = None
@@ -136,15 +138,21 @@ class FamilyForest:
                     raise InputError(
                         f"node {nid}: birth {self.birth[nid]} != parent death "
                         f"{self.death[p]}")
-            if self.death[nid] < self.birth[nid]:
+            if not self.birth[nid] <= self.death[nid]:  # NaN fails too
                 raise InputError(f"node {nid}: death before birth")
             if self.height_cap is not None and self.death[nid] > self.height_cap:
                 raise InputError(f"node {nid}: death above height cap")
             for c in self.children[nid]:
+                if not 0 <= c < n or self.parent[c] != nid:
+                    raise InputError(f"node {nid}: child {c} does not name it as parent")
                 if seen_child[c]:
                     raise InputError(f"node {c} has two parents")
                 seen_child[c] = True
+        if len(set(self.roots)) != len(self.roots):
+            raise InputError("a root is listed twice")
         for r in self.roots:
+            if not 0 <= r < n:
+                raise InputError(f"root {r} out of range")
             if self.parent[r] != -1:
                 raise InputError(f"root {r} has a parent")
 
@@ -440,23 +448,24 @@ class FamilyForest:
         header = fh.readline()
         if not header.startswith("#"):
             raise InputError("missing forest header line")
-        fields = dict(tok.split("=", 1) for tok in header[1:].split())
-        roots = [int(x) for x in fields["roots"].split(",") if x != ""]
-        cap_s = fields["height_cap"]
-        cap = None if cap_s == "none" else float(cap_s)
         parent, birth, death, children = [], [], [], []
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            toks = line.split()
-            nid = int(toks[0])
-            if nid != len(parent):
-                raise InputError("node ids must be consecutive from 0")
-            parent.append(int(toks[1]))
-            birth.append(float(toks[2]))
-            death.append(float(toks[3]))
-            children.append([int(c) for c in toks[4:]])
+        with malformed_lines("forest"):
+            fields = dict(tok.split("=", 1) for tok in header[1:].split())
+            roots = [int(x) for x in fields["roots"].split(",") if x != ""]
+            cap_s = fields["height_cap"]
+            cap = None if cap_s == "none" else float(cap_s)
+            for line in fh:
+                line = line.strip()
+                if not line:
+                    continue
+                toks = line.split()
+                nid = int(toks[0])
+                if nid != len(parent):
+                    raise InputError("node ids must be consecutive from 0")
+                parent.append(int(toks[1]))
+                birth.append(float(toks[2]))
+                death.append(float(toks[3]))
+                children.append([int(c) for c in toks[4:]])
         return cls(parent, birth, death, children, roots, height_cap=cap,
                    validate=True)
 

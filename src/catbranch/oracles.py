@@ -186,12 +186,6 @@ def poisson_count_test(counts: Sequence[float], means: Union[float, Sequence[flo
     return max(min(2.0 * min(hi, lo), 1.0), 1.0 / n_sim)
 
 
-def binned_chi2_mc(observed: Sequence[float], expected: Sequence[float],
-                   seed: int = 0, n_sim: int = 4000) -> float:
-    """Monte Carlo chi-square for Poisson-binned counts versus expected."""
-    return poisson_count_test(observed, expected, seed=seed, n_sim=n_sim)
-
-
 def two_sample_counts_chi2(a: Sequence[int], b: Sequence[int],
                            min_expected: float = 5.0) -> float:
     """Two-sample homogeneity test for small nonnegative integer counts.

@@ -42,8 +42,8 @@ from typing import TextIO
 
 import numpy as np
 
-from .errors import InputError, PopulationCapError
-from .forest import FamilyForest, ForestBuilder
+from .errors import InputError, PopulationCapError, malformed_lines
+from .forest import NEVER, FamilyForest
 
 GALTON_WATSON = "galton_watson"
 BIRTH_DEATH = "birth_death"
@@ -63,6 +63,12 @@ class SimConfig:
     max_live: int = 10_000_000
 
     def __post_init__(self) -> None:
+        for name in ("b1", "b2", "delta", "initial_catalyst_mass",
+                     "initial_reactant_mass"):
+            if not math.isfinite(getattr(self, name)):
+                raise InputError(f"{name} must be finite")
+        if math.isnan(self.t_max):
+            raise InputError("t_max must not be NaN")
         if self.b1 <= 0 or self.b2 <= 0:
             raise InputError("rates must be positive")
         if int(self.n) != self.n or self.n < 1:
@@ -125,10 +131,6 @@ class MassPath:
             i += 1
         return total
 
-    def absorption_time(self) -> float:
-        """First time the path sits at 0, +inf if it never does."""
-        return stopping_time(self, 0.0)
-
     def write(self, fh: TextIO) -> None:
         fh.write(f"# horizon={float(self.horizon)!r}\n")
         fh.write("t,value\n")
@@ -138,18 +140,19 @@ class MassPath:
     @classmethod
     def read(cls, fh: TextIO) -> "MassPath":
         horizon = math.inf
-        line = fh.readline()
-        if line.startswith("#"):
-            horizon = float(line.split("=", 1)[1])
-            fh.readline()  # column names
         ts, vs = [], []
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            a, b = line.split(",")
-            ts.append(float(a))
-            vs.append(float(b))
+        with malformed_lines("mass path"):
+            line = fh.readline()
+            if line.startswith("#"):
+                horizon = float(line.split("=", 1)[1])
+                fh.readline()  # column names
+            for line in fh:
+                line = line.strip()
+                if not line:
+                    continue
+                a, b = line.split(",")
+                ts.append(float(a))
+                vs.append(float(b))
         return cls(np.asarray(ts), np.asarray(vs), horizon=horizon)
 
 
@@ -177,22 +180,33 @@ def _simulate_population(n: int, b: float, medium: MassPath, count0: int,
     The medium must cover [0, t_max] (step paths cover everything to the
     right of their last jump, so constants always do).  Simulation stops at
     extinction, at t_max, or at the medium's absorption time, whichever
-    comes first; survivors keep death = +inf and the forest is returned
-    uncapped (callers apply their truncation conventions).
+    comes first.  That stopping horizon, when finite, is the forest's height
+    cap and the death of every survivor, so the forest needs no truncation
+    at the horizon; with an infinite horizon the population has died out
+    and the forest is uncapped.  Nodes are numbered in event order.
     """
-    builder = ForestBuilder()
-    alive: list[int] = []
-    for _ in range(count0):
-        alive.append(builder.add_root(0.0))
-    if count0 > 1:  # roots sit in a random linear order
-        order = rng.permutation(count0)
-        builder.roots = [builder.roots[int(i)] for i in order]
+    exponential = rng.exponential
+    integers = rng.integers
+    uniform = rng.random
+    galton_watson = representation == GALTON_WATSON
 
-    med_times = medium.times
-    med_values = medium.values
+    parent = [-1] * count0
+    birth = [0.0] * count0
+    death = [NEVER] * count0
+    children: list[list[int]] = [[] for _ in range(count0)]
+    alive = list(range(count0))
+    roots = list(range(count0))
+    if count0 > 1:  # roots sit in a random linear order
+        roots = rng.permutation(count0).tolist()
+
+    # Python floats, so event times stay Python floats
+    med_times = medium.times.tolist()
+    med_values = medium.values.tolist()
+    med_last = len(med_times) - 1
     med_i = 0
     med_stop = stopping_time(medium, 0.0)
     horizon = min(t_max, med_stop)
+    rate_scale = 2.0 * n * b
 
     times = [0.0]
     counts = [count0]
@@ -201,15 +215,16 @@ def _simulate_population(n: int, b: float, medium: MassPath, count0: int,
 
     while live > 0 and t < horizon:
         # per-individual hazard (birth + death clocks): 2*n*b*medium
-        target = rng.exponential()
+        target = exponential()
         # advance through the medium's constant steps until the hazard
         # integral reaches the target
         while True:
-            while med_i + 1 < med_times.size and med_times[med_i + 1] <= t:
+            while med_i < med_last and med_times[med_i + 1] <= t:
                 med_i += 1
-            rate = 2.0 * n * b * med_values[med_i] * live
-            step_end = med_times[med_i + 1] if med_i + 1 < med_times.size else math.inf
-            step_end = min(step_end, horizon)
+            rate = rate_scale * med_values[med_i] * live
+            step_end = horizon
+            if med_i < med_last and med_times[med_i + 1] <= horizon:
+                step_end = med_times[med_i + 1]
             if rate > 0.0:
                 dt = target / rate
                 if t + dt <= step_end:
@@ -223,48 +238,55 @@ def _simulate_population(n: int, b: float, medium: MassPath, count0: int,
         if t >= horizon:
             break
 
-        # pick a uniform living individual and resolve the event
-        k = int(rng.integers(live))
+        # pick a uniform living individual and resolve the event: in both
+        # recordings it ends, and on a split it gets two children born now
+        k = int(integers(live))
         node = alive[k]
-        builder.set_death(node, t)
-        if representation == GALTON_WATSON:
-            two = rng.random() < 0.5
-            if two:
-                c1 = builder.add_child(node, t)
-                c2 = builder.add_child(node, t)
-                if rng.random() < 0.5:
-                    builder.children[node][0], builder.children[node][1] = c2, c1
-                alive[k] = builder.children[node][0]
-                alive.append(builder.children[node][1])
-                live += 1
+        death[node] = t
+        if uniform() < 0.5:
+            first = len(parent)
+            second = first + 1
+            parent += (node, node)
+            birth += (t, t)
+            death += (NEVER, NEVER)
+            children += ([], [])
+            if galton_watson:
+                # two fresh children in a random order
+                if uniform() < 0.5:
+                    first, second = second, first
+                children[node] = [first, second]
+                alive[k] = first
+                alive.append(second)
             else:
-                alive[k] = alive[-1]
-                alive.pop()
-                live -= 1
-        else:  # birth-death: same total event rate, half births, half deaths
-            birth = rng.random() < 0.5
-            if birth:
-                # newborn branches off to the left of the continuing parent
-                newborn = builder.add_child(node, t)
-                cont = builder.add_child(node, t)
-                alive[k] = cont
-                alive.append(newborn)
-                live += 1
-            else:
-                alive[k] = alive[-1]
-                alive.pop()
-                live -= 1
+                # birth-death: the newborn branches off to the left of the
+                # continuing parent
+                children[node] = [first, second]
+                alive[k] = second
+                alive.append(first)
+            live += 1
+        else:
+            alive[k] = alive[-1]
+            alive.pop()
+            live -= 1
         if live > max_live:
             raise PopulationCapError(
                 f"live population exceeded cap {max_live}")
         times.append(t)
         counts.append(live)
 
+    height_cap = None
+    if math.isfinite(horizon):
+        height_cap = horizon
+        closed = float(horizon)
+        for node in alive:
+            death[node] = closed
+
     # the recording is valid forever once the population or its medium died
     path_horizon = math.inf if (live == 0 or med_stop <= t_max) else t_max
     mass = MassPath(np.asarray(times), np.asarray(counts, dtype=float) / n,
                     horizon=path_horizon)
-    return mass, builder.freeze()
+    return mass, FamilyForest(parent, birth, death, children, roots,
+                              height_cap=height_cap)
 
 
 def _streams(seed: int) -> tuple[np.random.Generator, np.random.Generator]:
@@ -276,13 +298,14 @@ def _streams(seed: int) -> tuple[np.random.Generator, np.random.Generator]:
 def simulate_catalyst(cfg: SimConfig) -> tuple[MassPath, FamilyForest]:
     """Autonomous critical binary population at rate b1, rescaling n."""
     rng, _ = _streams(cfg.seed)
+    return _catalyst_with_rng(cfg, rng)
+
+
+def _catalyst_with_rng(cfg: SimConfig, rng: np.random.Generator):
     count0 = round(cfg.initial_catalyst_mass * cfg.n)
-    mass, forest = _simulate_population(
+    return _simulate_population(
         cfg.n, cfg.b1, MassPath.constant(1.0), count0, cfg.t_max, rng,
         cfg.representation, cfg.max_live)
-    if math.isfinite(cfg.t_max):
-        forest = forest.truncate(cfg.t_max)
-    return mass, forest
 
 
 def simulate_reactant_quenched(cfg: SimConfig,
@@ -314,21 +337,21 @@ def _reactant_with_rng(cfg: SimConfig, catalyst: MassPath,
     mass, forest = _simulate_population(
         cfg.n, cfg.b2, catalyst, count0, cfg.t_max, rng,
         cfg.representation, cfg.max_live)
-    return mass, forest.truncate(cut)
+    # the engine stops at min(t_max, catalyst absorption), which is the cut
+    # unless a positive threshold is reached earlier
+    if forest.height_cap is None or cut < forest.height_cap:
+        forest = forest.truncate(cut)
+    return mass, forest
 
 
 def simulate_joint(cfg: SimConfig):
     """Catalyst plus reactant quenched on it, one seed, fixed stream order.
 
-    The catalyst marginal is identical to `simulate_catalyst` run with the
-    same config.
+    The catalyst half is what `simulate_catalyst` returns for the same
+    config.  Both call `_catalyst_with_rng` rather than each other, so code
+    that wraps the public functions (tracing, event counts) sees one call
+    per population.
     """
     cat_rng, rea_rng = _streams(cfg.seed)
-    count0 = round(cfg.initial_catalyst_mass * cfg.n)
-    cat_mass, cat_forest = _simulate_population(
-        cfg.n, cfg.b1, MassPath.constant(1.0), count0, cfg.t_max, cat_rng,
-        cfg.representation, cfg.max_live)
-    if math.isfinite(cfg.t_max):
-        cat_forest = cat_forest.truncate(cfg.t_max)
-    rea_mass, rea_forest = _reactant_with_rng(cfg, cat_mass, rea_rng)
-    return (cat_mass, cat_forest), (rea_mass, rea_forest)
+    catalyst = _catalyst_with_rng(cfg, cat_rng)
+    return catalyst, _reactant_with_rng(cfg, catalyst[0], rea_rng)

@@ -23,7 +23,7 @@ from typing import Sequence, TextIO, Union
 import numpy as np
 
 from .contour import Excursion
-from .errors import InputError
+from .errors import InputError, malformed_lines
 from .forest import FamilyForest
 
 
@@ -62,16 +62,17 @@ class GenealogicalPointProcess:
         header = fh.readline()
         if not header.startswith("#"):
             raise InputError("missing point-process header")
-        fields = dict(tok.split("=", 1) for tok in header[1:].split())
-        level = float(fields["t"])
-        spacing = float(fields["spacing"])
-        fh.readline()  # column names
         heights = []
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            heights.append(float(line.split(",")[1]))
+        with malformed_lines("point-process"):
+            fields = dict(tok.split("=", 1) for tok in header[1:].split())
+            level = float(fields["t"])
+            spacing = float(fields["spacing"])
+            fh.readline()  # column names
+            for line in fh:
+                line = line.strip()
+                if not line:
+                    continue
+                heights.append(float(line.split(",")[1]))
         return cls(level, spacing, heights)
 
 

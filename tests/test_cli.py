@@ -18,6 +18,14 @@ class TestSimulate:
         assert rc == 2
         assert "seed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--b1", "--b2", "--delta", "--t-max"])
+    def test_rejects_nan_parameter(self, tmp_path, capsys, flag):
+        rc = main(["simulate", "--seed", "1", "--t-max", "1", flag, "nan",
+                   "--out", str(tmp_path)])
+        assert rc == 2
+        assert "input error" in capsys.readouterr().err
+        assert not os.listdir(tmp_path)
+
     def test_deterministic_rerun(self, tmp_path):
         out1 = tmp_path / "a"
         out2 = tmp_path / "b"
@@ -100,6 +108,15 @@ class TestConvert:
         bad.write_text("garbage\n")
         rc = main(["convert", str(bad), str(tmp_path / "x"), "--to", "contour"])
         assert rc == 2
+
+    def test_corrupted_contour_exit_code(self, tmp_path, capsys):
+        bad = tmp_path / "bad_contour.txt"
+        bad.write_text("# speed=2.0\n0.0 0.0\n0.5 0.5 junk\n1.0 0.0\n")
+        rc = main(["convert", str(bad), str(tmp_path / "x"), "--to", "forest"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error: malformed contour")
+        assert "Traceback" not in err
 
     def test_missing_file_exit_code(self, tmp_path):
         rc = main(["convert", str(tmp_path / "nope"), str(tmp_path / "x"),

@@ -18,6 +18,10 @@ class TestExcursionType:
             Excursion([0.0, 0.0], [0.0, 0.0])     # strictly increasing times
         with pytest.raises(InputError):
             Excursion([0.0, 1.0, 2.0], [0.0, -0.1, 0.0])
+        with pytest.raises(InputError):
+            Excursion([0.0, 1.0, 2.0], [0.0, float("nan"), 0.0])
+        with pytest.raises(InputError):
+            Excursion([0.0, 1.0, float("inf")], [0.0, 1.0, 0.0])
 
     def test_value_interpolation(self):
         e = Excursion([0.0, 1.0, 2.0], [0.0, 1.0, 0.0])
@@ -32,6 +36,16 @@ class TestExcursionType:
         e2, speed = Excursion.read(buf)
         assert speed == 2.0
         assert e2.u == e.u and e2.e == e.e
+
+    @pytest.mark.parametrize("text", [
+        "# speed=2.0\n0.0 0.0\n0.5 0.5 junk\n1.0 0.0\n",
+        "# speed=2.0\n0.0 0.0\n0.5\n1.0 0.0\n",
+        "# speed=2.0\n0.0 0.0\n0.5 half\n1.0 0.0\n",
+        "# speed=fast\n0.0 0.0\n1.0 0.0\n",
+    ])
+    def test_read_rejects_malformed_lines(self, text):
+        with pytest.raises(InputError, match="malformed contour"):
+            Excursion.read(io.StringIO(text))
 
 
 class TestEncode:

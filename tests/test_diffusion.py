@@ -77,6 +77,19 @@ class TestIntegrator:
         assert back.step == X.step
         assert np.array_equal(back.values, X.values)
 
+    def test_path_read_rejects_malformed_lines(self):
+        import io
+        with pytest.raises(InputError, match="malformed diffusion path"):
+            DiffusionPath.read(io.StringIO("# step=0.01 seed=3\n1.0\nx\n"))
+
+    @pytest.mark.parametrize("field,value", [
+        ("b1", 0.0), ("b2", -1.0), ("step", 0.0), ("horizon", -1.0),
+        ("b1", math.nan), ("step", math.inf), ("horizon", math.inf),
+        ("x0", -0.5), ("y0", math.nan), ("x0", math.inf)])
+    def test_config_rejects_bad_values(self, field, value):
+        with pytest.raises(InputError):
+            SDEConfig(**{field: value})
+
 
 class TestScaleFunction:
     def test_constant_medium_linear(self):

@@ -256,6 +256,22 @@ class TestSerialization:
         with pytest.raises(InputError):
             FamilyForest.from_text("not a forest\n")
 
+    @pytest.mark.parametrize("text", [
+        "# roots=0 height_cap=none\n0 -1 0.0\n",             # short line
+        "# roots=0 height_cap=none\n0 -1 0.0 x\n",           # bad float
+        "# roots=0 height_cap=none\n0 -1 0.0 nan\n",         # NaN death
+        "# roots=0 height_cap=none\nzero -1 0.0 1.0\n",      # bad id
+        "# roots=0\n0 -1 0.0 1.0\n",                         # no cap
+        "# roots=0 height_cap\n0 -1 0.0 1.0\n",              # no '='
+        "# roots=0 height_cap=none\n0 -1 0.0 1.0 7\n",       # child range
+        "# roots=3 height_cap=none\n0 -1 0.0 1.0\n",         # root range
+        "# roots=0,0 height_cap=none\n0 -1 0.0 1.0\n",       # root twice
+        "# roots=0,1 height_cap=none\n0 -1 0.0 1.0 1\n1 -1 1.0 2.0\n",
+    ])
+    def test_rejects_malformed_lines(self, text):
+        with pytest.raises(InputError):
+            FamilyForest.from_text(text)
+
 
 class TestLabels:
     def test_ulam_harris_structure(self, three_leaf):

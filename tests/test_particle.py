@@ -1,3 +1,4 @@
+import hashlib
 import io
 import math
 
@@ -23,6 +24,19 @@ class TestSimConfig:
         with pytest.raises(InputError):
             SimConfig(n=4, initial_reactant_mass=0.3)
         SimConfig(n=4, initial_reactant_mass=0.75)
+
+    @pytest.mark.parametrize("field", ["b1", "b2", "delta",
+                                       "initial_catalyst_mass",
+                                       "initial_reactant_mass"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, field, value):
+        with pytest.raises(InputError):
+            SimConfig(**{field: value})
+
+    def test_t_max_may_be_infinite_but_not_nan(self):
+        assert SimConfig(t_max=math.inf).t_max == math.inf
+        with pytest.raises(InputError):
+            SimConfig(t_max=math.nan)
 
 
 class TestMassPath:
@@ -57,6 +71,16 @@ class TestMassPath:
         assert np.array_equal(q.values, p.values)
         assert q.horizon == 4.0
 
+    @pytest.mark.parametrize("text", [
+        "# horizon=4.0\nt,value\n0.0,1.0\n0.5\n",
+        "# horizon=4.0\nt,value\n0.0,1.0\n0.5,x\n",
+        "# horizon=four\nt,value\n0.0,1.0\n",
+        "# horizon\nt,value\n0.0,1.0\n",
+    ])
+    def test_read_rejects_malformed_lines(self, text):
+        with pytest.raises(InputError, match="malformed mass path"):
+            MassPath.read(io.StringIO(text))
+
 
 class TestDeterminism:
     def test_bit_exact_replay(self):
@@ -81,6 +105,58 @@ class TestDeterminism:
         f_bd = simulate_catalyst(cfg_bd)[1]
         # same seed, different node bookkeeping
         assert f_gw.canonical_shape() != f_bd.canonical_shape() or len(f_gw) <= 1
+
+
+def _digest(mass, forest):
+    h = hashlib.sha256()
+    h.update(mass.times.tobytes())
+    h.update(mass.values.tobytes())
+    h.update(repr(forest.canonical_shape()).encode())
+    h.update(repr(forest.height_cap).encode())
+    return h.hexdigest()
+
+
+class TestStreamPreservation:
+    """Digests of mass paths, forest shapes and height caps, recorded from
+    the engine that built forests through `ForestBuilder` and truncated
+    them at the horizon.  Node ids do not enter `canonical_shape`, so the
+    digests hold for any numbering of the nodes."""
+
+    JOINT = {
+        (1, GALTON_WATSON, 5, 1.0): (
+            "c661d9725170f424c116f52d959e307fc499d209259b0e6c89691b02ca223cfb",
+            "8328ae4eff9bcb91a8ca71d71eb1888033bcaea98fda8cd66f8080985bc56d74"),
+        (2, GALTON_WATSON, 5, 1.0): (
+            "2458045eef02666c848661b8fcd6e930f13b3e45129b742fde965370c30d19c1",
+            "3294d47c82a68cfbca8f3f774b43f73153fdbca4b9428fdfb5b3e9de8dd37d38"),
+        (3, GALTON_WATSON, 5, 1.0): (
+            "44dc95a1e8e705ca73279e7f9f2fad6a5af0c8c3cff5cda2a0e06d731a2111aa",
+            "70c1c6ddd5cbc99d72a9ec27129591f5f7380d8ce12e5ba66a356b6a2b196a89"),
+        (4, BIRTH_DEATH, 5, 1.0): (
+            "4f2fd2750bc13b2505b3e93303530b67dd9213f3226a48a62377914a02e40dbc",
+            "f31d888ad08778c703448094fa612f1844bca92441e2e9176a25d8928f263684"),
+        # catalyst runs to extinction, reactant is cut at its absorption
+        (7, GALTON_WATSON, 1, math.inf): (
+            "d9f6045c4d173f6b39629f61b7133322e675940904bb11f9b6412356876111ef",
+            "8fea95390a7a4097b11150fcfdc7c9a4be243d669b539c4ef006136e322f9b14"),
+    }
+
+    @pytest.mark.parametrize("key", list(JOINT), ids=str)
+    def test_joint(self, key):
+        seed, representation, n, t_max = key
+        cat, rea = simulate_joint(SimConfig(n=n, t_max=t_max, seed=seed,
+                                            representation=representation))
+        assert (_digest(*cat), _digest(*rea)) == self.JOINT[key]
+
+    def test_reactant_cut_below_horizon(self):
+        # the catalyst falls to delta = 0.2 at 0.916, before it dies out at
+        # 1.194, so the reactant forest is truncated with 11 survivors
+        cfg = SimConfig(n=5, t_max=2.0, seed=10, delta=0.2)
+        catalyst, _ = simulate_catalyst(cfg)
+        mass, forest = simulate_reactant_quenched(cfg, catalyst)
+        assert forest.height_cap < stopping_time(catalyst, 0.0)
+        assert _digest(mass, forest) == (
+            "2369b78cddd8d924f28446e1d70a948393f3e9b4fffda6fc28701bf1afe998ca")
 
 
 class TestConsistency:

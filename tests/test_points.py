@@ -125,3 +125,13 @@ class TestCSV:
         assert back.spacing == pp.spacing
         assert back.heights == pp.heights
         assert back.zero_marks == pp.zero_marks
+
+    @pytest.mark.parametrize("text", [
+        "# t=1.0 spacing=0.5 zero_marks=0\nell,h\n0.5\n",
+        "# t=1.0 spacing=0.5 zero_marks=0\nell,h\n0.5,high\n",
+        "# t=1.0 zero_marks=0\nell,h\n0.5,0.2\n",
+        "# t=1.0 spacing\nell,h\n0.5,0.2\n",
+    ])
+    def test_read_rejects_malformed_lines(self, text):
+        with pytest.raises(InputError, match="malformed point-process"):
+            GenealogicalPointProcess.read(io.StringIO(text))
