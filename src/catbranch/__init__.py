@@ -6,7 +6,7 @@ The package has three layers:
 
 * exact combinatorics — family forests as real trees (`forest`), the
   forest/excursion codec (`contour`), and level point processes (`points`);
-* simulators — the event-driven two-type particle model (`particle`) and
+* simulators — the exact two-type particle model (`particle`) and
   the diffusion-scale objects (`diffusion`);
 * verification — closed-form laws and statistical tests (`oracles`) wired
   into named Monte Carlo suites (`harness`), driven by the `catbranch` CLI.

@@ -78,6 +78,8 @@ def _run_replica(payload):
 
 
 def cmd_simulate(args) -> int:
+    if args.replicas < 1 or args.jobs < 1:
+        raise InputError("--replicas and --jobs must be >= 1")
     cfg = _build_sim_config(args)
     out = _out_dir(args)
     cfg_kwargs = dict(b1=cfg.b1, b2=cfg.b2, n=cfg.n, delta=cfg.delta,
@@ -143,6 +145,10 @@ def cmd_simulate(args) -> int:
 def cmd_verify(args) -> int:
     import inspect
 
+    if args.replicas is not None and args.replicas < 1:
+        raise InputError("--replicas must be >= 1")
+    if args.seed is not None and args.seed < 0:
+        raise InputError("--seed must be >= 0")
     names = list(SUITES) if args.suite == ["all"] else args.suite
     overrides: dict[str, dict] = {}
     for name in names:

@@ -1,8 +1,8 @@
 """
 particle.py
 ===========
-Exact event-driven simulation of the two-type branching particle model with
-full family-forest recording.
+Exact simulation of the two-type branching particle model with full
+family-forest recording.
 
 Model.  The catalyst population branches autonomously; the reactant's
 branching rate is proportional to the current catalyst total mass.  At
@@ -21,21 +21,37 @@ I(t) = integral of lambda.  (The square-root diffusion pair integrated in
 `diffusion` uses its own normalization; the dictionary between the two is a
 constant time change, documented there.)
 
-Two interchangeable forest recordings are provided:
+Engine.  Individuals are independent given the medium, so the engine draws
+a whole generation at once.  A node born at time s with cumulative hazard
+L(s) = 2 n b * integral of the medium over [0, s] ends at L^-1(L(s) + E),
+E a standard exponential; nodes that end before the horizon split into two
+children born at that time or die.  Nodes are numbered generation by
+generation, and the two children of a split have consecutive ids.  The
+total-mass path has one entry per event.  Two interchangeable recordings
+draw a generation of m nodes differently:
 
-  galton_watson   every branch event kills the individual and creates 0 or
-                  2 fresh children;
-  birth_death     death clocks end an individual with no offspring, birth
-                  clocks split its edge into a continuation plus a newborn,
-                  randomly ordered.
+  galton_watson   `exponential(size=m)` for the branch clocks at rate
+                  2 n b * medium, then `random(m) < 0.5` for the 0-or-2
+                  offspring coin;
+  birth_death     `exponential(size=m)` twice, for a birth clock and a
+                  death clock each at rate n b * medium; the first to ring
+                  ends the edge, and a birth splits it into the newborn
+                  (left child) and the continuing individual (right child).
 
 Both produce the same total-mass law and the same genealogical distance
 distributions; they differ path-by-path, which the representation
-equivalence suite exercises.
+equivalence suite exercises.  Before the generations, a population of more
+than one root draws its roots' linear order with `permutation`.
+
+Cap.  `max_live` bounds the live population after every event;
+`PopulationCapError` is raised as soon as the generations drawn so far show
+that the bound is exceeded, so a runaway population stops before its whole
+forest is drawn.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import TextIO
@@ -43,7 +59,7 @@ from typing import TextIO
 import numpy as np
 
 from .errors import InputError, PopulationCapError, malformed_lines
-from .forest import NEVER, FamilyForest
+from .forest import FamilyForest
 
 GALTON_WATSON = "galton_watson"
 BIRTH_DEATH = "birth_death"
@@ -76,6 +92,8 @@ class SimConfig:
         self.n = int(self.n)
         if self.delta < 0:
             raise InputError("truncation threshold must be >= 0")
+        if self.seed < 0:
+            raise InputError("seed must be >= 0")
         if self.representation not in (GALTON_WATSON, BIRTH_DEATH):
             raise InputError(f"unknown representation {self.representation!r}")
         for mass in (self.initial_catalyst_mass, self.initial_reactant_mass):
@@ -92,7 +110,7 @@ class MassPath:
     final value extends forever (absorbed paths, synthetic constants).
     """
 
-    times: np.ndarray   # increasing, times[0] == 0
+    times: np.ndarray   # non-decreasing and finite, times[0] == 0
     values: np.ndarray  # same length
     horizon: float = math.inf
 
@@ -103,6 +121,12 @@ class MassPath:
             raise InputError("times/values must be nonempty and equal length")
         if self.times[0] != 0.0:
             raise InputError("mass path must start at time 0")
+        # NaN fails the comparisons, and the last time is the largest
+        if not ((self.times[1:] >= self.times[:-1]).all()
+                and self.times[-1] < math.inf):
+            raise InputError("mass path times must be finite and non-decreasing")
+        if not np.isfinite(self.values).all():
+            raise InputError("mass path values must be finite")
 
     @classmethod
     def constant(cls, value: float) -> "MassPath":
@@ -142,11 +166,13 @@ class MassPath:
         horizon = math.inf
         ts, vs = [], []
         with malformed_lines("mass path"):
-            line = fh.readline()
-            if line.startswith("#"):
-                horizon = float(line.split("=", 1)[1])
-                fh.readline()  # column names
-            for line in fh:
+            first = fh.readline()
+            if first.startswith("#"):
+                horizon = float(first.split("=", 1)[1])
+                first = fh.readline()
+            if first.strip() == "t,value":  # column names
+                first = ""
+            for line in itertools.chain((first,), fh):
                 line = line.strip()
                 if not line:
                     continue
@@ -160,15 +186,55 @@ def stopping_time(path: MassPath, delta: float) -> float:
     """First entrance time of the path into [0, delta]; +inf if never."""
     if delta < 0:
         raise InputError("threshold must be >= 0")
-    hits = np.flatnonzero(path.values <= delta)
+    hits = (path.values <= delta).nonzero()[0]
     if hits.size == 0:
         return math.inf
     return float(path.times[hits[0]])
 
 
 # ---------------------------------------------------------------------- #
-# Event engine                                                            #
+# Particle engine                                                         #
 # ---------------------------------------------------------------------- #
+
+def _time_of_hazard(medium: MassPath, rate_scale: float, horizon: float):
+    """The inverse of the cumulative hazard L(t) = rate_scale * integral of
+    the medium over [0, t], as a function of arrays of hazards and of the
+    birth times that bound them from below.
+
+    Below the horizon the medium is positive, so L is strictly increasing
+    and piecewise linear with knots at the medium's jumps; past its last
+    knot below the horizon it continues with the last slope.  Times at or
+    beyond the horizon only tell that a clock did not ring before it.
+    """
+    if not horizon > 0.0:  # nothing happens before the horizon
+        return lambda h, born: np.full(h.size, horizon)
+    inside = medium.times < horizon
+    knots = medium.times[inside]
+    rates = rate_scale * medium.values[inside]
+    slope = rates[-1]
+    if knots.size == 1:  # constant medium; knots[0] == 0
+        return lambda h, born: h / slope
+    hazards = np.concatenate(([0.0], np.cumsum(rates[:-1] * np.diff(knots))))
+    last_knot, last_hazard = knots[-1], hazards[-1]
+
+    def to_time(h, born):
+        t = np.where(h > last_hazard, last_knot + (h - last_hazard) / slope,
+                     np.interp(h, hazards, knots))
+        # interpolation may round a time below the birth by an ulp
+        return np.maximum(t, born)
+    return to_time
+
+
+def _live_counts(count0: int, death: np.ndarray, split: np.ndarray,
+                 horizon: float):
+    """The times of the events (the deaths below the horizon) in order, and
+    the live count after each: a split adds one individual (two children
+    replace the parent), another death removes one."""
+    ended = death < horizon
+    times = death[ended]
+    order = times.argsort()
+    return times[order], count0 + np.where(split[ended], 1, -1)[order].cumsum()
+
 
 def _simulate_population(n: int, b: float, medium: MassPath, count0: int,
                          t_max: float, rng: np.random.Generator,
@@ -177,116 +243,98 @@ def _simulate_population(n: int, b: float, medium: MassPath, count0: int,
     """Run one population with per-individual clock rate n*b*medium(t) for
     each of birth and death, recording mass path and forest.
 
+    Individuals are independent given the medium, so the engine draws one
+    generation at a time: every node's lifetime comes from the cumulative
+    hazard, and the nodes that end before the horizon split or die.  Nodes
+    are numbered generation by generation, and the two children of a split
+    have consecutive ids.  The mass path has one entry per event.
+
     The medium must cover [0, t_max] (step paths cover everything to the
     right of their last jump, so constants always do).  Simulation stops at
     extinction, at t_max, or at the medium's absorption time, whichever
     comes first.  That stopping horizon, when finite, is the forest's height
     cap and the death of every survivor, so the forest needs no truncation
     at the horizon; with an infinite horizon the population has died out
-    and the forest is uncapped.  Nodes are numbered in event order.
+    and the forest is uncapped.  `PopulationCapError` is raised when the
+    live count exceeds `max_live` after some event; generations are
+    checked as they grow, before the whole forest is drawn.
     """
     exponential = rng.exponential
-    integers = rng.integers
     uniform = rng.random
     galton_watson = representation == GALTON_WATSON
 
-    parent = [-1] * count0
-    birth = [0.0] * count0
-    death = [NEVER] * count0
-    children: list[list[int]] = [[] for _ in range(count0)]
-    alive = list(range(count0))
     roots = list(range(count0))
     if count0 > 1:  # roots sit in a random linear order
         roots = rng.permutation(count0).tolist()
-
-    # Python floats, so event times stay Python floats
-    med_times = medium.times.tolist()
-    med_values = medium.values.tolist()
-    med_last = len(med_times) - 1
-    med_i = 0
     med_stop = stopping_time(medium, 0.0)
     horizon = min(t_max, med_stop)
-    rate_scale = 2.0 * n * b
+    to_time = _time_of_hazard(medium, 2.0 * n * b, horizon)
 
-    times = [0.0]
-    counts = [count0]
-    t = 0.0
-    live = count0
-
-    while live > 0 and t < horizon:
-        # per-individual hazard (birth + death clocks): 2*n*b*medium
-        target = exponential()
-        # advance through the medium's constant steps until the hazard
-        # integral reaches the target
-        while True:
-            while med_i < med_last and med_times[med_i + 1] <= t:
-                med_i += 1
-            rate = rate_scale * med_values[med_i] * live
-            step_end = horizon
-            if med_i < med_last and med_times[med_i + 1] <= horizon:
-                step_end = med_times[med_i + 1]
-            if rate > 0.0:
-                dt = target / rate
-                if t + dt <= step_end:
-                    t = t + dt
-                    break
-                target -= rate * (step_end - t)
-            t = step_end
-            if t >= horizon:
-                break
-            med_i += 1
-        if t >= horizon:
+    # one array per generation, in node order
+    born = np.zeros(count0)
+    born_hazard = born  # cumulative hazard at birth
+    births = [born]
+    deaths: list[np.ndarray] = []
+    splits: list[np.ndarray] = []
+    nodes = count0
+    next_check = max_live
+    while True:  # at least once, so that no roots make empty arrays
+        m = born.size
+        if galton_watson:
+            hazard = born_hazard + exponential(size=m)
+            split = uniform(m) < 0.5
+        else:
+            # competing birth and death clocks, each at half the hazard
+            # rate; the birth clock ringing first splits the edge
+            birth_clock = exponential(size=m)
+            death_clock = exponential(size=m)
+            hazard = born_hazard + 2.0 * np.minimum(birth_clock, death_clock)
+            split = birth_clock < death_clock
+        death = to_time(hazard, born)
+        split &= death < horizon
+        deaths.append(np.minimum(death, horizon))
+        splits.append(split)
+        born = death[split].repeat(2)
+        born_hazard = hazard[split].repeat(2)
+        births.append(born)
+        nodes += born.size
+        if nodes > next_check:
+            # a lower bound on the live count: the new children are left
+            # out, so this generation's splits only remove their parents
+            _, lower = _live_counts(
+                count0, np.concatenate(deaths),
+                np.concatenate(splits[:-1] + [np.zeros_like(split)]), horizon)
+            if lower.size and lower.max() > max_live:
+                raise PopulationCapError(
+                    f"live population exceeded cap {max_live}")
+            next_check = 2 * nodes
+        if not born.size:
             break
 
-        # pick a uniform living individual and resolve the event: in both
-        # recordings it ends, and on a split it gets two children born now
-        k = int(integers(live))
-        node = alive[k]
-        death[node] = t
-        if uniform() < 0.5:
-            first = len(parent)
-            second = first + 1
-            parent += (node, node)
-            birth += (t, t)
-            death += (NEVER, NEVER)
-            children += ([], [])
-            if galton_watson:
-                # two fresh children in a random order
-                if uniform() < 0.5:
-                    first, second = second, first
-                children[node] = [first, second]
-                alive[k] = first
-                alive.append(second)
-            else:
-                # birth-death: the newborn branches off to the left of the
-                # continuing parent
-                children[node] = [first, second]
-                alive[k] = second
-                alive.append(first)
-            live += 1
-        else:
-            alive[k] = alive[-1]
-            alive.pop()
-            live -= 1
-        if live > max_live:
-            raise PopulationCapError(
-                f"live population exceeded cap {max_live}")
-        times.append(t)
-        counts.append(live)
+    death = np.concatenate(deaths)
+    split = np.concatenate(splits)
+    times, counts = _live_counts(count0, death, split, horizon)
+    if counts.size and counts.max() > max_live:
+        raise PopulationCapError(f"live population exceeded cap {max_live}")
+    live = int(counts[-1]) if counts.size else count0
 
-    height_cap = None
-    if math.isfinite(horizon):
-        height_cap = horizon
-        closed = float(horizon)
-        for node in alive:
-            death[node] = closed
+    # generations are numbered in order and each lists its children in
+    # parent order, so the j-th split node has children count0 + 2j, +1
+    splitting = split.nonzero()[0]
+    first_child = np.full(death.size, -1)
+    first_child[splitting] = np.arange(count0, death.size, 2)
+    parent = [-1] * count0 + splitting.repeat(2).tolist()
+    children = [[c, c + 1] if c >= 0 else [] for c in first_child.tolist()]
+    forest = FamilyForest(parent, np.concatenate(births).tolist(),
+                          death.tolist(), children, roots,
+                          height_cap=horizon if math.isfinite(horizon) else None)
 
     # the recording is valid forever once the population or its medium died
     path_horizon = math.inf if (live == 0 or med_stop <= t_max) else t_max
-    mass = MassPath(np.asarray(times), np.asarray(counts, dtype=float) / n,
+    mass = MassPath(np.concatenate(([0.0], times)),
+                    np.concatenate(([count0], counts)) / n,
                     horizon=path_horizon)
-    return mass, FamilyForest(parent, birth, death, children, roots,
-                              height_cap=height_cap)
+    return mass, forest
 
 
 def _streams(seed: int) -> tuple[np.random.Generator, np.random.Generator]:

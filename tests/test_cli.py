@@ -26,6 +26,31 @@ class TestSimulate:
         assert "input error" in capsys.readouterr().err
         assert not os.listdir(tmp_path)
 
+    @pytest.mark.parametrize("args", [
+        ["--seed", "-1"],
+        ["--seed", "1", "--replicas", "-3"],
+        ["--seed", "1", "--replicas", "0"],
+        ["--seed", "1", "--jobs", "0"],
+    ], ids=["negative-seed", "negative-replicas", "zero-replicas", "zero-jobs"])
+    def test_rejects_bad_counts_and_seed(self, tmp_path, capsys, args):
+        rc = main(["simulate", "--t-max", "1", *args, "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error") and err.count("\n") == 1
+        assert not os.listdir(tmp_path)
+
+    def test_jobs_do_not_change_output(self, tmp_path):
+        args = ["simulate", "--n", "2", "--seed", "11", "--t-max", "1.0",
+                "--replicas", "3", "--contours", "--level", "0.5"]
+        serial, parallel = tmp_path / "j1", tmp_path / "j2"
+        assert main(args + ["--jobs", "1", "--out", str(serial)]) == 0
+        assert main(args + ["--jobs", "2", "--out", str(parallel)]) == 0
+        names = sorted(os.listdir(serial))
+        assert names == sorted(os.listdir(parallel))
+        assert len(names) == 3 * 8 + 2
+        for name in names:
+            assert read(serial / name) == read(parallel / name)
+
     def test_deterministic_rerun(self, tmp_path):
         out1 = tmp_path / "a"
         out2 = tmp_path / "b"
@@ -131,6 +156,16 @@ class TestVerify:
         assert rc == 0
         report = json.loads(read(tmp_path / "verify_report.json"))
         assert all(entry["passed"] for entry in report)
+
+    @pytest.mark.parametrize("args", [["--replicas", "0"], ["--seed", "-1"]],
+                             ids=["zero-replicas", "negative-seed"])
+    def test_rejects_bad_override(self, tmp_path, capsys, args):
+        rc = main(["verify", "--suite", "extinction", *args,
+                   "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error") and err.count("\n") == 1
+        assert not os.listdir(tmp_path)
 
     def test_unknown_suite(self, tmp_path):
         rc = main(["verify", "--suite", "nonsense", "--out", str(tmp_path)])

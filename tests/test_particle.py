@@ -5,10 +5,21 @@ import math
 import numpy as np
 import pytest
 
+import reference_engine
+from catbranch import particle
 from catbranch.errors import InputError, PopulationCapError
+from catbranch.oracles import two_sample_ks
 from catbranch.particle import (BIRTH_DEATH, GALTON_WATSON, MassPath,
                                 SimConfig, simulate_catalyst, simulate_joint,
                                 simulate_reactant_quenched, stopping_time)
+from catbranch.points import point_process_at_level
+
+
+@pytest.fixture
+def reference(monkeypatch):
+    """Run the public `simulate_*` functions through the reference engine."""
+    monkeypatch.setattr(particle, "_simulate_population",
+                        reference_engine.simulate_population)
 
 
 class TestSimConfig:
@@ -32,6 +43,10 @@ class TestSimConfig:
     def test_rejects_non_finite(self, field, value):
         with pytest.raises(InputError):
             SimConfig(**{field: value})
+
+    def test_rejects_negative_seed(self):
+        with pytest.raises(InputError, match="seed"):
+            SimConfig(seed=-1)
 
     def test_t_max_may_be_infinite_but_not_nan(self):
         assert SimConfig(t_max=math.inf).t_max == math.inf
@@ -81,6 +96,28 @@ class TestMassPath:
         with pytest.raises(InputError, match="malformed mass path"):
             MassPath.read(io.StringIO(text))
 
+    def test_read_keeps_first_line_without_header(self):
+        q = MassPath.read(io.StringIO("0.0,1.0\n0.0,2.0\n0.5,0.0\n"))
+        assert q.times.tolist() == [0.0, 0.0, 0.5]
+        assert q.values.tolist() == [1.0, 2.0, 0.0]
+        assert q.horizon == math.inf
+
+    def test_read_skips_column_line_without_header(self):
+        q = MassPath.read(io.StringIO("t,value\n0.0,1.0\n0.5,0.0\n"))
+        assert q.times.tolist() == [0.0, 0.5]
+        assert q.values.tolist() == [1.0, 0.0]
+
+    @pytest.mark.parametrize("times, values", [
+        ([0.0, math.nan], [1.0, 0.0]),
+        ([0.0, math.inf], [1.0, 0.0]),
+        ([0.0, 1.0, 0.5], [1.0, 2.0, 0.0]),
+        ([0.0, 1.0], [1.0, math.nan]),
+        ([0.0, 1.0], [math.inf, 0.0]),
+    ], ids=["nan-time", "inf-time", "decreasing", "nan-value", "inf-value"])
+    def test_rejects_bad_times_and_values(self, times, values):
+        with pytest.raises(InputError):
+            MassPath(np.array(times), np.array(values))
+
 
 class TestDeterminism:
     def test_bit_exact_replay(self):
@@ -116,11 +153,15 @@ def _digest(mass, forest):
     return h.hexdigest()
 
 
+@pytest.mark.usefixtures("reference")
 class TestStreamPreservation:
     """Digests of mass paths, forest shapes and height caps, recorded from
-    the engine that built forests through `ForestBuilder` and truncated
-    them at the horizon.  Node ids do not enter `canonical_shape`, so the
-    digests hold for any numbering of the nodes."""
+    the event-driven engine when it built forests through `ForestBuilder`
+    and truncated them at the horizon.  They run through that engine, now
+    `reference_engine`, and pin it as the law reference, together with the
+    seeding, truncation and stream order of the public functions.  Node ids
+    do not enter `canonical_shape`, so the digests hold for any numbering
+    of the nodes."""
 
     JOINT = {
         (1, GALTON_WATSON, 5, 1.0): (
@@ -179,6 +220,14 @@ class TestConsistency:
         assert forest.height_cap == 2.0
         assert forest.height() <= 2.0
 
+    @pytest.mark.parametrize("representation", [GALTON_WATSON, BIRTH_DEATH])
+    def test_empty_population(self, representation):
+        cfg = SimConfig(n=2, seed=3, t_max=1.0, initial_reactant_mass=0.0,
+                        representation=representation)
+        _, (mass, forest) = simulate_joint(cfg)
+        assert mass.times.tolist() == [0.0] and mass.values.tolist() == [0.0]
+        assert len(forest) == 0 and forest.roots == []
+
     def test_zero_medium_never_branches(self):
         catalyst = MassPath(np.array([0.0]), np.array([0.0]))
         cfg = SimConfig(n=2, seed=5, t_max=5.0)
@@ -202,6 +251,139 @@ class TestConsistency:
         cfg = SimConfig(n=1, seed=1, t_max=5.0)
         with pytest.raises(InputError):
             simulate_reactant_quenched(cfg, short)
+
+
+def _step_medium() -> MassPath:
+    """A random catalyst-like step path: it starts at 1, moves in steps of
+    1/3 between 2/3 and 8/3, falls to 0.1 at 1.2 and dies out at 1.6."""
+    rng = np.random.default_rng(20_240)
+    times = np.concatenate(([0.0], np.sort(rng.uniform(0.0, 1.2, 9)), [1.2, 1.6]))
+    values = np.concatenate(([1.0], rng.integers(2, 9, 9) / 3, [0.1, 0.0]))
+    return MassPath(times, values)
+
+
+class TestLawEquivalence:
+    """The generation-synchronous engine against the event-driven reference
+    engine: two-sample KS at fixed seeds, on disjoint seed blocks because
+    the two engines read the same streams differently."""
+
+    ALPHA = 0.001
+
+    def _compare(self, monkeypatch, draw, replicas):
+        """`draw(seed)` returns a tuple of lists of statistics; each list is
+        pooled over seeds and compared between the engines."""
+        ours = [draw(seed) for seed in range(replicas)]
+        monkeypatch.setattr(particle, "_simulate_population",
+                            reference_engine.simulate_population)
+        theirs = [draw(1_000_000 + seed) for seed in range(replicas)]
+        for k in range(len(ours[0])):
+            a = [x for row in ours for x in row[k]]
+            b = [x for row in theirs for x in row[k]]
+            assert two_sample_ks(a, b)[1] > self.ALPHA, k
+
+    @pytest.mark.parametrize("representation", [GALTON_WATSON, BIRTH_DEATH])
+    def test_catalyst_extinction_and_level_population(self, monkeypatch,
+                                                      representation):
+        horizon = 3.0
+
+        def draw(seed):
+            mass, forest = simulate_catalyst(SimConfig(
+                n=3, t_max=horizon, seed=seed, representation=representation))
+            return ([min(stopping_time(mass, 0.0), horizon)],
+                    [len(forest.level_set(1.0))])
+        self._compare(monkeypatch, draw, 2_000)
+
+    @pytest.mark.parametrize("representation", [GALTON_WATSON, BIRTH_DEATH])
+    def test_reactant_on_step_medium(self, monkeypatch, representation):
+        medium = _step_medium()
+
+        def draw(seed):
+            _, forest = simulate_reactant_quenched(SimConfig(
+                n=3, t_max=1.5, seed=seed, representation=representation),
+                medium)
+            return ([len(forest.level_set(1.0))],
+                    point_process_at_level(forest, 1.0, 1.0 / 3).heights)
+        self._compare(monkeypatch, draw, 2_000)
+
+    @pytest.mark.parametrize("representation", [GALTON_WATSON, BIRTH_DEATH])
+    def test_reactant_cut_below_horizon(self, monkeypatch, representation):
+        medium = _step_medium()
+        cut = stopping_time(medium, 0.2)
+        assert cut == 1.2 < stopping_time(medium, 0.0)
+
+        def draw(seed):
+            _, forest = simulate_reactant_quenched(SimConfig(
+                n=3, t_max=5.0, delta=0.2, seed=seed,
+                representation=representation), medium)
+            assert forest.height_cap == cut
+            return [forest.total_edge_length()], [len(forest.level_set(0.6))]
+        self._compare(monkeypatch, draw, 2_000)
+
+
+class TestEngineExact:
+    """Identities that every forest of the engine satisfies."""
+
+    CASES = [(rep, kind) for rep in (GALTON_WATSON, BIRTH_DEATH)
+             for kind in ("constant", "step", "unbounded")]
+
+    @staticmethod
+    def _run(representation, kind, seed):
+        n = 3
+        if kind == "step":  # capped at the medium's absorption, 1.6
+            cfg = SimConfig(n=n, t_max=5.0, seed=seed,
+                            representation=representation)
+            return n, simulate_reactant_quenched(cfg, _step_medium())
+        t_max = 1.5 if kind == "constant" else math.inf
+        cfg = SimConfig(n=n, t_max=t_max, seed=seed,
+                        representation=representation)
+        return n, simulate_catalyst(cfg)
+
+    @pytest.mark.parametrize("representation, kind", CASES)
+    def test_forest_matches_mass_path(self, representation, kind):
+        rng = np.random.default_rng(1)
+        for seed in range(25):
+            n, (mass, forest) = self._run(representation, kind, seed)
+            forest.validate()
+            cap = forest.height_cap
+            final = round(mass.values[-1] * n)
+            # one event per node, except for the survivors
+            assert mass.times.size - 1 == len(forest) - final
+            if cap is None:
+                assert kind == "unbounded" and final == 0
+                cap = mass.end_time
+            else:
+                # survivors are exactly the nodes closed at the cap
+                assert max(forest.death) <= cap
+                assert sum(d == cap for d in forest.death) == final
+            for t in rng.uniform(0.0, cap, 30):
+                if t > 0.0 and t not in mass.times:
+                    assert len(forest.level_set(t)) == round(mass.value_at(t) * n)
+
+    def test_children_consecutive_and_numbered_by_generation(self):
+        _, forest = simulate_catalyst(SimConfig(n=4, t_max=1.0, seed=3))
+        depth = [0] * len(forest)
+        for v in range(len(forest)):
+            p = forest.parent[v]
+            if p != -1:
+                depth[v] = depth[p] + 1
+        assert depth == sorted(depth)
+        for kids in forest.children:
+            assert kids == [] or kids == [kids[0], kids[0] + 1]
+
+    @pytest.mark.parametrize("representation", [GALTON_WATSON, BIRTH_DEATH])
+    def test_population_cap_at_peak(self, representation):
+        # caps below the forest size, so the check as generations grow runs
+        for seed in range(10):
+            cfg = SimConfig(n=8, t_max=2.0, seed=seed,
+                            representation=representation)
+            mass, forest = simulate_catalyst(cfg)
+            peak = int(round(mass.values[1:].max() * 8))
+            assert len(forest) > peak
+            cfg.max_live = peak
+            simulate_catalyst(cfg)
+            cfg.max_live = peak - 1
+            with pytest.raises(PopulationCapError):
+                simulate_catalyst(cfg)
 
 
 class TestStatisticalSmoke:
