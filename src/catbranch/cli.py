@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -80,6 +81,8 @@ def _run_replica(payload):
 def cmd_simulate(args) -> int:
     if args.replicas < 1 or args.jobs < 1:
         raise InputError("--replicas and --jobs must be >= 1")
+    if args.level is not None and not 0.0 < args.level < math.inf:
+        raise InputError("--level must be finite and > 0")
     cfg = _build_sim_config(args)
     out = _out_dir(args)
     cfg_kwargs = dict(b1=cfg.b1, b2=cfg.b2, n=cfg.n, delta=cfg.delta,

@@ -176,30 +176,44 @@ def hitting_race(n_replicas: int, cfg: SDEConfig,
     moment either component hits zero: once X absorbs Y is frozen forever,
     and vice versa the race is decided.  Leftovers are split evenly and
     their fraction reported.
+
+    Most steps resolve no replica, so the hit masks, tallies, tie coin and
+    compaction of the survivors run only on steps where some replica hits.
     """
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
-    xs = np.full(n_replicas, float(cfg.x0))
-    ys = np.full(n_replicas, float(cfg.y0))
+    # z[:m] catalyst, z[m:] reactant of the m live replicas, in the layout of
+    # each step's 2m normals; w = [b1, ..., b1, b2*x] makes w*z the squared
+    # noise scales [b1*x, (b2*x)*y]
+    m = n_replicas
+    z = np.empty(2 * m)
+    z[:m] = cfg.x0
+    z[m:] = cfg.y0
+    w = np.full(2 * m, float(cfg.b1))
     reactant_first = 0
     catalyst_first = 0
     step = cfg.step
     epoch_len = epoch_horizon
     for _ in range(max_epochs):
-        if xs.size == 0:
+        if m == 0:
             break
         n_steps = int(round(epoch_len / step))
         sqdt = math.sqrt(step)
         for _ in range(n_steps):
-            m = xs.size
-            if m == 0:
-                break
             noise = rng.standard_normal(2 * m)
-            xn = xs + np.sqrt(cfg.b1 * xs) * sqdt * noise[:m]
-            np.maximum(xn, 0.0, out=xn)
-            yn = ys + np.sqrt(cfg.b2 * xs * ys) * sqdt * noise[m:]
-            np.maximum(yn, 0.0, out=yn)
-            y_hit = yn == 0.0
-            x_hit = xn == 0.0
+            # x + sqrt(b1*x)*sqdt*noise and y + sqrt((b2*x)*y)*sqdt*noise,
+            # in that operation order
+            np.multiply(cfg.b2, z[:m], out=w[m:])
+            zn = w * z
+            np.sqrt(zn, out=zn)
+            zn *= sqdt
+            zn *= noise
+            zn += z
+            if zn.min() > 0.0:
+                z = zn  # nothing hit, so clipping at 0 changes nothing
+                continue
+            np.maximum(zn, 0.0, out=zn)
+            x_hit = zn[:m] == 0.0
+            y_hit = zn[m:] == 0.0
             both = y_hit & x_hit
             reactant_first += int(np.count_nonzero(y_hit & ~x_hit))
             catalyst_first += int(np.count_nonzero(x_hit & ~y_hit))
@@ -209,11 +223,14 @@ def hitting_race(n_replicas: int, cfg: SDEConfig,
                 reactant_first += heads
                 catalyst_first += nb - heads
             keep = ~(y_hit | x_hit)
-            xs = xn[keep]
-            ys = yn[keep]
+            z = np.concatenate((zn[:m][keep], zn[m:][keep]))
+            m = z.size // 2
+            if m == 0:
+                break
+            w = np.full(2 * m, float(cfg.b1))
         epoch_len *= 2.0
         step *= 2.0
-    unresolved = xs.size
+    unresolved = m
     reactant_first += unresolved // 2
     catalyst_first += unresolved - unresolved // 2
     p = reactant_first / n_replicas
@@ -341,25 +358,59 @@ def _limit_contour_from_scale(sf: ScaleFunction, budget: float, seed,
         raise InputError("degenerate scale range")
     sq = math.sqrt(theta_step)
     band = boundary_band if boundary_band is not None else 20.0 * sq
+    # beta is re-folded and ell0 updated once per logical 65536-step chunk.
+    # A chunk is evaluated in sub-blocks of 2048 steps and then of the size
+    # done so far (doubling), stopping at the first sub-block that can close
+    # the budget; carrying the raw cumulative sum and the integer occupation
+    # count across sub-blocks gives the floats of a whole-chunk evaluation.
     chunk = 65536
+    first_block = 2048
+    per_step = theta_step / band
     beta = 0.0
     ell0 = 0.0
     pieces = [np.array([0.0])]
     steps = 0
     reached = False
     while steps < max_steps:
-        path = np.cumsum(rng.standard_normal(chunk) * sq) + beta
-        _fold(path, top)
-        occ = np.cumsum(path < band) * (theta_step / band)
-        if ell0 + occ[-1] >= budget:
-            stop = int(np.searchsorted(occ, budget - ell0)) + 1
-            pieces.append(path[:stop])
-            steps += stop
+        blocks = []  # folded paths of this chunk's sub-blocks
+        occs = []    # their running occupations
+        raw = 0.0    # unfolded cumulative sum at the end of the last sub-block
+        count = 0    # steps of this chunk spent below the band
+        done = 0
+        while done < chunk:
+            size = min(max(first_block, done), chunk - done)
+            path = rng.standard_normal(size) * sq
+            if done:
+                path[0] += raw
+            np.cumsum(path, out=path)
+            raw = float(path[-1])
+            path += beta
+            _fold(path, top)
+            below = np.cumsum(path < band)
+            below += count
+            count = int(below[-1])
+            occ = below * per_step
+            blocks.append(path)
+            occs.append(occ)
+            done += size
+            # both forms of the budget test hold, so the whole chunk would
+            # stop, and in this sub-block or an earlier one
+            if occ[-1] >= budget - ell0 and ell0 + occ[-1] >= budget:
+                break
+        if ell0 + occs[-1][-1] >= budget:
+            # stop in the first sub-block whose occupation reaches the rest
+            # of the budget; if rounding leaves none, take the whole chunk
+            target = budget - ell0
+            k = next((i for i, o in enumerate(occs) if o[-1] >= target),
+                     len(occs) - 1)
+            stop = int(np.searchsorted(occs[k], target)) + 1
+            pieces.extend(blocks[:k])
+            pieces.append(blocks[k][:stop])
             reached = True
             break
-        pieces.append(path)
-        ell0 += float(occ[-1])
-        beta = float(path[-1])
+        pieces.extend(blocks)
+        ell0 += float(occs[-1][-1])
+        beta = float(blocks[-1][-1])
         steps += chunk
     if not reached:
         raise InputError("step cap reached before the local-time budget")

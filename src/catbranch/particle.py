@@ -337,15 +337,18 @@ def _simulate_population(n: int, b: float, medium: MassPath, count0: int,
     return mass, forest
 
 
-def _streams(seed: int) -> tuple[np.random.Generator, np.random.Generator]:
-    """Catalyst and reactant generators from one seed, fixed spawn order."""
-    cat_ss, rea_ss = np.random.SeedSequence(seed).spawn(2)
-    return np.random.default_rng(cat_ss), np.random.default_rng(rea_ss)
+_CATALYST, _REACTANT = 0, 1
+
+
+def _stream(seed: int, which: int) -> np.random.Generator:
+    """The catalyst (0) or reactant (1) generator of a seed: child `which`
+    of `SeedSequence(seed).spawn(2)`, built without building the other."""
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(which,)))
 
 
 def simulate_catalyst(cfg: SimConfig) -> tuple[MassPath, FamilyForest]:
     """Autonomous critical binary population at rate b1, rescaling n."""
-    rng, _ = _streams(cfg.seed)
+    rng = _stream(cfg.seed, _CATALYST)
     return _catalyst_with_rng(cfg, rng)
 
 
@@ -365,7 +368,7 @@ def simulate_reactant_quenched(cfg: SimConfig,
     at t_max if that comes first; after catalyst absorption the reactant
     mass is constant, and surviving lineages are clipped at the cut.
     """
-    _, rng = _streams(cfg.seed)
+    rng = _stream(cfg.seed, _REACTANT)
     return _reactant_with_rng(cfg, catalyst, rng)
 
 
@@ -400,6 +403,6 @@ def simulate_joint(cfg: SimConfig):
     that wraps the public functions (tracing, event counts) sees one call
     per population.
     """
-    cat_rng, rea_rng = _streams(cfg.seed)
-    catalyst = _catalyst_with_rng(cfg, cat_rng)
-    return catalyst, _reactant_with_rng(cfg, catalyst[0], rea_rng)
+    catalyst = _catalyst_with_rng(cfg, _stream(cfg.seed, _CATALYST))
+    return catalyst, _reactant_with_rng(cfg, catalyst[0],
+                                        _stream(cfg.seed, _REACTANT))

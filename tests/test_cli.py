@@ -39,6 +39,16 @@ class TestSimulate:
         assert err.startswith("input error") and err.count("\n") == 1
         assert not os.listdir(tmp_path)
 
+    @pytest.mark.parametrize("level", ["0", "-0.5", "nan", "inf"])
+    def test_rejects_bad_level_before_writing(self, tmp_path, capsys, level):
+        out = tmp_path / "o"
+        rc = main(["simulate", "--seed", "1", "--t-max", "1", "--level", level,
+                   "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error") and err.count("\n") == 1
+        assert not out.exists() or not os.listdir(out)
+
     def test_jobs_do_not_change_output(self, tmp_path):
         args = ["simulate", "--n", "2", "--seed", "11", "--t-max", "1.0",
                 "--replicas", "3", "--contours", "--level", "0.5"]

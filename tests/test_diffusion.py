@@ -1,9 +1,13 @@
+import hashlib
+import json
 import math
 
 import numpy as np
 import pytest
 
+from catbranch import harness
 from catbranch.diffusion import (DiffusionPath, SDEConfig,
+                                 _limit_contour_from_scale,
                                  bridge_refined_depths, hitting_race,
                                  integrate_catalytic_feller,
                                  local_time_estimate, quadratic_variation,
@@ -294,3 +298,69 @@ class TestRandomEvolution:
         zeros = [h for h in exc.e if h == 0.0]
         assert len(zeros) == 26  # start + one per completed excursion
         assert max(exc.e) <= 3.0
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+class TestStreamPins:
+    """sha256 digests of the diffusion kernels' outputs, recorded before
+    `hitting_race` compacted survivors only on hit steps, the limit contour
+    stepped in doubling sub-blocks and `qv_dichotomy` ran its catalyst loop
+    on Python floats.  Those changes keep every draw and every float."""
+
+    RACES = {
+        # survivors carried through five epochs
+        (300, (("seed", 3), ("step", 1e-2)), 0.5, 6):
+            "6dd99a49002d281e5bcea22e91f41828a6b446cff1159de52bcd1c8144cd5eb5",
+        # half the replicas left unresolved at the epoch cap
+        (300, (("seed", 3), ("step", 1e-2)), 0.5, 2):
+            "bfa101adee171bec1bf3345d50253187f5875798a6ce75da5223fc70521d9a0f",
+        # two replicas where both components hit in the same step (tie coin)
+        (200, (("seed", 4), ("step", 0.05), ("x0", 0.2), ("y0", 0.2)), 2.0, 3):
+            "082f1fc0c71f21c2df912ee9320855e6ac60f2fad19ca5f621f49904f7b830d9",
+    }
+
+    @pytest.mark.parametrize("key", list(RACES), ids=str)
+    def test_hitting_race(self, key):
+        n, cfg, epoch_horizon, max_epochs = key
+        res = hitting_race(n, SDEConfig(**dict(cfg)),
+                           epoch_horizon=epoch_horizon, max_epochs=max_epochs)
+        assert _sha(json.dumps(res, sort_keys=True).encode()) == self.RACES[key]
+
+    # (seed, budget): (samples, values, brownian, time_change) on a flat
+    # medium at theta_step 1e-5 (65536-step chunks in sub-blocks of 2048,
+    # 2048, 4096, ..., 32768 steps)
+    CONTOURS = {
+        # two whole chunks, stop at step 35677 of the third (last sub-block)
+        (1, 1.0): (166750,
+                   "81047909a46b1b45ddfe8c4af190aadf51e57e654389e5cfe9d68223c5ff9daf",
+                   "1cba0f04c29d1ddb43156a0fe97622043517d9c4167f7a4ef7f9435aa701dad6",
+                   "f24e28afaeea6b5b84f2843c4a12b34bee5041721a0510aa9f5099db407acdf1"),
+        # two whole chunks, stop at step 14873 of the third (fourth sub-block)
+        (2, 1.0): (145946,
+                   "89b5ce9558cbc1f1d851f358dcd6a21da31a5fa4ea50d0be218f450fd02613e5",
+                   "4478784f3c5e4e217ed290e6c901cb27971d8c7ae52ebd4c990f0ae819a0d20d",
+                   "e7f590f8cc7ac09a0741e03cf7cc2d4b23ba34e7981e9e95bede12dd12ec9e7a"),
+        # stop inside the first sub-block
+        (6, 0.05): (318,
+                    "b83ac66d3ba113d90741e18a0045ea22bfed03659b36b0114e2e3b63e9fa196b",
+                    "5b511dc67303770cc95c7aecc88b22b15a44e89baa19a6792298f6554cfe0be7",
+                    "04c64193773b55db8f744c0948fea6a016e13bc547a77ef8d2bd76a7c7ca3943"),
+    }
+
+    @pytest.mark.parametrize("key", list(CONTOURS), ids=str)
+    def test_limit_contour(self, key):
+        seed, budget = key
+        sf = scale_function(flat_medium(), 0.5)
+        z = _limit_contour_from_scale(sf, budget, seed, 1e-5, None, 50_000_000)
+        got = (len(z.values), _sha(z.values.tobytes()),
+               _sha(z.brownian.tobytes()), _sha(z.time_change.tobytes()))
+        assert got == self.CONTOURS[key]
+
+    def test_qv_dichotomy_report(self):
+        # 17 of 20 catalysts absorbed, 13 of them with a top-hitting contour
+        reports = harness.run_qv_dichotomy(replicas=20, theta_step=1e-3)
+        assert _sha(harness.reports_to_json(reports).encode()) == (
+            "a9d6be649884144175b7220b2f2c334cfb98e813a96cb74dbc15bcac969066fa")

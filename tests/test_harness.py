@@ -57,3 +57,14 @@ class TestRegistry:
         r = OracleReport(name="x", law="why", statistic=1.25, target=1.0,
                          test="z", p_value=0.5, alpha_or_tol=0.01, passed=True)
         assert r.line().startswith("[PASS] x:")
+
+
+class TestReactantIntensity:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_no_documentation_report_without_replicas(self):
+        reports = harness.run_reactant_intensity(replicas=12,
+                                                 document_replicas=0)
+        assert [r.name for r in reports] == ["reactant_intensity[n=50]"]
+        # NaN or Infinity in the JSON fails the test
+        json.loads(harness.reports_to_json(reports),
+                   parse_constant=lambda c: pytest.fail(c))
