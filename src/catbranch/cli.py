@@ -159,8 +159,9 @@ def cmd_verify(args) -> int:
             raise InputError(f"unknown suite {name!r}")
         accepted = inspect.signature(SUITES[name]).parameters
         kw = {}
-        if args.replicas is not None and "replicas" in accepted:
-            kw["replicas"] = args.replicas
+        for key in ("replicas", "count"):
+            if args.replicas is not None and key in accepted:
+                kw[key] = args.replicas
         if args.seed is not None and "seed" in accepted:
             kw["seed"] = args.seed
         overrides[name] = kw
@@ -234,7 +235,8 @@ def build_parser() -> argparse.ArgumentParser:
     ver = sub.add_parser("verify", help="run verification suites")
     ver.add_argument("--suite", nargs="+", default=["all"],
                      help=f"suite names or 'all'; known: {', '.join(SUITES)}")
-    ver.add_argument("--replicas", type=int, help="override replica count")
+    ver.add_argument("--replicas", type=int,
+                     help="override replica count (forest count for codec, points)")
     ver.add_argument("--seed", type=int, help="override suite seed")
     ver.add_argument("--out", help="report directory (or $CATBRANCH_OUT)")
     ver.set_defaults(func=cmd_verify)

@@ -10,9 +10,12 @@ variation, hitting times).
 Conventions
 -----------
 * The mass pair solves  dX = sqrt(b1*X) dW,  dY = sqrt(b2*X*Y) dW'  with
-  independent drivers, Euler-Maruyama with full truncation (negative
-  proposals clipped to zero, zero absorbs).  Y's coefficient vanishes once
-  X absorbs, so Y freezes automatically.
+  independent drivers by one scheme, full-truncation Euler-Maruyama: one
+  normal per component and step, negative proposals clipped to zero, zero
+  absorbs.  Y's coefficient vanishes once X absorbs, so Y freezes
+  automatically.  The scheme has two forms: `_euler_step` steps many
+  stacked replicas with numpy, and `_feller_path` steps one path on Python
+  floats, which avoids numpy's per-call cost on a path of one replica.
 * Generator-to-SDE dictionary: a generator a(x) f'' corresponds to noise
   variance d<B> = 2 a(x) dt.  The limit contour's Brownian image B = s(zeta)
   has generator 2 X f'' and hence d<B> = 4 X dt; in the driving Brownian
@@ -134,34 +137,75 @@ class SDEConfig:
                 raise InputError(f"{name} must be finite and >= 0")
 
 
+def _euler_step(rng: np.random.Generator, z: np.ndarray, w: np.ndarray,
+                b2: float | None, sqdt: float) -> tuple[np.ndarray, bool]:
+    """One Euler step z + sqrt(w*z)*sqdt*N of m stacked replicas, in that
+    operation order, clipped at 0 only when some proposal is <= 0; returns
+    the new z and whether any component is at 0.  z is [x..., y...] with b2
+    given, or [x...] for the catalyst alone with b2 None, and N holds one
+    normal per component in z's layout.  `w` holds b1 in its catalyst half;
+    the step writes b2*x into its reactant half, so w*z is [b1*x, (b2*x)*y].
+    """
+    if b2 is not None:
+        m = z.size // 2
+        np.multiply(b2, z[:m], out=w[m:])
+    zn = w * z
+    np.sqrt(zn, out=zn)
+    zn *= sqdt
+    zn *= rng.standard_normal(z.size)
+    zn += z
+    if zn.min() > 0.0:
+        return zn, False
+    np.maximum(zn, 0.0, out=zn)
+    return zn, True
+
+
+def _feller_path(rng: np.random.Generator, n_steps: int, step: float,
+                 x0: float, b: float, floor: float = 0.0,
+                 clock: np.ndarray | None = None) -> np.ndarray:
+    """One Euler path x + sqrt(x*b*step)*N on Python floats, clipped at 0,
+    from x0 for `n_steps` steps and frozen from its first value <= `floor`;
+    normals are drawn in blocks of 4096, only as far as the path needs them.
+    A `clock` path c, which stays at 0 once it is 0, scales step k's normal
+    by sqrt(c[k]): the reactant of the pair is this path with b = b2 on the
+    catalyst's clock, frozen once the catalyst absorbs."""
+    x = np.empty(n_steps + 1)
+    x[0] = xv = x0
+    bs = b * step
+    k = 1
+    while k <= n_steps and xv > floor and (clock is None or clock[k - 1] > 0.0):
+        size = min(4096, n_steps + 1 - k)
+        noise = rng.standard_normal(size)
+        if clock is not None:
+            noise *= np.sqrt(clock[k - 1:k - 1 + size])
+        block = []
+        for nk in noise.tolist():
+            xv = xv + math.sqrt(xv * bs) * nk
+            if xv < 0.0:
+                xv = 0.0
+            block.append(xv)
+            if xv <= floor:
+                break
+        x[k:k + len(block)] = block
+        k += len(block)
+    x[k:] = xv
+    return x
+
+
 def integrate_catalytic_feller(cfg: SDEConfig) -> tuple[DiffusionPath, DiffusionPath]:
-    """Full-truncation Euler-Maruyama paths of the catalytic pair."""
+    """Full-truncation Euler-Maruyama paths of the catalytic pair: the
+    catalyst, then the reactant on the catalyst's clock, each absorbed at
+    its first zero."""
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
     n_steps = int(round(cfg.horizon / cfg.step))
-    x = np.empty(n_steps + 1)
-    y = np.empty(n_steps + 1)
-    x[0], y[0] = cfg.x0, cfg.y0
-    sqdt = math.sqrt(cfg.step)
-    xa = ya = None
-    for k in range(n_steps):
-        xv, yv = x[k], y[k]
-        if xv > 0.0:
-            xn = xv + math.sqrt(cfg.b1 * xv) * sqdt * rng.standard_normal()
-            xn = max(xn, 0.0)
-        else:
-            xn = 0.0
-        if yv > 0.0 and xv > 0.0:
-            yn = yv + math.sqrt(cfg.b2 * xv * yv) * sqdt * rng.standard_normal()
-            yn = max(yn, 0.0)
-        else:
-            yn = yv if yv > 0.0 else 0.0
-        x[k + 1], y[k + 1] = xn, yn
-        if xa is None and xn == 0.0:
-            xa = k + 1
-        if ya is None and yn == 0.0:
-            ya = k + 1
-    return (DiffusionPath(cfg.step, x, absorbed_index=xa),
-            DiffusionPath(cfg.step, y, absorbed_index=ya))
+    x = _feller_path(rng, n_steps, cfg.step, cfg.x0, cfg.b1)
+    y = _feller_path(rng, n_steps, cfg.step, cfg.y0, cfg.b2, clock=x)
+    paths = []
+    for v in (x, y):
+        zeros = np.flatnonzero(v == 0.0)
+        paths.append(DiffusionPath(cfg.step, v, absorbed_index=(
+            int(zeros[0]) if zeros.size else None)))
+    return tuple(paths)
 
 
 def hitting_race(n_replicas: int, cfg: SDEConfig,
@@ -181,9 +225,6 @@ def hitting_race(n_replicas: int, cfg: SDEConfig,
     compaction of the survivors run only on steps where some replica hits.
     """
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
-    # z[:m] catalyst, z[m:] reactant of the m live replicas, in the layout of
-    # each step's 2m normals; w = [b1, ..., b1, b2*x] makes w*z the squared
-    # noise scales [b1*x, (b2*x)*y]
     m = n_replicas
     z = np.empty(2 * m)
     z[:m] = cfg.x0
@@ -199,21 +240,11 @@ def hitting_race(n_replicas: int, cfg: SDEConfig,
         n_steps = int(round(epoch_len / step))
         sqdt = math.sqrt(step)
         for _ in range(n_steps):
-            noise = rng.standard_normal(2 * m)
-            # x + sqrt(b1*x)*sqdt*noise and y + sqrt((b2*x)*y)*sqdt*noise,
-            # in that operation order
-            np.multiply(cfg.b2, z[:m], out=w[m:])
-            zn = w * z
-            np.sqrt(zn, out=zn)
-            zn *= sqdt
-            zn *= noise
-            zn += z
-            if zn.min() > 0.0:
-                z = zn  # nothing hit, so clipping at 0 changes nothing
+            z, hit = _euler_step(rng, z, w, cfg.b2, sqdt)
+            if not hit:
                 continue
-            np.maximum(zn, 0.0, out=zn)
-            x_hit = zn[:m] == 0.0
-            y_hit = zn[m:] == 0.0
+            x_hit = z[:m] == 0.0
+            y_hit = z[m:] == 0.0
             both = y_hit & x_hit
             reactant_first += int(np.count_nonzero(y_hit & ~x_hit))
             catalyst_first += int(np.count_nonzero(x_hit & ~y_hit))
@@ -223,7 +254,7 @@ def hitting_race(n_replicas: int, cfg: SDEConfig,
                 reactant_first += heads
                 catalyst_first += nb - heads
             keep = ~(y_hit | x_hit)
-            z = np.concatenate((zn[:m][keep], zn[m:][keep]))
+            z = np.concatenate((z[:m][keep], z[m:][keep]))
             m = z.size // 2
             if m == 0:
                 break

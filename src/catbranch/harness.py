@@ -84,49 +84,6 @@ def _x_identity_path(horizon: float = 2.0, step: float = 1e-3) -> dfn.DiffusionP
     return dfn.DiffusionPath(step, np.ones(n + 1))
 
 
-def _sde_x_paths(n_replicas: int, t: float, step: float, seed: int,
-                 b1: float = 1.0):
-    """Vectorized catalyst-mass SDE paths on [0, t]; returns the running
-    integral at t and the terminal values.  `b1` scales the squared noise
-    (the particle catalyst's small-step limit corresponds to b1 = 2)."""
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    n_steps = int(round(t / step))
-    x = np.full(n_replicas, 1.0)
-    integral = np.zeros(n_replicas)
-    sqdt = math.sqrt(step)
-    for _ in range(n_steps):
-        prev = x
-        noise = rng.standard_normal(n_replicas)
-        x = np.maximum(prev + np.sqrt(np.maximum(b1 * prev, 0.0)) * sqdt * noise, 0.0)
-        integral += 0.5 * (prev + x) * step
-    return integral, x
-
-
-def _frozen_feller_path(rng: np.random.Generator, n_steps: int, step: float,
-                        floor: float) -> np.ndarray:
-    """Euler path x + sqrt(x*step)*N, clipped at 0, from x = 1 for `n_steps`
-    steps, frozen from its first value at or below `floor`.  The steps run on
-    Python floats over blocks of normals drawn only as far as the path needs
-    them; the draws are those of one `standard_normal(n_steps)`, cut short."""
-    x = np.empty(n_steps + 1)
-    xv = 1.0
-    x[0] = xv
-    k = 1
-    while k <= n_steps and xv > floor:
-        block = []
-        for nk in rng.standard_normal(min(4096, n_steps + 1 - k)).tolist():
-            xv = xv + math.sqrt(xv * step) * nk
-            if xv < 0.0:
-                xv = 0.0
-            block.append(xv)
-            if xv <= floor:
-                break
-        x[k:k + len(block)] = block
-        k += len(block)
-    x[k:] = xv
-    return x
-
-
 # ---------------------------------------------------------------------- #
 # 1. hitting probability                                                  #
 # ---------------------------------------------------------------------- #
@@ -514,9 +471,15 @@ def run_comparison(seed: int = 12_000_000, replicas: int = 700,
         # has z/t expected trees at height t, the quenched-medium forest
         # E[1 / int_0^t medium]; the medium follows the particle clock, so
         # its integral law is that of the b1=2 square-root diffusion
-        integrals, _ = _sde_x_paths(z_replicas, t, 1e-3, seed + 17 + idx,
-                                    b1=2.0)
-        z = t * float(np.mean(1.0 / np.maximum(integrals, 1e-9)))
+        rng = np.random.default_rng(np.random.SeedSequence(seed + 17 + idx))
+        step = 1e-3
+        x, w = np.ones(z_replicas), np.full(z_replicas, 2.0)
+        integral = np.zeros(z_replicas)  # trapezoid rule on the Euler grid
+        for _ in range(int(round(t / step))):
+            prev = x
+            x, _ = dfn._euler_step(rng, prev, w, None, math.sqrt(step))
+            integral += 0.5 * (prev + x) * step
+        z = t * float(np.mean(1.0 / np.maximum(integral, 1e-9)))
         # an extinct level contributes zero to the pair integral (the level
         # measure has no mass), so dead replicas count as zeros rather than
         # being dropped; dropping them conditions the two sides on survival
@@ -567,8 +530,8 @@ def run_qv_dichotomy(seed: int = 555, replicas: int = 500,
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed,
                                                            spawn_key=(rep,)))
         step = 2e-4
-        n_steps = int(round(x_horizon / step))
-        x = _frozen_feller_path(rng, n_steps, step, deltas[-1])
+        x = dfn._feller_path(rng, int(round(x_horizon / step)), step, 1.0, 1.0,
+                             floor=deltas[-1])
         if x[-1] > deltas[-1]:
             continue  # catalyst outlived the horizon; conditioning documented
         X = dfn.DiffusionPath(step, x)
@@ -588,6 +551,10 @@ def run_qv_dichotomy(seed: int = 555, replicas: int = 500,
         w_top = sf.top / 2.0
         top_hit = z.brownian.max() >= w_top - 3.0 * math.sqrt(theta_step)
         (qt if top_hit else qr).append(qv)
+    for label, group in (("medium-outlives-forest", qt), ("forest-dies-first", qr)):
+        if not group:
+            raise InputError(f"qv_dichotomy: the {label} group is empty "
+                             f"({kept} of {replicas} replicas kept); raise replicas")
     qt_arr, qr_arr = np.array(qt), np.array(qr)
     rt = qt_arr[:, -1] / qt_arr[:, 0]
     rr = qr_arr[:, -1] / qr_arr[:, 0]
@@ -644,22 +611,18 @@ def run_criticality(seed: int = 14_000_000, replicas: int = 4_000,
             statistic=worst, target="<= 3 SE", test="mean flatness",
             p_value=None, alpha_or_tol=3.0, passed=worst <= 3.0,
             details={"replicas": replicas, "checkpoints": list(checkpoints)}))
-    # SDE pair
+    # SDE pair, unit rates, stacked as [x..., y...]
     rng = np.random.default_rng(np.random.SeedSequence(seed + 99))
     step = 1e-3
-    x = np.full(sde_replicas, 1.0)
-    y = np.full(sde_replicas, 1.0)
+    z = np.ones(2 * sde_replicas)
+    w = np.ones(2 * sde_replicas)
     worst_x = worst_y = 0.0
     t_now = 0.0
-    sqdt = math.sqrt(step)
     for t in checkpoints:
-        n_steps = int(round((t - t_now) / step))
-        for _ in range(n_steps):
-            noise = rng.standard_normal(2 * sde_replicas)
-            x_new = np.maximum(x + np.sqrt(x) * sqdt * noise[:sde_replicas], 0.0)
-            y = np.maximum(y + np.sqrt(x * y) * sqdt * noise[sde_replicas:], 0.0)
-            x = x_new
+        for _ in range(int(round((t - t_now) / step))):
+            z, _ = dfn._euler_step(rng, z, w, 1.0, math.sqrt(step))
         t_now = t
+        x, y = z[:sde_replicas], z[sde_replicas:]
         mx, sx = float(x.mean()), float(x.std() / math.sqrt(sde_replicas))
         my, sy = float(y.mean()), float(y.std() / math.sqrt(sde_replicas))
         worst_x = max(worst_x, abs(mx - 1.0) / sx)

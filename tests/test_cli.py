@@ -177,6 +177,22 @@ class TestVerify:
         assert err.startswith("input error") and err.count("\n") == 1
         assert not os.listdir(tmp_path)
 
+    def test_replicas_sets_forest_count(self, tmp_path):
+        rc = main(["verify", "--suite", "codec", "--replicas", "3",
+                   "--out", str(tmp_path)])
+        assert rc == 0
+        report = json.loads(read(tmp_path / "verify_report.json"))
+        assert report[0]["details"]["forests"] == 3
+
+    def test_empty_qv_group_exit_code(self, tmp_path, capsys):
+        rc = main(["verify", "--suite", "qv_dichotomy", "--replicas", "1",
+                   "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error") and err.count("\n") == 1
+        assert "group is empty" in err
+        assert not os.listdir(tmp_path)
+
     def test_unknown_suite(self, tmp_path):
         rc = main(["verify", "--suite", "nonsense", "--out", str(tmp_path)])
         assert rc == 2

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from catbranch import harness
-from catbranch.diffusion import (DiffusionPath, SDEConfig,
+from catbranch.diffusion import (DiffusionPath, SDEConfig, _euler_step,
                                  _limit_contour_from_scale,
                                  bridge_refined_depths, hitting_race,
                                  integrate_catalytic_feller,
@@ -50,15 +50,33 @@ class TestIntegrator:
         arr = np.asarray(vals)
         assert abs(arr.mean() - 1.0) <= 4 * arr.std(ddof=1) / math.sqrt(arr.size)
 
+    def test_reactant_absorbs_first(self):
+        # the reactant stays at 0 from its first zero, the catalyst moves on
+        X, Y = integrate_catalytic_feller(SDEConfig(seed=3, step=1e-3,
+                                                    horizon=4.0))
+        ya = Y.absorbed_index
+        assert X.absorbed_index is None and ya is not None
+        assert np.all(Y.values[:ya] > 0.0) and np.all(Y.values[ya:] == 0.0)
+        assert np.all(np.diff(X.values[ya:]) != 0.0)
+
+    def test_catalyst_absorbs_first(self):
+        # the catalyst stays at 0 from its first zero, the reactant freezes
+        X, Y = integrate_catalytic_feller(SDEConfig(seed=0, step=1e-3,
+                                                    horizon=4.0))
+        xa = X.absorbed_index
+        assert Y.absorbed_index is None and xa is not None
+        assert np.all(X.values[:xa] > 0.0) and np.all(X.values[xa:] == 0.0)
+        assert Y.values[xa] > 0.0 and np.all(Y.values[xa:] == Y.values[xa])
+
     def test_absorption_law(self):
         # P{absorbed by t} = exp(-2 x0 / t) for the unit-rate pair
         rng = np.random.default_rng(42)
         n, step = 8000, 1e-3
-        x = np.ones(n)
+        x, w = np.ones(n), np.ones(n)
         dead_by_1 = None
         sq = math.sqrt(step)
         for k in range(int(2.0 / step)):
-            x = np.maximum(x + np.sqrt(x) * sq * rng.standard_normal(n), 0.0)
+            x, _ = _euler_step(rng, x, w, None, sq)
             if k == int(1.0 / step) - 1:
                 dead_by_1 = np.mean(x == 0.0)
         dead_by_2 = np.mean(x == 0.0)
@@ -308,7 +326,9 @@ class TestStreamPins:
     """sha256 digests of the diffusion kernels' outputs, recorded before
     `hitting_race` compacted survivors only on hit steps, the limit contour
     stepped in doubling sub-blocks and `qv_dichotomy` ran its catalyst loop
-    on Python floats.  Those changes keep every draw and every float."""
+    on Python floats; the criticality and comparison digests were recorded
+    before their Euler loops moved to the package's batch step.  Those
+    changes keep every draw and every float."""
 
     RACES = {
         # survivors carried through five epochs
@@ -364,3 +384,18 @@ class TestStreamPins:
         reports = harness.run_qv_dichotomy(replicas=20, theta_step=1e-3)
         assert _sha(harness.reports_to_json(reports).encode()) == (
             "a9d6be649884144175b7220b2f2c334cfb98e813a96cb74dbc15bcac969066fa")
+
+    def test_criticality_sde_reports(self):
+        # the X and Y martingale reports of the stacked pair
+        reports = harness.run_criticality(replicas=20, sde_replicas=2000)
+        assert [r.name for r in reports[2:]] == ["criticality[X]",
+                                                 "criticality[Y]"]
+        assert _sha(harness.reports_to_json(reports[2:]).encode()) == (
+            "c4188fce0f5845c5f3b3bc09447e9aba3461e59348f4b23d85628615dae20709")
+
+    def test_comparison_matching_constant(self):
+        # z = t * E[1 / int_0^t X] from the b1 = 2 catalyst paths
+        reports = harness.run_comparison(z_replicas=500, replicas=2)
+        zs = [r.details["z"] for r in reports]
+        assert _sha(json.dumps(zs).encode()) == (
+            "b2a5b4d0c2085fe8f9c4820c1f36f566b8ebdd0542ba20c2553ad51336037a98")

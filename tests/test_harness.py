@@ -68,3 +68,9 @@ class TestReactantIntensity:
         # NaN or Infinity in the JSON fails the test
         json.loads(harness.reports_to_json(reports),
                    parse_constant=lambda c: pytest.fail(c))
+
+
+class TestQvDichotomy:
+    def test_empty_group_is_an_input_error(self):
+        with pytest.raises(InputError, match="group is empty"):
+            harness.run_qv_dichotomy(replicas=1, theta_step=1e-3)
