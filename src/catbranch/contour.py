@@ -93,46 +93,36 @@ class Excursion:
 
 def _turning_heights(f: FamilyForest) -> list[float]:
     """Alternating extremum heights of the depth-first trace, incl. the
-    bracketing zeros.  Zero-length edges collapse and duplicates merge."""
-    seq: list[float] = [0.0]
+    bracketing zeros.
 
-    for r in f.roots:
-        # iterative in-order interleave: L(v) = L(c1) + [death_v] + L(c2) ...
-        stack: list[tuple[int, int]] = [(r, 0)]
-        while stack:
-            v, ci = stack.pop()
-            kids = f.children[v]
+    One pass over the pre-order: the trace dips to a node's birth (0 for a
+    root) before every node that is not its predecessor's child, peaks at
+    every leaf's death height, and closes at 0.  Zero-length edges collapse
+    and duplicates merge in `_extrema`.
+    """
+    parent, birth, children = f.parent, f.birth, f.children
+    seq: list[float] = []
+    prev = -1
+    for v in f.dfs_order():
+        p = parent[v]
+        if p == -1:
+            seq.append(0.0)  # the glued root between trees
+        elif p != prev:
+            seq.append(birth[v])  # valley between sibling subtrees
+        if not children[v]:
             d = f.death_height(v)
             if not math.isfinite(d):
                 raise InputError("cannot encode a forest with unbounded edges")
-            if not kids:
-                seq.append(d)
-                continue
-            if 0 < ci < len(kids):
-                seq.append(d)  # valley between sibling subtrees
-            if ci < len(kids):
-                stack.append((v, ci + 1))
-                stack.append((kids[ci], 0))
-        seq.append(0.0)
-
-    # merge flats: keep strict direction changes only
-    out = [seq[0]]
-    for h in seq[1:]:
-        if h == out[-1]:
-            continue
-        if len(out) >= 2 and (out[-1] - out[-2]) * (h - out[-1]) > 0:
-            out[-1] = h  # extend monotone run
-        else:
-            out.append(h)
-    if len(out) == 1:
-        out = [0.0]
-    return out
+            seq.append(d)
+        prev = v
+    seq.append(0.0)
+    return _extrema(seq)
 
 
 def contour_from_forest(f: FamilyForest, speed: float) -> Excursion:
     """Depth-first contour of a finite forest traced at the given speed."""
-    if speed <= 0:
-        raise InputError("speed must be > 0")
+    if not 0 < speed < math.inf:
+        raise InputError(f"contour speed must be finite and > 0, got {speed!r}")
     heights = _turning_heights(f)
     if len(heights) == 1:
         return Excursion([0.0], [0.0])
@@ -142,19 +132,18 @@ def contour_from_forest(f: FamilyForest, speed: float) -> Excursion:
     return Excursion(times, heights)
 
 
-def _extrema(e: Excursion) -> tuple[list[float], list[float]]:
-    """Strict local extrema of the breakpoint sequence (times, heights)."""
-    us, hs = e.u, e.e
-    tu, th = [us[0]], [hs[0]]
-    for k in range(1, len(us)):
-        if hs[k] == th[-1]:
+def _extrema(hs: list[float]) -> list[float]:
+    """Strict local extrema of a height sequence: flats merge and monotone
+    runs keep their far end."""
+    th = [hs[0]]
+    for h in hs[1:]:
+        if h == th[-1]:
             continue
-        if len(th) >= 2 and (th[-1] - th[-2]) * (hs[k] - th[-1]) > 0:
-            tu[-1], th[-1] = us[k], hs[k]
+        if len(th) >= 2 and (th[-1] - th[-2]) * (h - th[-1]) > 0:
+            th[-1] = h  # extend monotone run
         else:
-            tu.append(us[k])
-            th.append(hs[k])
-    return tu, th
+            th.append(h)
+    return th
 
 
 class _ArgminTable:
@@ -192,7 +181,7 @@ def tree_from_excursion(e: Excursion) -> FamilyForest:
     Local maxima become leaves, local minima branch points, zeros separate
     trees; the linear order is the order of first visits.
     """
-    _, heights = _extrema(e)
+    heights = _extrema(e.e)
     b = ForestBuilder()
     if len(heights) <= 1:
         r = b.add_root(0.0)

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Iterator, NamedTuple, Optional, TextIO
+from typing import NamedTuple, Optional, TextIO
 
 from .errors import InputError, malformed_lines
 
@@ -93,12 +93,14 @@ class FamilyForest:
     Construction is cheap: the five lists are adopted, not copied, so the
     caller hands them over and must not change them afterwards.  Treat a
     forest as read-only; forests may share lists (see `truncate`).  All
-    derived structure (subtree maxima, tree index) is computed lazily and
-    cached, so forests are safe to share across threads once built.
+    derived structure (the depth-first pre-order, subtree maxima, tree
+    index) is computed lazily and cached, so forests are safe to share
+    across threads once built.  The pre-order is the only walk over
+    `children`; every other reader of the linear order uses it.
     """
 
     __slots__ = ("parent", "birth", "death", "children", "roots",
-                 "height_cap", "_subtree_max", "_tree_index")
+                 "height_cap", "_order", "_subtree_max", "_tree_index")
 
     def __init__(self, parent, birth, death, children, roots,
                  height_cap: Optional[float] = None,
@@ -109,6 +111,7 @@ class FamilyForest:
         self.children = children
         self.roots = roots
         self.height_cap = height_cap
+        self._order: Optional[list[int]] = None
         self._subtree_max: Optional[list[float]] = None
         self._tree_index: Optional[list[int]] = None
         if validate:
@@ -156,14 +159,22 @@ class FamilyForest:
             if self.parent[r] != -1:
                 raise InputError(f"root {r} has a parent")
 
-    def dfs_order(self) -> Iterator[int]:
-        """Pre-order traversal respecting root and child order."""
-        for r in self.roots:
-            stack = [r]
+    def dfs_order(self) -> list[int]:
+        """Pre-order of the nodes, respecting root and child order.
+
+        Built on the first call and cached: the returned list is shared by
+        every caller, who must not mutate it.
+        """
+        if self._order is None:
+            order = []
+            children = self.children
+            stack = self.roots[::-1]
             while stack:
                 v = stack.pop()
-                yield v
-                stack.extend(reversed(self.children[v]))
+                order.append(v)
+                stack.extend(reversed(children[v]))
+            self._order = order
+        return self._order
 
     def labels(self) -> list[tuple[int, ...]]:
         """Lexicographic ancestry labels consistent with the stored order."""
@@ -189,8 +200,7 @@ class FamilyForest:
         """Per node: maximal death height reachable in its subtree."""
         if self._subtree_max is None:
             m = [0.0] * len(self)
-            order = list(self.dfs_order())
-            for v in reversed(order):
+            for v in reversed(self.dfs_order()):
                 if self.children[v]:
                     m[v] = max(m[c] for c in self.children[v])
                 else:
@@ -199,15 +209,16 @@ class FamilyForest:
         return self._subtree_max
 
     def tree_index(self) -> list[int]:
-        """Index of the root tree each node belongs to."""
+        """Index of the root tree each node belongs to: the count of roots
+        met up to the node in the pre-order, less one."""
         if self._tree_index is None:
             idx = [-1] * len(self)
-            for i, r in enumerate(self.roots):
-                stack = [r]
-                while stack:
-                    v = stack.pop()
-                    idx[v] = i
-                    stack.extend(self.children[v])
+            parent = self.parent
+            k = -1
+            for v in self.dfs_order():
+                if parent[v] == -1:
+                    k += 1
+                idx[v] = k
             self._tree_index = idx
         return self._tree_index
 
@@ -289,8 +300,8 @@ class FamilyForest:
 
     def truncate(self, t: float) -> "FamilyForest":
         """Remove everything above height t; edges crossing t are clipped."""
-        if t < 0:
-            raise InputError("truncation level must be >= 0")
+        if not 0 <= t < math.inf:
+            raise InputError(f"truncation level must be finite and >= 0, got {t!r}")
         if t >= self.height() and all(self.death[v] != NEVER for v in range(len(self))):
             return FamilyForest(self.parent, self.birth, self.death,
                                 self.children, self.roots, height_cap=t)
@@ -323,8 +334,8 @@ class FamilyForest:
         points are returned.  At a branch height the single branch point is
         reported once (as the parent's death point).
         """
-        if t < 0:
-            raise InputError("level must be >= 0")
+        if not 0 <= t < math.inf:
+            raise InputError(f"level must be finite and >= 0, got {t!r}")
         if self.height_cap is not None and t > self.height_cap:
             raise InputError("level above forest height cap")
         if t == 0.0:
@@ -418,7 +429,7 @@ class FamilyForest:
         """
         # iterative post-order to survive deep birth-death chains
         memo: dict[int, tuple] = {}
-        for v in reversed(list(self.dfs_order())):
+        for v in reversed(self.dfs_order()):
             memo[v] = (self.birth[v], self.death_height(v),
                        tuple(memo[c] for c in self.children[v]))
         return tuple(memo[r] for r in self.roots)

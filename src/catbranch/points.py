@@ -17,6 +17,7 @@ the max-of-consecutive-distances rule.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence, TextIO, Union
 
@@ -34,8 +35,10 @@ class GenealogicalPointProcess:
     heights: list[float]  # neighbor MRCA heights, linear order
 
     def __post_init__(self) -> None:
-        if self.spacing <= 0:
-            raise InputError("spacing must be > 0")
+        if not 0 < self.spacing < math.inf:
+            raise InputError(f"spacing must be finite and > 0, got {self.spacing!r}")
+        if not 0 <= self.level < math.inf:
+            raise InputError(f"point-process level must be finite and >= 0, got {self.level!r}")
         if self.level <= 0 and self.heights:
             raise InputError("nonempty point process needs level > 0")
         for h in self.heights:
@@ -80,38 +83,33 @@ def point_process_at_level(f: FamilyForest, t: float,
                            spacing: float) -> GenealogicalPointProcess:
     """Neighbor MRCA heights of the ordered level-t population.
 
-    Computed in one depth-first sweep: between two consecutive level
-    crossings the splitting height is the lowest branch (or root-glue)
-    height the traversal dips to, which is exactly the valley floor of the
-    contour between the two visits.
+    Computed in one pass over the forest's pre-order: the splitting height
+    between two consecutive level crossings is the minimum birth, with a
+    root read as 0, over the nodes entered after the first crossing up to
+    and including the second.  This is the valley floor of the contour
+    between the two visits: a node's birth is its parent's death, so the
+    lowest birth entered is the death of the crossings' most recent common
+    ancestor, and a root entered means the crossings meet at the glued
+    root, 0.
     """
-    if t <= 0:
-        raise InputError("level must be > 0 for a point process")
+    if not 0 < t < math.inf:
+        raise InputError(f"level must be finite and > 0 for a point process, got {t!r}")
     if f.height_cap is not None and t > f.height_cap:
         raise InputError("level above forest height cap")
+    birth, parent = f.birth, f.parent
     heights: list[float] = []
-    pending_min = t  # lowest height dipped to since the previous crossing
+    floor = t  # lowest birth entered since the previous crossing
     seen_any = False
-
-    for r in f.roots:
-        stack: list[tuple[int, int]] = [(r, 0)]
-        while stack:
-            v, ci = stack.pop()
-            kids = f.children[v]
-            d = f.death_height(v)
-            if ci == 0:
-                # climbing this edge: does it cross the level?
-                if f.birth[v] < t <= d:
-                    if seen_any:
-                        heights.append(pending_min)
-                    seen_any = True
-                    pending_min = t
-            if ci > 0:
-                pending_min = min(pending_min, d)  # dip to the branch height
-            if ci < len(kids):
-                stack.append((v, ci + 1))
-                stack.append((kids[ci], 0))
-        pending_min = 0.0  # dip to the glued root between trees
+    for v in f.dfs_order():
+        if parent[v] == -1:
+            floor = 0.0
+        elif birth[v] < floor:
+            floor = birth[v]
+        if birth[v] < t <= f.death_height(v):
+            if seen_any:
+                heights.append(floor)
+            seen_any = True
+            floor = t
     return GenealogicalPointProcess(t, spacing, heights)
 
 

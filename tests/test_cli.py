@@ -138,6 +138,26 @@ class TestConvert:
         want = point_process_at_level(forest, 0.4, 1.0)
         assert got.heights == want.heights
 
+    @pytest.mark.parametrize("args", [
+        ["--to", "points", "--level", "nan"],
+        ["--to", "points", "--level", "inf"],
+        ["--to", "points", "--level", "0.75", "--spacing", "nan"],
+        ["--to", "points", "--level", "0.75", "--spacing", "inf"],
+        ["--to", "contour", "--speed", "nan"],
+        ["--to", "contour", "--speed", "inf"],
+    ], ids=["nan-level", "inf-level", "nan-spacing", "inf-spacing",
+            "nan-speed", "inf-speed"])
+    def test_rejects_non_finite_option(self, tmp_path, capsys, cherry, args):
+        src = tmp_path / "cherry.txt"  # uncapped, so no cap catches inf
+        src.write_text(cherry.to_text())
+        dst = tmp_path / "out"
+        rc = main(["convert", str(src), str(dst), *args])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error") and err.count("\n") == 1
+        assert args[-2].lstrip("-") in err
+        assert not dst.exists()
+
     def test_bad_input_exit_code(self, tmp_path):
         bad = tmp_path / "bad.txt"
         bad.write_text("garbage\n")

@@ -1,4 +1,5 @@
 import io
+import math
 
 import pytest
 
@@ -70,6 +71,11 @@ class TestEncode:
             for speed in (1.0, 2.0, 8.0):
                 e = contour_from_forest(f, speed)
                 assert e.duration == 2.0 * f.total_edge_length() / speed
+
+    @pytest.mark.parametrize("speed", [math.nan, math.inf])
+    def test_rejects_bad_speed(self, cherry, speed):
+        with pytest.raises(InputError, match="speed"):
+            contour_from_forest(cherry, speed)
 
     def test_rejects_unbounded(self):
         b = ForestBuilder()

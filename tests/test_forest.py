@@ -108,6 +108,11 @@ class TestTruncate:
         assert len(g) == 1
         assert g.height() == 0.0
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_rejects_bad_level(self, cherry, t):
+        with pytest.raises(InputError, match="truncation level"):
+            cherry.truncate(t)
+
     def test_removes_branch_points_above(self, rng):
         for _ in range(20):
             f = random_binary_forest(rng)
@@ -184,6 +189,11 @@ class TestLevelSetAndAncestors:
             t = 0.8 * f.height()
             sizes = [len(f.ancestors(t, eps)) for eps in (0.1 * t, 0.4 * t, 0.9 * t)]
             assert sizes == sorted(sizes, reverse=True)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_level_set_rejects_bad_level(self, cherry, t):
+        with pytest.raises(InputError, match="level must be finite"):
+            cherry.level_set(t)
 
     def test_range_validation(self, cherry):
         with pytest.raises(InputError):

@@ -1,4 +1,5 @@
 import io
+import math
 
 import numpy as np
 import pytest
@@ -36,6 +37,16 @@ class TestExtraction:
         g = cherry.truncate(0.8)
         with pytest.raises(InputError):
             point_process_at_level(g, 0.9, 1.0)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_rejects_non_finite_level(self, cherry, t):
+        with pytest.raises(InputError, match="level must be finite"):
+            point_process_at_level(cherry, t, 1.0)
+
+    @pytest.mark.parametrize("spacing", [math.nan, math.inf])
+    def test_rejects_non_finite_spacing(self, cherry, spacing):
+        with pytest.raises(InputError, match="spacing"):
+            point_process_at_level(cherry, 0.75, spacing)
 
 
 class TestReconstruction:
@@ -134,4 +145,16 @@ class TestCSV:
     ])
     def test_read_rejects_malformed_lines(self, text):
         with pytest.raises(InputError, match="malformed point-process"):
+            GenealogicalPointProcess.read(io.StringIO(text))
+
+    @pytest.mark.parametrize("text", [
+        "# t=nan spacing=0.5 zero_marks=0\nell,h\n",
+        "# t=inf spacing=0.5 zero_marks=0\nell,h\n",
+        "# t=-1.0 spacing=0.5 zero_marks=0\nell,h\n",
+        "# t=1.0 spacing=nan zero_marks=0\nell,h\n",
+        "# t=1.0 spacing=inf zero_marks=0\nell,h\n",
+    ], ids=["nan-level", "inf-level", "negative-level", "nan-spacing",
+            "inf-spacing"])
+    def test_read_rejects_bad_header(self, text):
+        with pytest.raises(InputError, match="must be finite"):
             GenealogicalPointProcess.read(io.StringIO(text))
