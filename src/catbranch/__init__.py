@@ -13,8 +13,8 @@ The package has three layers:
 """
 
 from .errors import InputError, PopulationCapError
-from .forest import (FamilyForest, ForestBuilder, TreePoint,
-                     gh_distance_bounds, random_binary_forest)
+from .forest import (FamilyForest, TreePoint, gh_distance_bounds,
+                     random_binary_forest)
 from .contour import Excursion, contour_from_forest, excise_above, tree_from_excursion
 from .points import (GenealogicalPointProcess, excursion_depths_below_level,
                      pairwise_level_distances, point_process_at_level,

@@ -27,7 +27,7 @@ from typing import TextIO
 import numpy as np
 
 from .errors import InputError, malformed_lines
-from .forest import FamilyForest, ForestBuilder
+from .forest import FamilyForest
 
 
 @dataclass
@@ -91,31 +91,28 @@ class Excursion:
         return cls(us, es), speed
 
 
-def _turning_heights(f: FamilyForest) -> list[float]:
+def _turning_heights(f: FamilyForest) -> np.ndarray:
     """Alternating extremum heights of the depth-first trace, incl. the
     bracketing zeros.
 
-    One pass over the pre-order: the trace dips to a node's birth (0 for a
-    root) before every node that is not its predecessor's child, peaks at
-    every leaf's death height, and closes at 0.  Zero-length edges collapse
-    and duplicates merge in `_extrema`.
+    Read off the pre-order: the trace passes through a node's birth (0 for
+    a root) before the node, peaks at every leaf's death height, and closes
+    at 0.  A birth is a valley when the node is not its predecessor's
+    child; otherwise it lies on the rising edge and merges in `_extrema`,
+    as do zero-length edges and duplicates.
     """
-    parent, birth, children = f.parent, f.birth, f.children
-    seq: list[float] = []
-    prev = -1
-    for v in f.dfs_order():
-        p = parent[v]
-        if p == -1:
-            seq.append(0.0)  # the glued root between trees
-        elif p != prev:
-            seq.append(birth[v])  # valley between sibling subtrees
-        if not children[v]:
-            d = f.death_height(v)
-            if not math.isfinite(d):
-                raise InputError("cannot encode a forest with unbounded edges")
-            seq.append(d)
-        prev = v
-    seq.append(0.0)
+    order = f.order
+    # a row per node, its birth and then its peak if a leaf, and a last row
+    # that closes at 0
+    heights = np.zeros((order.size + 1, 2))
+    heights[:-1, 0] = np.where(f.parent[order] == -1, 0.0, f.birth[order])
+    heights[:-1, 1] = f.death[order]
+    turns = np.ones((order.size + 1, 2), dtype=bool)
+    turns[:-1, 1] = (f.kid_ptr[1:] == f.kid_ptr[:-1])[order]
+    turns[-1, 1] = False
+    seq = heights[turns]
+    if not np.isfinite(seq).all():
+        raise InputError("cannot encode a forest with unbounded edges")
     return _extrema(seq)
 
 
@@ -124,26 +121,25 @@ def contour_from_forest(f: FamilyForest, speed: float) -> Excursion:
     if not 0 < speed < math.inf:
         raise InputError(f"contour speed must be finite and > 0, got {speed!r}")
     heights = _turning_heights(f)
-    if len(heights) == 1:
+    if heights.size == 1:
         return Excursion([0.0], [0.0])
-    times = [0.0]
-    for k in range(1, len(heights)):
-        times.append(times[-1] + abs(heights[k] - heights[k - 1]) / speed)
-    return Excursion(times, heights)
+    # a running sum, step by step, as the breakpoints are traced
+    times = np.zeros(heights.size)
+    np.cumsum(np.abs(np.diff(heights)) / speed, out=times[1:])
+    return Excursion(times.tolist(), heights.tolist())
 
 
-def _extrema(hs: list[float]) -> list[float]:
+def _extrema(hs) -> np.ndarray:
     """Strict local extrema of a height sequence: flats merge and monotone
     runs keep their far end."""
-    th = [hs[0]]
-    for h in hs[1:]:
-        if h == th[-1]:
-            continue
-        if len(th) >= 2 and (th[-1] - th[-2]) * (h - th[-1]) > 0:
-            th[-1] = h  # extend monotone run
-        else:
-            th.append(h)
-    return th
+    h = np.asarray(hs, dtype=float)
+    keep = np.ones(h.size, dtype=bool)
+    np.not_equal(h[1:], h[:-1], out=keep[1:])
+    h = h[keep]
+    rising = h[1:] > h[:-1]
+    keep = np.ones(h.size, dtype=bool)
+    np.not_equal(rising[1:], rising[:-1], out=keep[1:-1])
+    return h[keep]
 
 
 class _ArgminTable:
@@ -181,13 +177,10 @@ def tree_from_excursion(e: Excursion) -> FamilyForest:
     Local maxima become leaves, local minima branch points, zeros separate
     trees; the linear order is the order of first visits.
     """
-    heights = _extrema(e.e)
-    b = ForestBuilder()
-    if len(heights) <= 1:
-        r = b.add_root(0.0)
-        b.set_death(r, 0.0)
-        return b.freeze()
-
+    heights = _extrema(e.e).tolist()
+    nodes = _Nodes()
+    if len(heights) <= 1:  # the single point: one root of height 0
+        _build_tree(nodes, [], [])
     # split at zeros into per-tree peak/valley runs
     k = 0
     while k < len(heights) - 1:
@@ -195,32 +188,64 @@ def tree_from_excursion(e: Excursion) -> FamilyForest:
         j = k + 1
         while heights[j] != 0.0:
             j += 1
-        peaks = [heights[i] for i in range(k + 1, j, 2)]
-        valleys = [heights[i] for i in range(k + 2, j, 2)]
-        _build_tree(b, peaks, valleys)
+        _build_tree(nodes, heights[k + 1:j:2], heights[k + 2:j:2])
         k = j
-    return b.freeze()
+    return nodes.forest()
 
 
-def _build_tree(b: ForestBuilder, peaks: list[float], valleys: list[float]) -> None:
-    root = b.add_root(0.0)
+class _Nodes:
+    """Node columns of a binary forest under construction.  The two
+    children of a split get consecutive ids, and the nodes are recorded in
+    pre-order as they are visited."""
+
+    def __init__(self) -> None:
+        self.parent: list[int] = []
+        self.birth: list[float] = []
+        self.death: list[float] = []
+        self.first_child: list[int] = []
+        self.roots: list[int] = []
+        self.order: list[int] = []
+
+    def add(self, parent: int, birth: float) -> int:
+        node = len(self.parent)
+        self.parent.append(parent)
+        self.birth.append(birth)
+        self.death.append(birth)
+        self.first_child.append(-1)
+        return node
+
+    def forest(self) -> FamilyForest:
+        first = np.array(self.first_child, dtype=np.intp)
+        inner = first >= 0
+        kid_ptr = np.zeros(first.size + 1, dtype=np.intp)
+        np.cumsum(2 * inner, out=kid_ptr[1:])
+        kids = (first[inner, None] + np.arange(2)).ravel()
+        return FamilyForest(self.parent, self.birth, self.death, kid_ptr, kids,
+                            self.roots, order=self.order)
+
+
+def _build_tree(nodes: _Nodes, peaks: list[float], valleys: list[float]) -> None:
+    root = nodes.add(-1, 0.0)
+    nodes.roots.append(root)
     if not peaks:
-        b.set_death(root, 0.0)
+        nodes.order.append(root)
         return
     table = _ArgminTable(valleys) if valleys else None
-    # work items: (node, peak-range lo..hi inclusive)
+    # work items: (node, peak-range lo..hi inclusive), popped in pre-order
     stack = [(root, 0, len(peaks) - 1)]
     while stack:
         node, lo, hi = stack.pop()
+        nodes.order.append(node)
         if lo == hi:
-            b.set_death(node, peaks[lo])
+            nodes.death[node] = peaks[lo]
             continue
         j = table.argmin(lo, hi - 1)  # valleys[i] sits between peaks i, i+1
         split = valleys[j]
-        b.set_death(node, split)
-        left = b.add_child(node, split)
-        right = b.add_child(node, split)
-        # push right first so the left subtree is numbered first (linear order)
+        nodes.death[node] = split
+        left = nodes.add(node, split)
+        right = nodes.add(node, split)
+        nodes.first_child[node] = left
+        # push right first so the left subtree is visited first (linear order)
         stack.append((right, j + 1, hi))
         stack.append((left, lo, j))
 

@@ -19,5 +19,5 @@ def malformed_lines(kind: str):
         yield
     except InputError:
         raise
-    except (ValueError, KeyError, IndexError) as exc:
+    except (ValueError, KeyError, IndexError, OverflowError) as exc:
         raise InputError(f"malformed {kind} file: {exc!r}") from exc

@@ -1,16 +1,40 @@
 """
 forest.py
 =========
-Rooted, linearly ordered real-tree forests recorded as explicit node tables.
+Rooted, linearly ordered real-tree forests stored as numpy arrays.
 
-A forest holds one node per individual of a branching population.  Each node
-carries a birth height, a death height (``math.inf`` for individuals that
-never die before a horizon cut), an ordered child list and a parent link.
-Height in the tree equals time in the population, measured from the roots at
-height 0.  Points in the continuum tree are addressed as ``TreePoint(node,
-offset)`` with the offset measured from the node's birth, so all metric
-arithmetic is exact float arithmetic on stored values — the topology never
-depends on floating-point comparisons of derived quantities.
+A forest holds one node per individual of a branching population.  Height
+in the tree equals time in the population, measured from the roots at
+height 0.  The forest has one layout, flat arrays indexed by node id:
+
+  parent          the parent's id, -1 for a root
+  birth, death    heights; in a capped forest `death` is clipped at the
+                  cap, and only an uncapped forest may hold `math.inf` for
+                  an individual that never dies
+  kid_ptr, kids   the ordered children in CSR form: the children of node v
+                  are kids[kid_ptr[v]:kid_ptr[v + 1]]
+  roots           the roots in the forest's linear order
+
+Two arrays are derived on first use and cached: `order`, the nodes in
+depth-first pre-order (the forest's linear order), and `tree_index()`, the
+root tree of each node.  The pre-order comes from whoever knows it
+cheapest:
+
+  * a forest built generation by generation (the particle engine) derives
+    it from its generations: one reverse sweep gives subtree sizes, one
+    forward sweep places each left child right after its parent and each
+    right child after the left child's subtree;
+  * a builder that numbers or visits its nodes in pre-order (`truncate`,
+    `trim`, `random_binary_forest`, the contour decoder) hands it over;
+  * any other forest (files, `from_children`) takes one walk over `kids`.
+
+Every level query is array work over the pre-order: the level-t
+population is the mask birth < t <= death read in `order`.
+
+Points in the continuum tree are addressed as ``TreePoint(node, offset)``
+with the offset measured from the node's birth, so all metric arithmetic is
+exact float arithmetic on stored values — the topology never depends on
+floating-point comparisons of derived quantities.
 
 The genealogical metric: for points a, b at heights ha, hb,
 
@@ -19,13 +43,15 @@ The genealogical metric: for points a, b at heights ha, hb,
 where tau is the height of the splitting point of their most recent common
 ancestor.  Points in different trees of the forest meet at the glued root,
 tau = 0, so two distinct roots are at distance 0 and the level-t populations
-of a forest form an ultrametric space.
+of a forest form an ultrametric space.  The point-level operations
+(`mrca_height`, `genealogical_distance`, `trim`, `ancestors`, `labels`,
+`diameter`, `gh_distance_bounds`) are plain readings of the arrays, kept
+simple rather than fast.
 
 Public surface
 --------------
-  FamilyForest          node-table container with metric/shape operations
+  FamilyForest          array container with metric/shape operations
   TreePoint             (node, offset) address of a tree point
-  ForestBuilder         append-only constructor used by simulators/codecs
   gh_distance_bounds    certified lower/upper bounds on rooted GH distance
   random_binary_forest  seeded generator of small forests with dyadic edge
                         lengths (verification and property tests)
@@ -35,7 +61,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import NamedTuple, Optional, TextIO
+from typing import NamedTuple, Optional, Sequence, TextIO
+
+import numpy as np
 
 from .errors import InputError, malformed_lines
 
@@ -47,191 +75,248 @@ class TreePoint(NamedTuple):
     offset: float
 
 
-class ForestBuilder:
-    """Append-only accumulator of node records; `freeze()` yields a forest
-    that adopts the builder's lists, so the builder is done once frozen."""
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
-    def __init__(self) -> None:
-        self.parent: list[int] = []
-        self.birth: list[float] = []
-        self.death: list[float] = []
-        self.children: list[list[int]] = []
-        self.roots: list[int] = []
 
-    def add_root(self, birth: float = 0.0) -> int:
-        nid = self._add(-1, birth)
-        self.roots.append(nid)
-        return nid
-
-    def add_child(self, parent: int, birth: float) -> int:
-        nid = self._add(parent, birth)
-        self.children[parent].append(nid)
-        return nid
-
-    def _add(self, parent: int, birth: float) -> int:
-        nid = len(self.parent)
-        self.parent.append(parent)
-        self.birth.append(float(birth))
-        self.death.append(NEVER)
-        self.children.append([])
-        return nid
-
-    def set_death(self, node: int, death: float) -> None:
-        self.death[node] = float(death)
-
-    def freeze(self, height_cap: Optional[float] = None,
-               validate: bool = False) -> "FamilyForest":
-        return FamilyForest(self.parent, self.birth, self.death,
-                            self.children, self.roots,
-                            height_cap=height_cap, validate=validate)
+def _first(mask: np.ndarray) -> Optional[int]:
+    """Index of the first true entry, or None."""
+    hits = np.flatnonzero(mask)
+    return int(hits[0]) if hits.size else None
 
 
 class FamilyForest:
     """
-    Immutable-by-convention forest of rooted ordered real trees.
+    Immutable forest of rooted ordered real trees, stored as arrays.
 
-    Construction is cheap: the five lists are adopted, not copied, so the
-    caller hands them over and must not change them afterwards.  Treat a
-    forest as read-only; forests may share lists (see `truncate`).  All
-    derived structure (the depth-first pre-order, subtree maxima, tree
-    index) is computed lazily and cached, so forests are safe to share
-    across threads once built.  The pre-order is the only walk over
-    `children`; every other reader of the linear order uses it.
+    The constructor adopts the arrays it is given (lists are converted) and
+    makes them read-only; forests may share arrays (see `truncate`).  The
+    children of node v are kids[kid_ptr[v]:kid_ptr[v + 1]], in linear
+    order.  A builder that knows the pre-order passes it as `order`; a
+    builder that numbers its nodes generation by generation, the children
+    of each generation's splits forming the next generation in consecutive
+    pairs, in parent order, passes the node-id bounds of its generations as
+    `generations`, from which the pre-order is swept on first use.  Derived
+    arrays are cached, so forests are safe to share across threads once
+    their caches are built.
     """
 
-    __slots__ = ("parent", "birth", "death", "children", "roots",
-                 "height_cap", "_order", "_subtree_max", "_tree_index")
+    __slots__ = ("parent", "birth", "death", "kid_ptr", "kids", "roots",
+                 "height_cap", "_order", "_generations", "_tree")
 
-    def __init__(self, parent, birth, death, children, roots,
-                 height_cap: Optional[float] = None,
-                 validate: bool = False) -> None:
-        self.parent = parent
-        self.birth = birth
-        self.death = death
-        self.children = children
-        self.roots = roots
+    def __init__(self, parent, birth, death, kid_ptr, kids, roots,
+                 height_cap: Optional[float] = None, validate: bool = False,
+                 order=None, generations: Optional[Sequence[int]] = None) -> None:
+        death = np.asarray(death, dtype=float)
+        if height_cap is not None:
+            death = np.where(death == NEVER, height_cap, death)
+        self.parent = _frozen(np.asarray(parent, dtype=np.intp))
+        self.birth = _frozen(np.asarray(birth, dtype=float))
+        self.death = _frozen(death)
+        self.kid_ptr = _frozen(np.asarray(kid_ptr, dtype=np.intp))
+        self.kids = _frozen(np.asarray(kids, dtype=np.intp))
+        self.roots = _frozen(np.asarray(roots, dtype=np.intp))
         self.height_cap = height_cap
-        self._order: Optional[list[int]] = None
-        self._subtree_max: Optional[list[float]] = None
-        self._tree_index: Optional[list[int]] = None
+        self._order = None if order is None else _frozen(np.asarray(order, dtype=np.intp))
+        self._generations = generations
+        self._tree: Optional[np.ndarray] = None
         if validate:
             self.validate()
+
+    @classmethod
+    def from_children(cls, parent, birth, death, children, roots,
+                      height_cap: Optional[float] = None,
+                      validate: bool = False) -> "FamilyForest":
+        """A forest from per-node child lists."""
+        kid_ptr = np.zeros(len(children) + 1, dtype=np.intp)
+        np.cumsum([len(c) for c in children], out=kid_ptr[1:])
+        kids = list(itertools.chain.from_iterable(children))
+        return cls(parent, birth, death, kid_ptr, kids, roots,
+                   height_cap=height_cap, validate=validate)
+
+    @classmethod
+    def _from_preorder(cls, parent, birth, death, roots,
+                       height_cap: Optional[float] = None) -> "FamilyForest":
+        """A forest whose node ids are its pre-order ranks, so each node's
+        children are the nodes naming it as parent, in id order."""
+        parent = np.asarray(parent, dtype=np.intp)
+        n = parent.size
+        # sorted by parent, the roots (parent -1) come first, then the
+        # children of each node in id order
+        counts = np.bincount(parent + 1, minlength=n + 1)
+        kid_ptr = counts.cumsum() - counts[0]
+        kids = np.argsort(parent, kind="stable")[counts[0]:]
+        return cls(parent, birth, death, kid_ptr, kids, roots,
+                   height_cap=height_cap, order=np.arange(n))
 
     # ------------------------------------------------------------------ #
     # Structure                                                           #
     # ------------------------------------------------------------------ #
 
     def __len__(self) -> int:
-        return len(self.parent)
+        return self.parent.size
 
     def validate(self) -> None:
+        """Raise `InputError` unless the arrays form a forest: every node
+        one root or the listed child of its one parent, born at its
+        parent's death, living no less than zero time, under the cap, and
+        reached from a root."""
         n = len(self)
-        seen_child = [False] * n
-        for nid in range(n):
-            p = self.parent[nid]
-            if p == -1:
-                if nid not in self.roots:
-                    raise InputError(f"node {nid} has no parent and is not a root")
-            else:
-                if not 0 <= p < n:
-                    raise InputError(f"node {nid}: parent {p} out of range")
-                if nid not in self.children[p]:
-                    raise InputError(f"node {nid} missing from parent child list")
-                if self.birth[nid] != self.death[p]:
-                    raise InputError(
-                        f"node {nid}: birth {self.birth[nid]} != parent death "
-                        f"{self.death[p]}")
-            if not self.birth[nid] <= self.death[nid]:  # NaN fails too
-                raise InputError(f"node {nid}: death before birth")
-            if self.height_cap is not None and self.death[nid] > self.height_cap:
-                raise InputError(f"node {nid}: death above height cap")
-            for c in self.children[nid]:
-                if not 0 <= c < n or self.parent[c] != nid:
-                    raise InputError(f"node {nid}: child {c} does not name it as parent")
-                if seen_child[c]:
-                    raise InputError(f"node {c} has two parents")
-                seen_child[c] = True
-        if len(set(self.roots)) != len(self.roots):
+        parent, birth, death = self.parent, self.birth, self.death
+        roots, kids, kid_ptr = self.roots, self.kids, self.kid_ptr
+        counts = np.diff(kid_ptr)
+        if (birth.shape != (n,) or death.shape != (n,) or kid_ptr.shape != (n + 1,)
+                or kid_ptr[0] != 0 or kid_ptr[-1] != kids.size or (counts < 0).any()):
+            raise InputError("node arrays disagree in length")
+        if roots.size and (roots.min() < 0 or roots.max() >= n):
+            bad = roots[(roots < 0) | (roots >= n)]
+            raise InputError(f"root {bad[0]} out of range")
+        if (np.bincount(roots, minlength=n) > 1).any():
             raise InputError("a root is listed twice")
-        for r in self.roots:
-            if not 0 <= r < n:
-                raise InputError(f"root {r} out of range")
-            if self.parent[r] != -1:
-                raise InputError(f"root {r} has a parent")
+        if n and (parent.min() < -1 or parent.max() >= n):
+            v = _first((parent < -1) | (parent >= n))
+            raise InputError(f"node {v}: parent {parent[v]} out of range")
+        if (parent[roots] != -1).any():
+            raise InputError(f"root {roots[parent[roots] != -1][0]} has a parent")
+        if np.count_nonzero(parent == -1) != roots.size:
+            listed = np.zeros(n, dtype=bool)
+            listed[roots] = True
+            v = _first(~listed & (parent == -1))
+            raise InputError(f"node {v} has no parent and is not a root")
+        owner = np.repeat(np.arange(n), counts)
+        if kids.size and (kids.min() < 0 or kids.max() >= n
+                          or (parent[kids] != owner).any()):
+            in_range = (kids >= 0) & (kids < n)
+            named = np.zeros(kids.size, dtype=bool)
+            named[in_range] = parent[kids[in_range]] == owner[in_range]
+            k = _first(~named)
+            raise InputError(f"node {owner[k]}: child {kids[k]} does not name it as parent")
+        listings = np.bincount(kids, minlength=n)
+        if (listings != (parent >= 0)).any():
+            v = _first(listings > 1)
+            if v is not None:
+                raise InputError(f"node {v} has two parents")
+            v = _first(listings != (parent >= 0))
+            raise InputError(f"node {v} missing from parent child list")
+        if (birth[kids] != death[owner]).any():
+            v = kids[birth[kids] != death[owner]].min()
+            raise InputError(f"node {v}: birth {birth[v]} != parent death "
+                             f"{death[parent[v]]}")
+        if not (birth <= death).all():  # NaN fails too
+            raise InputError(f"node {_first(~(birth <= death))}: death before birth")
+        if self.height_cap is not None and (death > self.height_cap).any():
+            raise InputError(f"node {_first(death > self.height_cap)}: "
+                             "death above height cap")
+        # each node now has one parent at most, so the pre-order meets every
+        # node once at most; a node it misses hangs off no root
+        if self.order.size != n:
+            reached = np.zeros(n, dtype=bool)
+            reached[self.order] = True
+            raise InputError(f"node {_first(~reached)} is not reached from any root")
 
-    def dfs_order(self) -> list[int]:
-        """Pre-order of the nodes, respecting root and child order.
-
-        Built on the first call and cached: the returned list is shared by
-        every caller, who must not mutate it.
-        """
+    @property
+    def order(self) -> np.ndarray:
+        """The nodes in depth-first pre-order, respecting root and child
+        order: the forest's linear order.  Cached and read-only."""
         if self._order is None:
-            order = []
-            children = self.children
-            stack = self.roots[::-1]
-            while stack:
-                v = stack.pop()
-                order.append(v)
-                stack.extend(reversed(children[v]))
-            self._order = order
+            if self._generations is not None:
+                order = self._order_from_generations()
+            else:
+                order = self._walk()
+            self._order = _frozen(order)
         return self._order
+
+    def _walk(self) -> np.ndarray:
+        """The pre-order by one walk over the child lists (list copies)."""
+        kids, kid_ptr = self.kids.tolist(), self.kid_ptr.tolist()
+        order: list[int] = []
+        visit = order.append
+        stack = self.roots[::-1].tolist()
+        pop, push = stack.pop, stack.extend
+        while stack:
+            v = pop()
+            visit(v)
+            a, b = kid_ptr[v], kid_ptr[v + 1]
+            if a < b:
+                push(reversed(kids[a:b]))
+        return np.array(order, dtype=np.intp)
+
+    def _order_from_generations(self) -> np.ndarray:
+        """The pre-order from the generation layout, one numpy step per
+        generation: a sweep from the deepest generation up adds each child
+        pair's subtree sizes to its parent, and a sweep down ranks the left
+        child right after its parent and the right child after the left
+        child's subtree."""
+        bounds, parent = self._generations, self.parent
+        n = len(self)
+        size = np.ones(n, dtype=np.intp)
+        for a, b in zip(bounds[-2:0:-1], bounds[:0:-1]):
+            size[parent[a:b:2]] += size[a:b:2] + size[a + 1:b:2]
+        pre = np.empty(n, dtype=np.intp)
+        first = size[self.roots]
+        pre[self.roots] = np.cumsum(first) - first
+        for a, b in zip(bounds[1:-1], bounds[2:]):
+            left = pre[parent[a:b:2]] + 1
+            pre[a:b:2] = left
+            pre[a + 1:b:2] = left + size[a:b:2]
+        order = np.empty(n, dtype=np.intp)
+        order[pre] = np.arange(n)
+        return order
+
+    def children_of(self, node: int) -> list[int]:
+        """The children of a node, in linear order."""
+        return self.kids[self.kid_ptr[node]:self.kid_ptr[node + 1]].tolist()
+
+    def _child_lists(self) -> list[list[int]]:
+        kids, kid_ptr = self.kids.tolist(), self.kid_ptr.tolist()
+        return [kids[a:b] for a, b in zip(kid_ptr, kid_ptr[1:])]
 
     def labels(self) -> list[tuple[int, ...]]:
         """Lexicographic ancestry labels consistent with the stored order."""
         lab: list[tuple[int, ...]] = [()] * len(self)
-        for i, r in enumerate(self.roots):
+        for i, r in enumerate(self.roots.tolist()):
             lab[r] = (i + 1,)
-        for v in self.dfs_order():
-            for k, c in enumerate(self.children[v]):
+        children = self._child_lists()
+        for v in self.order.tolist():
+            for k, c in enumerate(children[v]):
                 lab[c] = lab[v] + (k + 1,)
         return lab
 
     def edge_length(self, node: int) -> float:
-        d = self.death_height(node)
-        return d - self.birth[node]
+        return float(self.death[node] - self.birth[node])
 
     def death_height(self, node: int) -> float:
-        d = self.death[node]
-        if d == NEVER and self.height_cap is not None:
-            return self.height_cap
-        return d
+        return float(self.death[node])
 
     def subtree_max_height(self) -> list[float]:
         """Per node: maximal death height reachable in its subtree."""
-        if self._subtree_max is None:
-            m = [0.0] * len(self)
-            for v in reversed(self.dfs_order()):
-                if self.children[v]:
-                    m[v] = max(m[c] for c in self.children[v])
-                else:
-                    m[v] = self.death_height(v)
-            self._subtree_max = m
-        return self._subtree_max
+        m = self.death.tolist()
+        children = self._child_lists()
+        for v in reversed(self.order.tolist()):
+            if children[v]:
+                m[v] = max(m[c] for c in children[v])
+        return m
 
-    def tree_index(self) -> list[int]:
+    def tree_index(self) -> np.ndarray:
         """Index of the root tree each node belongs to: the count of roots
-        met up to the node in the pre-order, less one."""
-        if self._tree_index is None:
-            idx = [-1] * len(self)
-            parent = self.parent
-            k = -1
-            for v in self.dfs_order():
-                if parent[v] == -1:
-                    k += 1
-                idx[v] = k
-            self._tree_index = idx
-        return self._tree_index
+        met up to the node in the pre-order, less one.  Cached and
+        read-only."""
+        if self._tree is None:
+            order = self.order
+            tree = np.empty(len(self), dtype=np.intp)
+            tree[order] = np.cumsum(self.parent[order] == -1) - 1
+            self._tree = _frozen(tree)
+        return self._tree
 
     def height(self) -> float:
-        if not self.roots:
-            return 0.0
-        return max(self.subtree_max_height()[r] for r in self.roots)
+        return float(self.death.max()) if len(self) else 0.0
 
     def total_edge_length(self) -> float:
-        return sum(self.edge_length(v) for v in range(len(self)))
+        return sum((self.death - self.birth).tolist())
 
     def leaf_count(self) -> int:
-        return sum(1 for v in range(len(self)) if not self.children[v])
+        return int(np.count_nonzero(np.diff(self.kid_ptr) == 0))
 
     # ------------------------------------------------------------------ #
     # Metric                                                              #
@@ -239,7 +324,7 @@ class FamilyForest:
 
     def point_height(self, p: TreePoint) -> float:
         self._check_point(p)
-        return self.birth[p.node] + p.offset
+        return float(self.birth[p.node]) + p.offset
 
     def _check_point(self, p: TreePoint) -> None:
         if not 0 <= p.node < len(self):
@@ -254,7 +339,7 @@ class FamilyForest:
         v = node
         while v != -1:
             path.append(v)
-            v = self.parent[v]
+            v = int(self.parent[v])
         path.reverse()
         return path
 
@@ -265,8 +350,8 @@ class FamilyForest:
         """
         self._check_point(a)
         self._check_point(b)
-        ha = self.birth[a.node] + a.offset
-        hb = self.birth[b.node] + b.offset
+        ha = float(self.birth[a.node]) + a.offset
+        hb = float(self.birth[b.node]) + b.offset
         if a.node == b.node:
             return min(ha, hb)
         pa = self._root_path(a.node)
@@ -298,76 +383,71 @@ class FamilyForest:
     # Slicing operations                                                  #
     # ------------------------------------------------------------------ #
 
+    def _subforest(self, keep: np.ndarray, death: np.ndarray,
+                   height_cap: Optional[float]) -> "FamilyForest":
+        """The forest of the nodes `keep`, listed in pre-order and closed
+        under taking parents, renumbered by their rank in `keep`."""
+        new_id = np.full(len(self), -1, dtype=np.intp)
+        new_id[keep] = np.arange(keep.size)
+        up = self.parent[keep]
+        roots = new_id[self.roots]
+        return FamilyForest._from_preorder(
+            np.where(up >= 0, new_id[up], -1), self.birth[keep], death,
+            roots[roots >= 0], height_cap=height_cap)
+
     def truncate(self, t: float) -> "FamilyForest":
         """Remove everything above height t; edges crossing t are clipped."""
         if not 0 <= t < math.inf:
             raise InputError(f"truncation level must be finite and >= 0, got {t!r}")
-        if t >= self.height() and all(self.death[v] != NEVER for v in range(len(self))):
+        if t >= self.height() and not (self.death == NEVER).any():
             return FamilyForest(self.parent, self.birth, self.death,
-                                self.children, self.roots, height_cap=t)
+                                self.kid_ptr, self.kids, self.roots,
+                                height_cap=t, order=self._order,
+                                generations=self._generations)
         if t == 0.0:
-            b = ForestBuilder()
-            for _ in self.roots:
-                r = b.add_root(0.0)
-                b.set_death(r, 0.0)
-            return b.freeze(height_cap=0.0)
-        keep = [False] * len(self)
-        new_id = [-1] * len(self)
-        b = ForestBuilder()
-        for v in self.dfs_order():
-            if self.birth[v] >= t:
-                continue
-            keep[v] = True
-            p = self.parent[v]
-            if p == -1:
-                nid = b.add_root(self.birth[v])
-            else:
-                nid = b.add_child(new_id[p], self.birth[v])
-            new_id[v] = nid
-            b.set_death(nid, min(self.death_height(v), t))
-        return b.freeze(height_cap=t)
+            k = self.roots.size
+            return FamilyForest._from_preorder(np.full(k, -1), np.zeros(k),
+                                               np.zeros(k), np.arange(k),
+                                               height_cap=0.0)
+        order = self.order
+        keep = order[self.birth[order] < t]
+        return self._subforest(keep, np.minimum(self.death[keep], t), t)
 
-    def level_set(self, t: float) -> list[TreePoint]:
-        """Points at height exactly t, in the forest's linear order.
-
-        A node contributes while birth < t <= death; at t == 0 the root
-        points are returned.  At a branch height the single branch point is
-        reported once (as the parent's death point).
-        """
+    def level_positions(self, t: float) -> np.ndarray:
+        """Pre-order ranks of the population at height exactly t, in
+        increasing order: the ranks of the nodes with birth < t <= death,
+        or of the roots at t == 0.  At a branch height the single branch
+        point is its parent's death point, so it is counted once."""
         if not 0 <= t < math.inf:
             raise InputError(f"level must be finite and >= 0, got {t!r}")
         if self.height_cap is not None and t > self.height_cap:
             raise InputError("level above forest height cap")
+        order = self.order
         if t == 0.0:
-            return [TreePoint(r, 0.0) for r in self.roots]
-        out = []
-        for v in self.dfs_order():
-            if self.birth[v] < t <= self.death_height(v):
-                out.append(TreePoint(v, t - self.birth[v]))
-        return out
+            return np.flatnonzero(self.parent[order] == -1)
+        alive = (self.birth < t) & (t <= self.death)
+        return np.flatnonzero(alive[order])
+
+    def level_set(self, t: float) -> list[TreePoint]:
+        """Points at height exactly t, in the forest's linear order (see
+        `level_positions`)."""
+        nodes = self.order[self.level_positions(t)]
+        offsets = (t - self.birth[nodes]) if t != 0.0 else np.zeros(nodes.size)
+        return list(map(TreePoint, nodes.tolist(), offsets.tolist()))
 
     def trim(self, eps: float) -> "FamilyForest":
         """Keep the root and every point with a descendant at distance >= eps."""
         if eps <= 0:
             raise InputError("trim radius must be > 0")
-        m = self.subtree_max_height()
-        b = ForestBuilder()
-        new_id = [-1] * len(self)
-        for v in self.dfs_order():
-            cut = m[v] - eps
-            p = self.parent[v]
-            if p == -1:
-                nid = b.add_root(self.birth[v])
-                b.set_death(nid, min(self.death_height(v), max(self.birth[v], cut)))
-                new_id[v] = nid
-            else:
-                if new_id[p] == -1 or cut <= self.birth[v]:
-                    continue
-                nid = b.add_child(new_id[p], self.birth[v])
-                b.set_death(nid, min(self.death_height(v), cut))
-                new_id[v] = nid
-        cap = None if self.height_cap is None else self.height_cap
-        return b.freeze(height_cap=cap)
+        cut = np.array(self.subtree_max_height()) - eps
+        order = self.order
+        # a kept node's parent is kept: its cut is no lower and its birth
+        # no higher
+        keep = order[(self.parent[order] == -1) | (cut[order] > self.birth[order])]
+        top = np.where(self.parent[keep] == -1,
+                       np.maximum(self.birth[keep], cut[keep]), cut[keep])
+        return self._subforest(keep, np.minimum(self.death[keep], top),
+                               self.height_cap)
 
     def ancestors(self, t: float, eps: float) -> list[TreePoint]:
         """Ordered ancestors at height t - eps of the population alive at t."""
@@ -394,8 +474,7 @@ class FamilyForest:
         if mesh <= 0:
             raise InputError("mesh must be > 0")
         total = 0.0
-        for v in range(len(self)):
-            length = self.edge_length(v)
+        for length in (self.death - self.birth).tolist():
             if length <= 0.0:
                 continue
             k = max(1, math.ceil(length / mesh))
@@ -404,18 +483,20 @@ class FamilyForest:
 
     def diameter(self) -> float:
         """Largest pairwise distance, root gluing included."""
-        if not self.roots:
+        if not len(self):
             return 0.0
         m = self.subtree_max_height()
+        birth, death, parent = (self.birth.tolist(), self.death.tolist(),
+                                self.parent.tolist())
         best = 0.0
         # within-tree diameters: deepest two child subtrees under each branch
-        for v in range(len(self)):
-            if len(self.children[v]) >= 2:
-                depths = sorted((m[c] for c in self.children[v]), reverse=True)
-                d = (depths[0] - self.death_height(v)) + (depths[1] - self.death_height(v))
+        for v, kids in enumerate(self._child_lists()):
+            if len(kids) >= 2:
+                depths = sorted((m[c] for c in kids), reverse=True)
+                d = (depths[0] - death[v]) + (depths[1] - death[v])
                 best = max(best, d)
-            best = max(best, m[v] - self.birth[v] if self.parent[v] == -1 else 0.0)
-        heights = sorted((m[r] for r in self.roots), reverse=True)
+            best = max(best, m[v] - birth[v] if parent[v] == -1 else 0.0)
+        heights = sorted((m[r] for r in self.roots.tolist()), reverse=True)
         if len(heights) >= 2:
             best = max(best, heights[0] + heights[1])
         best = max(best, heights[0])
@@ -427,12 +508,13 @@ class FamilyForest:
         Two forests are order-preserving root-invariant isometric iff their
         canonical shapes are equal (heights are compared exactly).
         """
-        # iterative post-order to survive deep birth-death chains
-        memo: dict[int, tuple] = {}
-        for v in reversed(self.dfs_order()):
-            memo[v] = (self.birth[v], self.death_height(v),
-                       tuple(memo[c] for c in self.children[v]))
-        return tuple(memo[r] for r in self.roots)
+        # post-order over the cached pre-order, so deep chains need no stack
+        birth, death = self.birth.tolist(), self.death.tolist()
+        children = self._child_lists()
+        memo: list = [None] * len(self)
+        for v in reversed(self.order.tolist()):
+            memo[v] = (birth[v], death[v], tuple(memo[c] for c in children[v]))
+        return tuple(memo[r] for r in self.roots.tolist())
 
     # ------------------------------------------------------------------ #
     # Serialization                                                       #
@@ -441,12 +523,15 @@ class FamilyForest:
     def write(self, fh: TextIO) -> None:
         cap = "none" if self.height_cap is None else repr(float(self.height_cap))
         fh.write("# roots=%s height_cap=%s\n"
-                 % (",".join(map(str, self.roots)), cap))
-        for v in range(len(self)):
-            fields = [str(v), str(self.parent[v]), repr(float(self.birth[v])),
-                      repr(float(self.death[v]))]
-            fields.extend(str(c) for c in self.children[v])
-            fh.write(" ".join(fields) + "\n")
+                 % (",".join(map(str, self.roots.tolist())), cap))
+        parent, birth, death = (self.parent.tolist(), self.birth.tolist(),
+                                self.death.tolist())
+        lines = []
+        for v, kids in enumerate(self._child_lists()):
+            fields = [str(v), str(parent[v]), repr(birth[v]), repr(death[v])]
+            fields.extend(map(str, kids))
+            lines.append(" ".join(fields) + "\n")
+        fh.write("".join(lines))
 
     def to_text(self) -> str:
         import io
@@ -459,26 +544,27 @@ class FamilyForest:
         header = fh.readline()
         if not header.startswith("#"):
             raise InputError("missing forest header line")
-        parent, birth, death, children = [], [], [], []
+        parent, birth, death, kids, kid_ptr = [], [], [], [], [0]
         with malformed_lines("forest"):
             fields = dict(tok.split("=", 1) for tok in header[1:].split())
             roots = [int(x) for x in fields["roots"].split(",") if x != ""]
             cap_s = fields["height_cap"]
             cap = None if cap_s == "none" else float(cap_s)
             for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
                 toks = line.split()
-                nid = int(toks[0])
-                if nid != len(parent):
+                if not toks:
+                    continue
+                if int(toks[0]) != len(parent):
                     raise InputError("node ids must be consecutive from 0")
                 parent.append(int(toks[1]))
                 birth.append(float(toks[2]))
                 death.append(float(toks[3]))
-                children.append([int(c) for c in toks[4:]])
-        return cls(parent, birth, death, children, roots, height_cap=cap,
-                   validate=True)
+                kids.extend(map(int, toks[4:]))
+                kid_ptr.append(len(kids))
+            forest = cls(parent, birth, death, kid_ptr, kids, roots,
+                         height_cap=cap)
+        forest.validate()
+        return forest
 
     @classmethod
     def from_text(cls, text: str) -> "FamilyForest":
@@ -491,31 +577,31 @@ class FamilyForest:
 # ---------------------------------------------------------------------- #
 
 def _skeleton_points(f: FamilyForest) -> list[TreePoint]:
-    pts = [TreePoint(f.roots[0], 0.0)] if f.roots else []
-    for v in range(len(f)):
-        if f.parent[v] == -1 and v != (f.roots[0] if f.roots else -1):
+    roots = f.roots.tolist()
+    pts = [TreePoint(roots[0], 0.0)] if roots else []
+    for v, kids in enumerate(f._child_lists()):
+        if f.parent[v] == -1 and v != roots[0]:
             pts.append(TreePoint(v, 0.0))
-        nk = len(f.children[v])
-        if nk != 1:  # leaves and branch points
+        if len(kids) != 1:  # leaves and branch points
             pts.append(TreePoint(v, f.edge_length(v)))
     return pts
 
 def _net_radius(f: FamilyForest) -> float:
+    children = f._child_lists()
     r = 0.0
     for v in range(len(f)):
-        if len(f.children[v]) == 1:
+        if len(children[v]) == 1:
             # unary chains: the gap between skeleton points spans the chain
             continue
         r = max(r, f.edge_length(v) / 2.0)
     # account for unary chains by walking them
     for v in range(len(f)):
-        if len(f.children[v]) == 1:
-            top = v
+        if len(children[v]) == 1:
             length = f.edge_length(v)
-            c = f.children[v][0]
-            while len(f.children[c]) == 1:
+            c = children[v][0]
+            while len(children[c]) == 1:
                 length += f.edge_length(c)
-                c = f.children[c][0]
+                c = children[c][0]
             length += f.edge_length(c)
             r = max(r, length / 2.0)
     return r
@@ -605,7 +691,6 @@ def _aligned_supnorm(e1, e2) -> float:
         return max(h2)
     if d2 == 0.0:
         return max(h1)
-    import numpy as np
     s = np.union1d(np.asarray(u1) / d1, np.asarray(u2) / d2)
     v1 = np.interp(s, np.asarray(u1) / d1, h1)
     v2 = np.interp(s, np.asarray(u2) / d2, h2)
@@ -622,21 +707,25 @@ def random_binary_forest(rng, max_roots: int = 3, split_prob: float = 0.45,
 
     Edge lengths are multiples of 1/length_grid, so every height in the
     forest is exactly representable and codec round trips can be asserted
-    with zero tolerance.
+    with zero tolerance.  Nodes are numbered in pre-order.
     """
-    b = ForestBuilder()
+    parent: list[int] = []
+    birth: list[float] = []
+    death: list[float] = []
 
-    def grow(node: int, birth: float, depth: int) -> None:
+    def grow(up: int, born: float, depth: int) -> None:
+        node = len(parent)
+        parent.append(up)
+        birth.append(born)
         length = (1 + int(rng.integers(length_grid))) / length_grid
-        death = birth + length
-        b.set_death(node, death)
+        top = born + length
+        death.append(top)
         if depth < max_depth and rng.random() < split_prob:
             for _ in range(2):
-                child = b.add_child(node, death)
-                grow(child, death, depth + 1)
+                grow(node, top, depth + 1)
 
-    n_roots = 1 + int(rng.integers(max_roots))
-    for _ in range(n_roots):
-        r = b.add_root(0.0)
-        grow(r, 0.0, 0)
-    return b.freeze()
+    roots = []
+    for _ in range(1 + int(rng.integers(max_roots))):
+        roots.append(len(parent))
+        grow(-1, 0.0, 0)
+    return FamilyForest._from_preorder(parent, birth, death, roots)

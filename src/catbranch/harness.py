@@ -57,13 +57,9 @@ def _level_tree_sizes(forest: FamilyForest, t: float) -> list[int]:
     read at their cap, where lineages continue unbranched)."""
     cap = forest.height_cap
     level = t if cap is None else min(t, cap)
-    pts = forest.level_set(level)
-    tidx = forest.tree_index()
-    counts: dict[int, int] = {}
-    for p in pts:
-        k = tidx[p.node]
-        counts[k] = counts.get(k, 0) + 1
-    return list(counts.values())
+    nodes = forest.order[forest.level_positions(level)]
+    counts = np.bincount(forest.tree_index()[nodes])
+    return counts[counts > 0].tolist()
 
 
 def _different_tree_prob(sizes: Sequence[int]) -> float:

@@ -43,6 +43,14 @@ distributions; they differ path-by-path, which the representation
 equivalence suite exercises.  Before the generations, a population of more
 than one root draws its roots' linear order with `permutation`.
 
+Forest.  The engine hands its forest over as the arrays it drew: births,
+deaths clipped at the horizon, parents, and the children as the run of
+non-root ids (the j-th split's pair at count0 + 2j, +1), with the node-id
+bounds of its generations.  It builds no per-node Python objects.  The
+forest sweeps its pre-order from the generations on the first query, so a
+forest that nothing reads (a catalyst that only serves as a medium) costs
+only the concatenation of its generations.
+
 Cap.  `max_live` bounds the live population after every event;
 `PopulationCapError` is raised as soon as the generations drawn so far show
 that the bound is exceeded, so a runaway population stops before its whole
@@ -247,7 +255,9 @@ def _simulate_population(n: int, b: float, medium: MassPath, count0: int,
     generation at a time: every node's lifetime comes from the cumulative
     hazard, and the nodes that end before the horizon split or die.  Nodes
     are numbered generation by generation, and the two children of a split
-    have consecutive ids.  The mass path has one entry per event.
+    have consecutive ids; the forest keeps the generation bounds, from
+    which it derives its pre-order when first read.  The mass path has one
+    entry per event.
 
     The medium must cover [0, t_max] (step paths cover everything to the
     right of their last jump, so constants always do).  Simulation stops at
@@ -263,9 +273,9 @@ def _simulate_population(n: int, b: float, medium: MassPath, count0: int,
     uniform = rng.random
     galton_watson = representation == GALTON_WATSON
 
-    roots = list(range(count0))
+    roots = np.arange(count0)
     if count0 > 1:  # roots sit in a random linear order
-        roots = rng.permutation(count0).tolist()
+        roots = rng.permutation(count0)
     med_stop = stopping_time(medium, 0.0)
     horizon = min(t_max, med_stop)
     to_time = _time_of_hazard(medium, 2.0 * n * b, horizon)
@@ -319,15 +329,17 @@ def _simulate_population(n: int, b: float, medium: MassPath, count0: int,
     live = int(counts[-1]) if counts.size else count0
 
     # generations are numbered in order and each lists its children in
-    # parent order, so the j-th split node has children count0 + 2j, +1
-    splitting = split.nonzero()[0]
-    first_child = np.full(death.size, -1)
-    first_child[splitting] = np.arange(count0, death.size, 2)
-    parent = [-1] * count0 + splitting.repeat(2).tolist()
-    children = [[c, c + 1] if c >= 0 else [] for c in first_child.tolist()]
-    forest = FamilyForest(parent, np.concatenate(births).tolist(),
-                          death.tolist(), children, roots,
-                          height_cap=horizon if math.isfinite(horizon) else None)
+    # parent order, so the j-th split node has children count0 + 2j, +1:
+    # the child list is every non-root node, in id order
+    parent = np.concatenate((np.full(count0, -1), split.nonzero()[0].repeat(2)))
+    kid_ptr = np.zeros(death.size + 1, dtype=np.intp)
+    np.cumsum(split, out=kid_ptr[1:])
+    kid_ptr *= 2
+    forest = FamilyForest(parent, np.concatenate(births), death, kid_ptr,
+                          np.arange(count0, death.size), roots,
+                          height_cap=horizon if math.isfinite(horizon) else None,
+                          generations=list(itertools.accumulate(
+                              (d.size for d in deaths), initial=0)))
 
     # the recording is valid forever once the population or its medium died
     path_horizon = math.inf if (live == 0 or med_stop <= t_max) else t_max

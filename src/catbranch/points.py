@@ -83,34 +83,25 @@ def point_process_at_level(f: FamilyForest, t: float,
                            spacing: float) -> GenealogicalPointProcess:
     """Neighbor MRCA heights of the ordered level-t population.
 
-    Computed in one pass over the forest's pre-order: the splitting height
-    between two consecutive level crossings is the minimum birth, with a
-    root read as 0, over the nodes entered after the first crossing up to
-    and including the second.  This is the valley floor of the contour
-    between the two visits: a node's birth is its parent's death, so the
-    lowest birth entered is the death of the crossings' most recent common
+    The splitting height between two consecutive level crossings, at
+    pre-order ranks a < b, is the minimum birth over the ranks (a, b], with
+    a root's birth read as 0: a range minimum over the pre-order, the
+    reduction of lowest common ancestors to range minima (Bender and
+    Farach-Colton, 2000).  This is the valley floor of the contour between
+    the two visits: a node's birth is its parent's death, so the lowest
+    birth entered is the death of the crossings' most recent common
     ancestor, and a root entered means the crossings meet at the glued
     root, 0.
     """
     if not 0 < t < math.inf:
         raise InputError(f"level must be finite and > 0 for a point process, got {t!r}")
-    if f.height_cap is not None and t > f.height_cap:
-        raise InputError("level above forest height cap")
-    birth, parent = f.birth, f.parent
-    heights: list[float] = []
-    floor = t  # lowest birth entered since the previous crossing
-    seen_any = False
-    for v in f.dfs_order():
-        if parent[v] == -1:
-            floor = 0.0
-        elif birth[v] < floor:
-            floor = birth[v]
-        if birth[v] < t <= f.death_height(v):
-            if seen_any:
-                heights.append(floor)
-            seen_any = True
-            floor = t
-    return GenealogicalPointProcess(t, spacing, heights)
+    ranks = f.level_positions(t)
+    if ranks.size < 2:
+        return GenealogicalPointProcess(t, spacing, [])
+    between = f.order[ranks[0] + 1:ranks[-1] + 1]
+    floor = np.where(f.parent[between] == -1, 0.0, f.birth[between])
+    heights = np.minimum.reduceat(floor, ranks[:-1] - ranks[0])
+    return GenealogicalPointProcess(t, spacing, heights.tolist())
 
 
 def reconstruct_distance_matrix(p: GenealogicalPointProcess) -> np.ndarray:

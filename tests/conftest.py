@@ -1,54 +1,35 @@
 import numpy as np
 import pytest
 
-from catbranch.forest import ForestBuilder
+from catbranch.forest import FamilyForest
 
 
 @pytest.fixture
 def single_edge():
     """One individual living from 0 to 2."""
-    b = ForestBuilder()
-    r = b.add_root(0.0)
-    b.set_death(r, 2.0)
-    return b.freeze()
+    return FamilyForest.from_children([-1], [0.0], [2.0], [[]], [0])
 
 
 @pytest.fixture
 def cherry():
     """Split at 0.5, two leaves at 1.0."""
-    b = ForestBuilder()
-    r = b.add_root(0.0)
-    b.set_death(r, 0.5)
-    for _ in range(2):
-        c = b.add_child(r, 0.5)
-        b.set_death(c, 1.0)
-    return b.freeze()
+    return FamilyForest.from_children([-1, 0, 0], [0.0, 0.5, 0.5],
+                                      [0.5, 1.0, 1.0], [[1, 2], [], []], [0])
 
 
 @pytest.fixture
 def three_leaf():
     """Splits at 0.5 and 0.8, three leaves at 1.0 (first two are siblings)."""
-    b = ForestBuilder()
-    r = b.add_root(0.0)
-    b.set_death(r, 0.5)
-    inner = b.add_child(r, 0.5)
-    b.set_death(inner, 0.8)
-    for _ in range(2):
-        c = b.add_child(inner, 0.8)
-        b.set_death(c, 1.0)
-    right = b.add_child(r, 0.5)
-    b.set_death(right, 1.0)
-    return b.freeze()
+    return FamilyForest.from_children(
+        [-1, 0, 1, 1, 0], [0.0, 0.5, 0.8, 0.8, 0.5],
+        [0.5, 0.8, 1.0, 1.0, 1.0], [[1, 4], [2, 3], [], [], []], [0])
 
 
 @pytest.fixture
 def two_tree_forest():
     """Two independent single-edge trees of height 1."""
-    b = ForestBuilder()
-    for _ in range(2):
-        r = b.add_root(0.0)
-        b.set_death(r, 1.0)
-    return b.freeze()
+    return FamilyForest.from_children([-1, -1], [0.0, 0.0], [1.0, 1.0],
+                                      [[], []], [0, 1])
 
 
 @pytest.fixture

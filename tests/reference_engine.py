@@ -137,5 +137,5 @@ def simulate_population(n: int, b: float, medium: MassPath, count0: int,
     path_horizon = math.inf if (live == 0 or med_stop <= t_max) else t_max
     mass = MassPath(np.asarray(times), np.asarray(counts, dtype=float) / n,
                     horizon=path_horizon)
-    return mass, FamilyForest(parent, birth, death, children, roots,
-                              height_cap=height_cap)
+    return mass, FamilyForest.from_children(parent, birth, death, children,
+                                            roots, height_cap=height_cap)

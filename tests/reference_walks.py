@@ -1,12 +1,14 @@
 """
-The hand-written forest walks that `catbranch` used before every reader
-shared `FamilyForest.dfs_order()`, kept as the reference for the tests.
+The hand-written forest walks that `catbranch` used before its forests
+became arrays, kept as the reference for the tests.
 
-Each function walks `children` from `roots` with its own stack, as the
-library once did:
+Each function walks the child lists (`FamilyForest.children_of`) from
+`roots` with its own stack, as the library once did:
 
   level_set             a pre-order generator filtered by birth < t <= death
   tree_index            a per-root stack that stamps the root's number
+  level_tree_sizes      the level set counted per tree in a dict, as the
+                        harness once counted it
   point_process_heights a (node, child-index) stack that tracks the lowest
                         branch or root-glue height dipped to between two
                         level crossings
@@ -25,30 +27,38 @@ from catbranch.forest import FamilyForest, TreePoint
 
 
 def _dfs(f: FamilyForest):
-    for r in f.roots:
+    for r in f.roots.tolist():
         stack = [r]
         while stack:
             v = stack.pop()
             yield v
-            stack.extend(reversed(f.children[v]))
+            stack.extend(reversed(f.children_of(v)))
 
 
 def level_set(f: FamilyForest, t: float) -> list[TreePoint]:
     if t == 0.0:
-        return [TreePoint(r, 0.0) for r in f.roots]
+        return [TreePoint(r, 0.0) for r in f.roots.tolist()]
     return [TreePoint(v, t - f.birth[v]) for v in _dfs(f)
             if f.birth[v] < t <= f.death_height(v)]
 
 
 def tree_index(f: FamilyForest) -> list[int]:
     idx = [-1] * len(f)
-    for i, r in enumerate(f.roots):
+    for i, r in enumerate(f.roots.tolist()):
         stack = [r]
         while stack:
             v = stack.pop()
             idx[v] = i
-            stack.extend(f.children[v])
+            stack.extend(f.children_of(v))
     return idx
+
+
+def level_tree_sizes(f: FamilyForest, t: float) -> list[int]:
+    tree = tree_index(f)
+    sizes: dict[int, int] = {}
+    for p in level_set(f, t):
+        sizes[tree[p.node]] = sizes.get(tree[p.node], 0) + 1
+    return list(sizes.values())
 
 
 def point_process_heights(f: FamilyForest, t: float) -> list[float]:
@@ -56,11 +66,11 @@ def point_process_heights(f: FamilyForest, t: float) -> list[float]:
     pending_min = t  # lowest height dipped to since the previous crossing
     seen_any = False
 
-    for r in f.roots:
+    for r in f.roots.tolist():
         stack: list[tuple[int, int]] = [(r, 0)]
         while stack:
             v, ci = stack.pop()
-            kids = f.children[v]
+            kids = f.children_of(v)
             d = f.death_height(v)
             if ci == 0:
                 # climbing this edge: does it cross the level?
@@ -81,12 +91,12 @@ def point_process_heights(f: FamilyForest, t: float) -> list[float]:
 def _turning_heights(f: FamilyForest) -> list[float]:
     seq: list[float] = [0.0]
 
-    for r in f.roots:
+    for r in f.roots.tolist():
         # iterative in-order interleave: L(v) = L(c1) + [death_v] + L(c2) ...
         stack: list[tuple[int, int]] = [(r, 0)]
         while stack:
             v, ci = stack.pop()
-            kids = f.children[v]
+            kids = f.children_of(v)
             d = f.death_height(v)
             if not math.isfinite(d):
                 raise InputError("cannot encode a forest with unbounded edges")

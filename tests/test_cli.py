@@ -158,6 +158,17 @@ class TestConvert:
         assert args[-2].lstrip("-") in err
         assert not dst.exists()
 
+    def test_unreached_nodes_exit_code(self, tmp_path, capsys):
+        src = tmp_path / "cycle.txt"
+        src.write_text("# roots=0 height_cap=none\n0 -1 0.0 1.0\n"
+                       "1 2 0.5 0.5 2\n2 1 0.5 0.5 1\n")
+        dst = tmp_path / "c.txt"
+        rc = main(["convert", str(src), str(dst), "--to", "contour"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error") and "not reached" in err
+        assert not dst.exists()
+
     def test_bad_input_exit_code(self, tmp_path):
         bad = tmp_path / "bad.txt"
         bad.write_text("garbage\n")

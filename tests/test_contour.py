@@ -6,7 +6,7 @@ import pytest
 from catbranch.contour import (Excursion, contour_from_forest, excise_above,
                                tree_from_excursion)
 from catbranch.errors import InputError
-from catbranch.forest import ForestBuilder, random_binary_forest
+from catbranch.forest import FamilyForest, random_binary_forest
 
 
 class TestExcursionType:
@@ -78,10 +78,10 @@ class TestEncode:
             contour_from_forest(cherry, speed)
 
     def test_rejects_unbounded(self):
-        b = ForestBuilder()
-        b.add_root(0.0)  # never dies, no cap
+        # a root that never dies, no cap
+        f = FamilyForest.from_children([-1], [0.0], [math.inf], [[]], [0])
         with pytest.raises(InputError):
-            contour_from_forest(b.freeze(), 2.0)
+            contour_from_forest(f, 2.0)
 
     def test_multi_tree_touches_zero(self, two_tree_forest):
         e = contour_from_forest(two_tree_forest, 2.0)
@@ -129,8 +129,8 @@ class TestDecode:
             if len(hs) == 3:
                 peaks = [hs[1]]
             g = tree_from_excursion(e)
-            leaf_heights = [g.death_height(v) for v in g.dfs_order()
-                            if not g.children[v]]
+            leaf_heights = [g.death_height(v) for v in g.order.tolist()
+                            if not g.children_of(v)]
             assert peaks == leaf_heights
 
     def test_equal_height_valleys(self):

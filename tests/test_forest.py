@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from catbranch.errors import InputError
-from catbranch.forest import (FamilyForest, ForestBuilder, TreePoint,
-                              gh_distance_bounds, random_binary_forest)
+from catbranch.forest import (FamilyForest, TreePoint, gh_distance_bounds,
+                              random_binary_forest)
 
 
 def leaf_points(f, height):
@@ -120,7 +120,7 @@ class TestTruncate:
             g = f.truncate(t)
             for v in range(len(g)):
                 assert g.death_height(v) <= t
-                if len(g.children[v]) == 2:
+                if len(g.children_of(v)) == 2:
                     assert g.death_height(v) < t
 
 
@@ -157,7 +157,7 @@ class TestTrim:
 class TestLevelSetAndAncestors:
     def test_roots_at_zero(self, two_tree_forest):
         pts = two_tree_forest.level_set(0.0)
-        assert [p.node for p in pts] == two_tree_forest.roots
+        assert [p.node for p in pts] == two_tree_forest.roots.tolist()
 
     def test_single_point_mid_edge(self, single_edge):
         assert len(single_edge.level_set(1.0)) == 1
@@ -223,8 +223,8 @@ class TestGHBounds:
         assert lo == 0.0 and up == 0.0
 
     def test_two_edges_bracket_truth(self):
-        f1 = FamilyForest([-1], [0.0], [2.0], [[]], [0])
-        f2 = FamilyForest([-1], [0.0], [1.0], [[]], [0])
+        f1 = FamilyForest.from_children([-1], [0.0], [2.0], [[]], [0])
+        f2 = FamilyForest.from_children([-1], [0.0], [1.0], [[]], [0])
         lo, up = gh_distance_bounds(f1, f2)
         # true rooted GH distance between segments of lengths 2 and 1 is 1/2
         assert lo <= 0.5 <= up
@@ -256,9 +256,7 @@ class TestSerialization:
             assert g.to_text() == text
 
     def test_infinite_death_survives(self):
-        b = ForestBuilder()
-        r = b.add_root(0.0)  # never dies
-        f = b.freeze()
+        f = FamilyForest.from_children([-1], [0.0], [math.inf], [[]], [0])
         g = FamilyForest.from_text(f.to_text())
         assert math.isinf(g.death[0])
 
@@ -282,6 +280,14 @@ class TestSerialization:
         with pytest.raises(InputError):
             FamilyForest.from_text(text)
 
+    def test_rejects_nodes_no_root_reaches(self):
+        # nodes 1 and 2 name each other as parent: a zero-length 2-cycle
+        # that hangs off no root
+        text = ("# roots=0 height_cap=none\n0 -1 0.0 1.0\n"
+                "1 2 0.5 0.5 2\n2 1 0.5 0.5 1\n")
+        with pytest.raises(InputError, match="node 1 is not reached from any root"):
+            FamilyForest.from_text(text)
+
 
 class TestLabels:
     def test_ulam_harris_structure(self, three_leaf):
@@ -292,7 +298,7 @@ class TestLabels:
                 assert len(labels[v]) == 1
             else:
                 assert labels[v][:-1] == labels[p]
-                k = three_leaf.children[p].index(v)
+                k = three_leaf.children_of(p).index(v)
                 assert labels[v][-1] == k + 1
 
     def test_mass_count_matches_level(self, rng):

@@ -5,7 +5,7 @@ import pytest
 
 from catbranch import harness
 from catbranch.errors import InputError
-from catbranch.forest import ForestBuilder
+from catbranch.forest import FamilyForest
 from catbranch.oracles import OracleReport
 
 
@@ -25,10 +25,8 @@ class TestHelpers:
         assert math.isnan(harness._different_tree_prob([]))
 
     def test_capped_forest_reads_at_cap(self):
-        b = ForestBuilder()
-        r = b.add_root(0.0)
-        b.set_death(r, 1.0)
-        f = b.freeze(height_cap=1.0)
+        f = FamilyForest.from_children([-1], [0.0], [1.0], [[]], [0],
+                                       height_cap=1.0)
         assert harness._level_tree_sizes(f, 3.0) == [1]
 
 

@@ -226,7 +226,7 @@ class TestConsistency:
                         representation=representation)
         _, (mass, forest) = simulate_joint(cfg)
         assert mass.times.tolist() == [0.0] and mass.values.tolist() == [0.0]
-        assert len(forest) == 0 and forest.roots == []
+        assert len(forest) == 0 and forest.roots.tolist() == []
 
     def test_zero_medium_never_branches(self):
         catalyst = MassPath(np.array([0.0]), np.array([0.0]))
@@ -367,7 +367,8 @@ class TestEngineExact:
             if p != -1:
                 depth[v] = depth[p] + 1
         assert depth == sorted(depth)
-        for kids in forest.children:
+        for v in range(len(forest)):
+            kids = forest.children_of(v)
             assert kids == [] or kids == [kids[0], kids[0] + 1]
 
     @pytest.mark.parametrize("representation", [GALTON_WATSON, BIRTH_DEATH])

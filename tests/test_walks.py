@@ -1,5 +1,10 @@
 """Every reader of a forest's linear order agrees exactly with the
-hand-written walks in `reference_walks` on drawn forests, ties included."""
+hand-written walks in `reference_walks` on drawn forests, ties included.
+
+The array queries get their pre-order three ways: engine forests sweep
+their generations, random and decoded forests (and every `trim` and
+`truncate`) are handed it by their builder, and forests read from text
+walk their child lists."""
 
 import math
 
@@ -11,9 +16,15 @@ from hypothesis import strategies as st
 import reference_walks as ref
 from catbranch.contour import Excursion, contour_from_forest, tree_from_excursion
 from catbranch.errors import InputError
-from catbranch.forest import random_binary_forest
-from catbranch.particle import SimConfig, simulate_joint
+from catbranch.forest import FamilyForest, random_binary_forest
+from catbranch.harness import _level_tree_sizes
+from catbranch.particle import (BIRTH_DEATH, GALTON_WATSON, MassPath, SimConfig,
+                                simulate_joint, simulate_reactant_quenched)
 from catbranch.points import point_process_at_level
+
+# a catalyst-like step path: it falls to 0.25 at 1.2 and dies out at 1.6
+STEP_MEDIUM = MassPath(np.array([0.0, 0.3, 0.7, 1.2, 1.6]),
+                       np.array([1.0, 2.0, 2.0 / 3.0, 0.25, 0.0]))
 
 
 @st.composite
@@ -38,10 +49,19 @@ def decoded_forests(draw):
 
 @st.composite
 def engine_forests(draw):
-    cfg = SimConfig(n=draw(st.integers(1, 4)),
-                    t_max=draw(st.sampled_from([0.5, 1.0, 2.0])),
+    """Engine forests as the engine hands them over: up to 40 roots in a
+    drawn order, both recordings, a constant or a step medium, capped or
+    (run to extinction) uncapped, and empty populations."""
+    t_max = draw(st.sampled_from([0.5, 1.0, 2.0, math.inf]))
+    cfg = SimConfig(n=draw(st.integers(1, 8 if t_max == math.inf else 40)),
+                    t_max=t_max,
                     delta=draw(st.sampled_from([0.0, 0.5])),
+                    initial_reactant_mass=draw(st.sampled_from([1.0, 0.0])),
+                    representation=draw(st.sampled_from([GALTON_WATSON,
+                                                         BIRTH_DEATH])),
                     seed=draw(st.integers(0, 10**6)))
+    if draw(st.booleans()):  # cut at 1.2 when delta is 0.5, else at 1.6
+        return simulate_reactant_quenched(cfg, STEP_MEDIUM)[1]
     (_, catalyst), (_, reactant) = simulate_joint(cfg)
     return draw(st.sampled_from([catalyst, reactant]))
 
@@ -53,7 +73,7 @@ def cut(draw, forests):
     how = draw(st.sampled_from(["none", "trim", "truncate"]))
     if how == "trim":
         return f.trim(draw(st.sampled_from([0.125, 0.25, 0.5])))
-    branches = sorted({f.death_height(v) for v in range(len(f)) if f.children[v]})
+    branches = sorted({f.death_height(v) for v in range(len(f)) if f.children_of(v)})
     if how == "truncate" and branches:
         return f.truncate(draw(st.sampled_from(branches)))
     return f
@@ -61,7 +81,7 @@ def cut(draw, forests):
 
 def levels(f):
     """The forest's birth and node-top heights, and the points between."""
-    hs = sorted({f.birth[v] for v in range(len(f))}
+    hs = sorted({0.0} | {f.birth[v] for v in range(len(f))}
                 | {f.death_height(v) for v in range(len(f))})
     hs = [h for h in hs if math.isfinite(h)]
     hs += [(a + b) / 2 for a, b in zip(hs, hs[1:])]
@@ -71,9 +91,11 @@ def levels(f):
 
 
 def check(f, ts):
-    assert f.tree_index() == ref.tree_index(f)
+    f.validate()
+    assert f.tree_index().tolist() == ref.tree_index(f)
     for t in ts:
         assert f.level_set(t) == ref.level_set(f, t)
+        assert _level_tree_sizes(f, t) == ref.level_tree_sizes(f, t)
         if t > 0:
             got = point_process_at_level(f, t, 1.0).heights
             assert got == ref.point_process_heights(f, t)
@@ -105,3 +127,29 @@ def test_decoded_forests_match_reference(data):
 def test_engine_forests_match_reference(data):
     f = data.draw(cut(engine_forests()))
     check(f, data.draw(levels(f)))
+
+
+@pytest.mark.parametrize("cfg, step", [
+    (SimConfig(n=40, t_max=1.0, seed=3), False),
+    (SimConfig(n=40, t_max=2.0, seed=4, representation=BIRTH_DEATH), False),
+    (SimConfig(n=6, t_max=math.inf, seed=5), False),
+    (SimConfig(n=20, t_max=5.0, delta=0.5, seed=6), True),
+], ids=["gw", "bd", "uncapped", "step-cut"])
+def test_engine_forest_matches_its_read_back(cfg, step):
+    """The pre-order swept from the engine's generations equals the walk
+    of the same forest read back from text, and so do the queries."""
+    if step:
+        forests = [simulate_reactant_quenched(cfg, STEP_MEDIUM)[1]]
+    else:
+        forests = [f for _, f in simulate_joint(cfg)]
+    for f in forests:
+        g = FamilyForest.from_text(f.to_text())
+        assert len(f) > 50
+        assert np.array_equal(f.order, g.order)
+        assert np.array_equal(f.tree_index(), g.tree_index())
+        top = f.height() if f.height_cap is None else f.height_cap
+        for t in (0.0, 0.1 * top, 0.5 * top, 0.9 * top, top):
+            assert f.level_set(t) == g.level_set(t)
+            if t > 0:
+                assert (point_process_at_level(f, t, 1.0).heights
+                        == point_process_at_level(g, t, 1.0).heights)
