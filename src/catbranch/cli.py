@@ -12,6 +12,7 @@ byte-identical.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -230,7 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--level", type=float,
                      help="also write level point processes")
     sim.add_argument("--out", help="output directory (or $CATBRANCH_OUT)")
-    sim.set_defaults(func=cmd_simulate)
 
     ver = sub.add_parser("verify", help="run verification suites")
     ver.add_argument("--suite", nargs="+", default=["all"],
@@ -239,7 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="override replica count (forest count for codec, points)")
     ver.add_argument("--seed", type=int, help="override suite seed")
     ver.add_argument("--out", help="report directory (or $CATBRANCH_OUT)")
-    ver.set_defaults(func=cmd_verify)
 
     con = sub.add_parser("convert", help="convert between representations")
     con.add_argument("input")
@@ -249,15 +248,23 @@ def build_parser() -> argparse.ArgumentParser:
     con.add_argument("--speed", type=float, default=2.0)
     con.add_argument("--level", type=float)
     con.add_argument("--spacing", type=float, default=1.0)
-    con.set_defaults(func=cmd_convert)
     return ap
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; each parse fills a new
+    namespace."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = _parser().parse_args(argv)
+    # looked up per call, so a rebinding of a `cmd_*` name takes effect
+    command = {"simulate": cmd_simulate, "verify": cmd_verify,
+               "convert": cmd_convert}[args.command]
     try:
-        return args.func(args)
+        return command(args)
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT

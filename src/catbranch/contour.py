@@ -20,12 +20,15 @@ heights are exactly representable floats.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import TextIO
 
 import numpy as np
 
+from ._columns import read_columns, write_rows
 from .errors import InputError, malformed_lines
 from .forest import FamilyForest
 
@@ -42,19 +45,24 @@ class Excursion:
     e: list[float]
 
     def __post_init__(self) -> None:
-        if len(self.u) != len(self.e) or not self.u:
+        u, e = self.u, self.e
+        if len(u) != len(e) or not u:
             raise InputError("breakpoint arrays must be nonempty, equal length")
-        if self.u[0] != 0.0 or self.e[0] != 0.0:
+        if u[0] != 0.0 or e[0] != 0.0:
             raise InputError("excursion must start at (0, 0)")
-        if self.e[-1] != 0.0:
+        if e[-1] != 0.0:
             raise InputError("excursion must end at height 0")
-        if not math.isfinite(self.u[-1]):
+        if not math.isfinite(u[-1]):
             raise InputError("excursion duration must be finite")
-        for k in range(1, len(self.u)):
-            if not self.u[k] > self.u[k - 1]:
+        # whole-sequence checks in C; a comparison with NaN fails them
+        if not (all(map(operator.lt, u, itertools.islice(u, 1, None)))
+                and all(map(operator.le, itertools.repeat(0.0), e))
+                and all(map(operator.gt, itertools.repeat(math.inf), e))):
+            k = next(k for k in range(1, len(u))
+                     if not (u[k] > u[k - 1] and 0.0 <= e[k] < math.inf))
+            if not u[k] > u[k - 1]:
                 raise InputError("breakpoint times must increase strictly")
-            if not 0.0 <= self.e[k] < math.inf:
-                raise InputError("excursion heights must be finite and >= 0")
+            raise InputError("excursion heights must be finite and >= 0")
 
     @property
     def duration(self) -> float:
@@ -70,24 +78,18 @@ class Excursion:
 
     def write(self, fh: TextIO, speed: float = 2.0) -> None:
         fh.write(f"# speed={float(speed)!r}\n")
-        for u, e in zip(self.u, self.e):
-            fh.write(f"{float(u)!r} {float(e)!r}\n")
+        write_rows(fh, [list(map(repr, map(float, self.u))),
+                        list(map(repr, map(float, self.e)))])
 
     @classmethod
     def read(cls, fh: TextIO) -> tuple["Excursion", float]:
         header = fh.readline()
         if not header.startswith("# speed="):
             raise InputError("missing excursion speed header")
-        us, es = [], []
         with malformed_lines("contour"):
             speed = float(header.split("=", 1)[1])
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                a, b = line.split()
-                us.append(float(a))
-                es.append(float(b))
+            us, es = read_columns(fh.read(), "contour", 2)
+            us, es = list(map(float, us)), list(map(float, es))
         return cls(us, es), speed
 
 
@@ -126,7 +128,15 @@ def contour_from_forest(f: FamilyForest, speed: float) -> Excursion:
     # a running sum, step by step, as the breakpoints are traced
     times = np.zeros(heights.size)
     np.cumsum(np.abs(np.diff(heights)) / speed, out=times[1:])
-    return Excursion(times.tolist(), heights.tolist())
+    stalled = np.flatnonzero(times[1:] <= times[:-1])
+    times = times.tolist()
+    if stalled.size:
+        # a step below half an ulp of the running time leaves it unchanged;
+        # move such a breakpoint one ulp on, and any it then catches up with
+        for k in range(stalled[0] + 1, len(times)):
+            if times[k] <= times[k - 1]:
+                times[k] = math.nextafter(times[k - 1], math.inf)
+    return Excursion(times, heights.tolist())
 
 
 def _extrema(hs) -> np.ndarray:
@@ -145,27 +155,25 @@ def _extrema(hs) -> np.ndarray:
 class _ArgminTable:
     """Sparse table for leftmost-argmin range queries over a float array."""
 
-    def __init__(self, vals: list[float]) -> None:
-        n = len(vals)
-        self.vals = np.asarray(vals, dtype=float)
-        self.table = [np.arange(n)]
+    def __init__(self, heights: np.ndarray) -> None:
+        n = heights.size
+        rows = [np.arange(n)]
         span = 1
         while 2 * span <= n:
-            prev = self.table[-1]
+            prev = rows[-1]
             a = prev[: n - 2 * span + 1]
             b = prev[span: n - span + 1]
-            pick = self.vals[b] < self.vals[a]
-            self.table.append(np.where(pick, b, a))
+            rows.append(np.where(heights[b] < heights[a], b, a))
             span *= 2
-        self.log = np.zeros(n + 1, dtype=int)
-        for i in range(2, n + 1):
-            self.log[i] = self.log[i // 2] + 1
+        # the queries read single entries, which lists serve fastest
+        self.vals = heights.tolist()
+        self.table = [row.tolist() for row in rows]
 
     def argmin(self, lo: int, hi: int) -> int:
         """Leftmost argmin over the inclusive range [lo, hi]."""
-        k = int(self.log[hi - lo + 1])
-        a = int(self.table[k][lo])
-        b = int(self.table[k][hi - (1 << k) + 1])
+        k = (hi - lo + 1).bit_length() - 1  # the largest k with 2**k <= width
+        a = self.table[k][lo]
+        b = self.table[k][hi - (1 << k) + 1]
         if self.vals[b] < self.vals[a]:
             return b
         return a
@@ -175,79 +183,57 @@ def tree_from_excursion(e: Excursion) -> FamilyForest:
     """Forest whose depth-first contour is the given excursion.
 
     Local maxima become leaves, local minima branch points, zeros separate
-    trees; the linear order is the order of first visits.
+    trees; the linear order is the order of first visits.  The two children
+    of a split get consecutive ids, and each tree is numbered as it is
+    reached.
     """
-    heights = _extrema(e.e).tolist()
-    nodes = _Nodes()
-    if len(heights) <= 1:  # the single point: one root of height 0
-        _build_tree(nodes, [], [])
-    # split at zeros into per-tree peak/valley runs
-    k = 0
-    while k < len(heights) - 1:
-        assert heights[k] == 0.0
-        j = k + 1
-        while heights[j] != 0.0:
-            j += 1
-        _build_tree(nodes, heights[k + 1:j:2], heights[k + 2:j:2])
-        k = j
-    return nodes.forest()
-
-
-class _Nodes:
-    """Node columns of a binary forest under construction.  The two
-    children of a split get consecutive ids, and the nodes are recorded in
-    pre-order as they are visited."""
-
-    def __init__(self) -> None:
-        self.parent: list[int] = []
-        self.birth: list[float] = []
-        self.death: list[float] = []
-        self.first_child: list[int] = []
-        self.roots: list[int] = []
-        self.order: list[int] = []
-
-    def add(self, parent: int, birth: float) -> int:
-        node = len(self.parent)
-        self.parent.append(parent)
-        self.birth.append(birth)
-        self.death.append(birth)
-        self.first_child.append(-1)
-        return node
-
-    def forest(self) -> FamilyForest:
-        first = np.array(self.first_child, dtype=np.intp)
-        inner = first >= 0
-        kid_ptr = np.zeros(first.size + 1, dtype=np.intp)
-        np.cumsum(2 * inner, out=kid_ptr[1:])
-        kids = (first[inner, None] + np.arange(2)).ravel()
-        return FamilyForest(self.parent, self.birth, self.death, kid_ptr, kids,
-                            self.roots, order=self.order)
-
-
-def _build_tree(nodes: _Nodes, peaks: list[float], valleys: list[float]) -> None:
-    root = nodes.add(-1, 0.0)
-    nodes.roots.append(root)
-    if not peaks:
-        nodes.order.append(root)
-        return
-    table = _ArgminTable(valleys) if valleys else None
-    # work items: (node, peak-range lo..hi inclusive), popped in pre-order
-    stack = [(root, 0, len(peaks) - 1)]
+    # 0, peak, valley, peak, ..., peak, 0: valley i sits between peaks i
+    # and i + 1, and the valleys at 0 part the trees
+    heights = _extrema(e.e)
+    peaks, valleys = heights[1::2], heights[2:-1:2]
+    table = _ArgminTable(valleys)
+    ends = [-1, *np.flatnonzero(valleys == 0.0).tolist(), peaks.size - 1]
+    peaks, valleys = peaks.tolist(), valleys.tolist()
+    parent: list[int] = []
+    birth: list[float] = []
+    death: list[float] = []
+    first: list[int] = []  # each node's first child, -1 for a leaf
+    roots: list[int] = []
+    order: list[int] = []  # the pre-order, as the nodes are visited
+    # work items (node, peak range lo..hi), the trees' last on top; a tree's
+    # root (node -1) is made when its tree is reached, and a split pushes
+    # its right child first, so the left subtree is visited first
+    stack = [(-1, a + 1, b) for a, b in zip(ends[-2::-1], ends[:0:-1])]
     while stack:
         node, lo, hi = stack.pop()
-        nodes.order.append(node)
-        if lo == hi:
-            nodes.death[node] = peaks[lo]
+        if node < 0:
+            node = len(parent)
+            roots.append(node)
+            parent.append(-1)
+            birth.append(0.0)
+            death.append(0.0)
+            first.append(-1)
+        order.append(node)
+        if lo >= hi:  # a leaf, or (an empty range) the single point's root
+            if lo == hi:
+                death[node] = peaks[lo]
             continue
-        j = table.argmin(lo, hi - 1)  # valleys[i] sits between peaks i, i+1
+        j = table.argmin(lo, hi - 1)
         split = valleys[j]
-        nodes.death[node] = split
-        left = nodes.add(node, split)
-        right = nodes.add(node, split)
-        nodes.first_child[node] = left
-        # push right first so the left subtree is visited first (linear order)
-        stack.append((right, j + 1, hi))
+        death[node] = split
+        left = first[node] = len(parent)
+        parent += (node, node)
+        birth += (split, split)
+        death += (split, split)
+        first += (-1, -1)
+        stack.append((left + 1, j + 1, hi))
         stack.append((left, lo, j))
+    first = np.array(first, dtype=np.intp)
+    inner = first >= 0
+    kid_ptr = np.zeros(first.size + 1, dtype=np.intp)
+    np.cumsum(2 * inner, out=kid_ptr[1:])
+    kids = (first[inner, None] + np.arange(2)).ravel()
+    return FamilyForest(parent, birth, death, kid_ptr, kids, roots, order=order)
 
 
 def excise_above(e: Excursion, t: float) -> Excursion:

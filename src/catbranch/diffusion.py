@@ -53,6 +53,7 @@ from typing import Optional
 
 import numpy as np
 
+from ._columns import read_columns, write_rows
 from .contour import Excursion
 from .errors import InputError, malformed_lines
 from .particle import MassPath
@@ -103,8 +104,7 @@ class DiffusionPath:
     def write(self, fh, seed: int | None = None) -> None:
         fh.write(f"# step={self.step!r} seed={seed} "
                  f"horizon={self.duration!r}\n")
-        for v in self.values:
-            fh.write(f"{float(v)!r}\n")
+        write_rows(fh, [list(map(repr, self.values.tolist()))])
 
     @classmethod
     def read(cls, fh) -> "DiffusionPath":
@@ -113,7 +113,8 @@ class DiffusionPath:
             raise InputError("missing path header")
         with malformed_lines("diffusion path"):
             fields = dict(tok.split("=", 1) for tok in header[1:].split())
-            values = np.array([float(line) for line in fh if line.strip()])
+            (values,) = read_columns(fh.read(), "diffusion path", 1)
+            values = np.array(values, dtype=float)
             step = float(fields["step"])
         return cls(step, values)
 

@@ -65,6 +65,7 @@ from typing import NamedTuple, Optional, Sequence, TextIO
 
 import numpy as np
 
+from ._columns import float_texts, read_columns, write_rows
 from .errors import InputError, malformed_lines
 
 NEVER = math.inf
@@ -159,9 +160,9 @@ class FamilyForest:
 
     def validate(self) -> None:
         """Raise `InputError` unless the arrays form a forest: every node
-        one root or the listed child of its one parent, born at its
-        parent's death, living no less than zero time, under the cap, and
-        reached from a root."""
+        one root born at 0 or the listed child of its one parent, born at
+        its parent's death, living no less than zero time, under the cap,
+        and reached from a root."""
         n = len(self)
         parent, birth, death = self.parent, self.birth, self.death
         roots, kids, kid_ptr = self.roots, self.kids, self.kid_ptr
@@ -179,6 +180,9 @@ class FamilyForest:
             raise InputError(f"node {v}: parent {parent[v]} out of range")
         if (parent[roots] != -1).any():
             raise InputError(f"root {roots[parent[roots] != -1][0]} has a parent")
+        if (birth[roots] != 0.0).any():  # NaN fails too
+            v = roots[birth[roots] != 0.0][0]
+            raise InputError(f"root {v} born at {birth[v]}, not at 0")
         if np.count_nonzero(parent == -1) != roots.size:
             listed = np.zeros(n, dtype=bool)
             listed[roots] = True
@@ -205,9 +209,10 @@ class FamilyForest:
                              f"{death[parent[v]]}")
         if not (birth <= death).all():  # NaN fails too
             raise InputError(f"node {_first(~(birth <= death))}: death before birth")
-        if self.height_cap is not None and (death > self.height_cap).any():
-            raise InputError(f"node {_first(death > self.height_cap)}: "
-                             "death above height cap")
+        if self.height_cap is not None and not (death <= self.height_cap).all():
+            v = _first(~(death <= self.height_cap))  # a NaN cap fails too
+            raise InputError(f"node {v}: death {death[v]} above height cap "
+                             f"{self.height_cap}")
         # each node now has one parent at most, so the pre-order meets every
         # node once at most; a node it misses hangs off no root
         if self.order.size != n:
@@ -229,7 +234,10 @@ class FamilyForest:
 
     def _walk(self) -> np.ndarray:
         """The pre-order by one walk over the child lists (list copies)."""
-        kids, kid_ptr = self.kids.tolist(), self.kid_ptr.tolist()
+        # the child lists reversed as one: v's children, last first, are
+        # rev[end[v + 1]:end[v]], ready to push
+        rev = self.kids[::-1].tolist()
+        end = (self.kids.size - self.kid_ptr).tolist()
         order: list[int] = []
         visit = order.append
         stack = self.roots[::-1].tolist()
@@ -237,9 +245,7 @@ class FamilyForest:
         while stack:
             v = pop()
             visit(v)
-            a, b = kid_ptr[v], kid_ptr[v + 1]
-            if a < b:
-                push(reversed(kids[a:b]))
+            push(rev[end[v + 1]:end[v]])
         return np.array(order, dtype=np.intp)
 
     def _order_from_generations(self) -> np.ndarray:
@@ -508,13 +514,16 @@ class FamilyForest:
         Two forests are order-preserving root-invariant isometric iff their
         canonical shapes are equal (heights are compared exactly).
         """
-        # post-order over the cached pre-order, so deep chains need no stack
         birth, death = self.birth.tolist(), self.death.tolist()
-        children = self._child_lists()
-        memo: list = [None] * len(self)
-        for v in reversed(self.order.tolist()):
-            memo[v] = (birth[v], death[v], tuple(memo[c] for c in children[v]))
-        return tuple(memo[r] for r in self.roots.tolist())
+        kids, kid_ptr = self.kids.tolist(), self.kid_ptr.tolist()
+        memo = list(zip(birth, death, itertools.repeat(())))  # the leaves' shapes
+        shape = memo.__getitem__
+        # the inner nodes in reverse pre-order, so deep chains need no stack
+        order = self.order
+        inner = order[(self.kid_ptr[1:] > self.kid_ptr[:-1])[order]][::-1]
+        for v in inner.tolist():
+            memo[v] = (birth[v], death[v], tuple(map(shape, kids[kid_ptr[v]:kid_ptr[v + 1]])))
+        return tuple(map(shape, self.roots.tolist()))
 
     # ------------------------------------------------------------------ #
     # Serialization                                                       #
@@ -524,14 +533,12 @@ class FamilyForest:
         cap = "none" if self.height_cap is None else repr(float(self.height_cap))
         fh.write("# roots=%s height_cap=%s\n"
                  % (",".join(map(str, self.roots.tolist())), cap))
-        parent, birth, death = (self.parent.tolist(), self.birth.tolist(),
-                                self.death.tolist())
-        lines = []
-        for v, kids in enumerate(self._child_lists()):
-            fields = [str(v), str(parent[v]), repr(birth[v]), repr(death[v])]
-            fields.extend(map(str, kids))
-            lines.append(" ".join(fields) + "\n")
-        fh.write("".join(lines))
+        n = len(self)
+        # each child's birth repeats its parent's death
+        heights = float_texts(np.concatenate([self.birth, self.death]))
+        write_rows(fh, [list(map(str, range(n))), list(map(str, self.parent.tolist())),
+                        heights[:n], heights[n:]],
+                   tails=(self.kid_ptr, list(map(str, self.kids.tolist()))))
 
     def to_text(self) -> str:
         import io
@@ -544,25 +551,32 @@ class FamilyForest:
         header = fh.readline()
         if not header.startswith("#"):
             raise InputError("missing forest header line")
-        parent, birth, death, kids, kid_ptr = [], [], [], [], [0]
         with malformed_lines("forest"):
             fields = dict(tok.split("=", 1) for tok in header[1:].split())
             roots = [int(x) for x in fields["roots"].split(",") if x != ""]
             cap_s = fields["height_cap"]
             cap = None if cap_s == "none" else float(cap_s)
-            for line in fh:
-                toks = line.split()
-                if not toks:
-                    continue
-                if int(toks[0]) != len(parent):
-                    raise InputError("node ids must be consecutive from 0")
-                parent.append(int(toks[1]))
-                birth.append(float(toks[2]))
-                death.append(float(toks[3]))
-                kids.extend(map(int, toks[4:]))
-                kid_ptr.append(len(kids))
-            forest = cls(parent, birth, death, kid_ptr, kids, roots,
-                         height_cap=cap)
+            ids, parent, birth, death, counts, kids = read_columns(
+                fh.read(), "forest", 4, ragged=True)
+            # numpy parses each field with int() or float(), without a
+            # Python call per field
+            n = len(ids)
+            if (np.array(ids, dtype=np.intp) != np.arange(n)).any():
+                raise InputError("node ids must be consecutive from 0")
+            parent = np.array(parent, dtype=np.intp)
+            birth_text = np.array(birth, dtype=object)
+            death_text = np.array(death, dtype=object)
+            death = np.array(death, dtype=float)
+            # a child's birth is its parent's death, written as the same
+            # text: copy those, and parse only the births written otherwise
+            copied = (parent >= 0) & (parent < n)
+            copied[copied] = birth_text[copied] == death_text[parent[copied]]
+            birth_text[copied] = death[parent[copied]]
+            birth = np.array(birth_text.tolist(), dtype=float)
+            kid_ptr = np.zeros(n + 1, dtype=np.intp)
+            np.cumsum(counts, out=kid_ptr[1:])
+            forest = cls(parent, birth, death, kid_ptr, np.array(kids, dtype=np.intp),
+                         roots, height_cap=cap)
         forest.validate()
         return forest
 

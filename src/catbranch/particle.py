@@ -66,6 +66,7 @@ from typing import TextIO
 
 import numpy as np
 
+from ._columns import float_texts, read_columns, write_rows
 from .errors import InputError, PopulationCapError, malformed_lines
 from .forest import FamilyForest
 
@@ -166,13 +167,13 @@ class MassPath:
     def write(self, fh: TextIO) -> None:
         fh.write(f"# horizon={float(self.horizon)!r}\n")
         fh.write("t,value\n")
-        for t, v in zip(self.times, self.values):
-            fh.write(f"{float(t)!r},{float(v)!r}\n")
+        # the values are few multiples of 1/n, repeated along the path
+        write_rows(fh, [list(map(repr, self.times.tolist())),
+                        float_texts(self.values)], sep=",")
 
     @classmethod
     def read(cls, fh: TextIO) -> "MassPath":
         horizon = math.inf
-        ts, vs = [], []
         with malformed_lines("mass path"):
             first = fh.readline()
             if first.startswith("#"):
@@ -180,14 +181,9 @@ class MassPath:
                 first = fh.readline()
             if first.strip() == "t,value":  # column names
                 first = ""
-            for line in itertools.chain((first,), fh):
-                line = line.strip()
-                if not line:
-                    continue
-                a, b = line.split(",")
-                ts.append(float(a))
-                vs.append(float(b))
-        return cls(np.asarray(ts), np.asarray(vs), horizon=horizon)
+            ts, vs = read_columns(first + fh.read(), "mass path", 2, sep=",")
+            ts, vs = np.array(ts, dtype=float), np.array(vs, dtype=float)
+        return cls(ts, vs, horizon=horizon)
 
 
 def stopping_time(path: MassPath, delta: float) -> float:

@@ -17,12 +17,15 @@ the max-of-consecutive-distances rule.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence, TextIO, Union
 
 import numpy as np
 
+from ._columns import read_columns, write_rows
 from .contour import Excursion
 from .errors import InputError, malformed_lines
 from .forest import FamilyForest
@@ -47,7 +50,12 @@ class GenealogicalPointProcess:
 
     @property
     def points(self) -> list[tuple[float, float]]:
-        return [((i + 1) * self.spacing, h) for i, h in enumerate(self.heights)]
+        return list(zip(self._ells(), self.heights))
+
+    def _ells(self) -> list:
+        """The points' positions, (i + 1) * spacing for point i."""
+        return list(map(operator.mul, range(1, len(self.heights) + 1),
+                        itertools.repeat(self.spacing)))
 
     @property
     def zero_marks(self) -> int:
@@ -57,26 +65,32 @@ class GenealogicalPointProcess:
         fh.write("# t=%r spacing=%r zero_marks=%d\n"
                  % (self.level, self.spacing, self.zero_marks))
         fh.write("ell,h\n")
-        for ell, h in self.points:
-            fh.write(f"{ell!r},{h!r}\n")
+        write_rows(fh, [list(map(repr, self._ells())), list(map(repr, self.heights))],
+                   sep=",")
 
     @classmethod
     def read(cls, fh: TextIO) -> "GenealogicalPointProcess":
         header = fh.readline()
         if not header.startswith("#"):
             raise InputError("missing point-process header")
-        heights = []
         with malformed_lines("point-process"):
             fields = dict(tok.split("=", 1) for tok in header[1:].split())
             level = float(fields["t"])
             spacing = float(fields["spacing"])
-            fh.readline()  # column names
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                heights.append(float(line.split(",")[1]))
-        return cls(level, spacing, heights)
+            zero_marks = int(fields["zero_marks"])
+            first = fh.readline()
+            if first.strip() == "ell,h":  # column names
+                first = ""
+            ells, heights = read_columns(first + fh.read(), "point-process", 2, sep=",")
+            ells, heights = list(map(float, ells)), list(map(float, heights))
+        pp = cls(level, spacing, heights)
+        if ells != pp._ells():
+            raise InputError("malformed point-process file: the ell column is "
+                             f"not 1, 2, 3, ... times the spacing {spacing!r}")
+        if zero_marks != pp.zero_marks:
+            raise InputError(f"malformed point-process file: header zero_marks="
+                             f"{zero_marks}, but {pp.zero_marks} heights are 0")
+        return pp
 
 
 def point_process_at_level(f: FamilyForest, t: float,

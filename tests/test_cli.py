@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -10,6 +11,18 @@ from catbranch.forest import FamilyForest
 def read(path):
     with open(path) as fh:
         return fh.read()
+
+
+def tree_digest(root) -> str:
+    """sha256 over the relative names and bytes of every file under root."""
+    h = hashlib.sha256()
+    for dirpath, dirnames, filenames in os.walk(root):
+        dirnames.sort()
+        for name in sorted(filenames):
+            path = os.path.join(dirpath, name)
+            with open(path, "rb") as fh:
+                h.update(os.path.relpath(path, root).encode() + b"\0" + fh.read())
+    return h.hexdigest()
 
 
 class TestSimulate:
@@ -107,7 +120,52 @@ class TestSimulate:
         assert rf.height_cap == pytest.approx(cut)
 
 
+class TestOutputBytes:
+    def test_simulate_and_convert_bytes_are_pinned(self, tmp_path):
+        # every file format's writer, with the engine's and the codec's
+        # floats; the digest is of the files as first written
+        sim, conv = tmp_path / "sim", tmp_path / "conv"
+        conv.mkdir()
+        assert main(["simulate", "--n", "3", "--t-max", "0.5", "--seed", "7",
+                     "--replicas", "2", "--contours", "--level", "0.25",
+                     "--out", str(sim)]) == 0
+        for name in sorted(os.listdir(sim)):
+            if name.endswith("_forest.txt"):
+                src = str(sim / name)
+                stem = str(conv / name[:-len("_forest.txt")])
+                assert main(["convert", src, stem + "_c.txt", "--to", "contour",
+                             "--speed", "6.0"]) == 0
+                assert main(["convert", stem + "_c.txt", stem + "_f.txt",
+                             "--to", "forest"]) == 0
+                assert main(["convert", src, stem + "_p.csv", "--to", "points",
+                             "--level", "0.25", "--spacing", repr(1 / 3)]) == 0
+        assert len(os.listdir(sim)) == 18 and len(os.listdir(conv)) == 12
+        assert tree_digest(tmp_path) == (
+            "2e442b6c25874cf3211e8134b898844b552ee6ff0c7afe4dc13f6b99cb768b21")
+
+
 class TestConvert:
+    def test_parser_keeps_no_state_between_calls(self, tmp_path, capsys, cherry):
+        src, dst = tmp_path / "cherry.txt", tmp_path / "p.csv"
+        src.write_text(cherry.to_text())
+        assert main(["convert", str(src), str(dst), "--to", "points",
+                     "--level", "0.5"]) == 0
+        dst.unlink()
+        capsys.readouterr()
+        # the same command without --level: no level left from the first call
+        assert main(["convert", str(src), str(dst), "--to", "points"]) == 2
+        assert "needs --level" in capsys.readouterr().err
+        assert not dst.exists()
+
+    def test_root_born_above_zero_exit_code(self, tmp_path, capsys):
+        src, dst = tmp_path / "late_root.txt", tmp_path / "c.txt"
+        src.write_text("# roots=0 height_cap=none\n0 -1 0.5 1.0\n")
+        rc = main(["convert", str(src), str(dst), "--to", "contour"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error") and "born at 0.5" in err
+        assert not dst.exists()
+
     def test_forest_contour_round_trip(self, tmp_path):
         out = tmp_path / "sim"
         main(["simulate", "--n", "1", "--seed", "12", "--t-max", "3.0",

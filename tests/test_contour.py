@@ -43,6 +43,7 @@ class TestExcursionType:
         "# speed=2.0\n0.0 0.0\n0.5\n1.0 0.0\n",
         "# speed=2.0\n0.0 0.0\n0.5 half\n1.0 0.0\n",
         "# speed=fast\n0.0 0.0\n1.0 0.0\n",
+        "# speed=2.0\n0.0 0.0\n0.5 0.5 0.5\n1.0\n",   # widths 3 and 1
     ])
     def test_read_rejects_malformed_lines(self, text):
         with pytest.raises(InputError, match="malformed contour"):
@@ -86,6 +87,21 @@ class TestEncode:
     def test_multi_tree_touches_zero(self, two_tree_forest):
         e = contour_from_forest(two_tree_forest, 2.0)
         assert e.e == [0.0, 1.0, 0.0, 1.0, 0.0]
+
+    def test_turning_heights_an_ulp_apart(self):
+        # non-dyadic grids and trim's `m - eps` put turning heights an ulp
+        # apart (3.8333333333333335 and 3.833333333333334, say), and the
+        # time sum can then absorb a step; such a breakpoint moves an ulp on
+        import numpy as np
+        rng = np.random.default_rng(1)
+        for i in range(2000):
+            f = random_binary_forest(rng, max_roots=4, split_prob=0.5, max_depth=7,
+                                     length_grid=(12, 24, 56, 8)[i % 4]).trim(0.25)
+            e = contour_from_forest(f, 1.0)
+            back = contour_from_forest(tree_from_excursion(e), 1.0)
+            assert (back.u, back.e) == (e.u, e.e)
+            length = 2.0 * f.total_edge_length()
+            assert abs(e.duration - length) <= 1e-15 * length
 
 
 class TestDecode:

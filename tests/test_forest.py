@@ -275,6 +275,9 @@ class TestSerialization:
         "# roots=3 height_cap=none\n0 -1 0.0 1.0\n",         # root range
         "# roots=0,0 height_cap=none\n0 -1 0.0 1.0\n",       # root twice
         "# roots=0,1 height_cap=none\n0 -1 0.0 1.0 1\n1 -1 1.0 2.0\n",
+        "# roots=0 height_cap=none\n0 -1 0.5 1.0\n",         # root born above 0
+        "# roots=0 height_cap=nan\n0 -1 0.0 1.0\n",          # NaN cap
+        "# roots=0 height_cap=none\n0 -1 0.0 1.0\n1.0 0 1.0 2.0\n",  # id 1.0
     ])
     def test_rejects_malformed_lines(self, text):
         with pytest.raises(InputError):

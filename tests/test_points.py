@@ -142,10 +142,25 @@ class TestCSV:
         "# t=1.0 spacing=0.5 zero_marks=0\nell,h\n0.5,high\n",
         "# t=1.0 zero_marks=0\nell,h\n0.5,0.2\n",
         "# t=1.0 spacing\nell,h\n0.5,0.2\n",
+        # three fields, an ell that is no number or off the grid i * spacing,
+        # an empty field, no comma, zero marks that disagree with the heights
+        "# t=1.0 spacing=0.05 zero_marks=0\nell,h\njunk,0.1,extra\n7.5,0.2\n",
+        "# t=1.0 spacing=0.05 zero_marks=0\nell,h\njunk,0.1\n0.1,0.2\n",
+        "# t=1.0 spacing=0.05 zero_marks=0\nell,h\n0.05,0.1\n7.5,0.2\n",
+        "# t=1.0 spacing=0.05 zero_marks=0\nell,h\n0.05,,0.1\n",
+        "# t=1.0 spacing=0.05 zero_marks=0\nell,h\n0.05 0.1\n",
+        "# t=1.0 spacing=0.05 zero_marks=1\nell,h\n0.05,0.1\n",
+        "# t=1.0 spacing=0.05 zero_marks=0\nell,h\n0.05,0.0\n",
+        "# t=1.0 spacing=0.05\nell,h\n0.05,0.1\n",
     ])
     def test_read_rejects_malformed_lines(self, text):
         with pytest.raises(InputError, match="malformed point-process"):
             GenealogicalPointProcess.read(io.StringIO(text))
+
+    def test_read_keeps_first_line_without_column_names(self):
+        pp = GenealogicalPointProcess.read(
+            io.StringIO("# t=1.0 spacing=0.5 zero_marks=0\n0.5,0.2\n"))
+        assert pp.heights == [0.2]
 
     @pytest.mark.parametrize("text", [
         "# t=nan spacing=0.5 zero_marks=0\nell,h\n",

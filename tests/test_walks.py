@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 import reference_walks as ref
 from catbranch.contour import Excursion, contour_from_forest, tree_from_excursion
-from catbranch.errors import InputError
 from catbranch.forest import FamilyForest, random_binary_forest
 from catbranch.harness import _level_tree_sizes
 from catbranch.particle import (BIRTH_DEATH, GALTON_WATSON, MassPath, SimConfig,
@@ -100,12 +99,13 @@ def check(f, ts):
             got = point_process_at_level(f, t, 1.0).heights
             assert got == ref.point_process_heights(f, t)
     times, heights = ref.contour(f, 2.0)
+    e = contour_from_forest(f, 2.0)
+    assert e.e == heights
     if all(a < b for a, b in zip(times, times[1:])):
-        e = contour_from_forest(f, 2.0)
-        assert (e.u, e.e) == (times, heights)
-    else:  # the time sum rounded a step away; no excursion can hold it
-        with pytest.raises(InputError, match="increase strictly"):
-            contour_from_forest(f, 2.0)
+        assert e.u == times
+    else:  # the time sum rounded a step away: those breakpoints move an ulp on
+        assert all(a < b for a, b in zip(e.u, e.u[1:]))
+        assert all(math.isclose(a, b, rel_tol=1e-12) for a, b in zip(e.u, times))
 
 
 @settings(max_examples=200, deadline=None)
