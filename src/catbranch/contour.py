@@ -90,6 +90,8 @@ class Excursion:
             speed = float(header.split("=", 1)[1])
             us, es = read_columns(fh.read(), "contour", 2)
             us, es = list(map(float, us)), list(map(float, es))
+        if not 0 < speed < math.inf:
+            raise InputError(f"contour speed must be finite and > 0, got {speed!r}")
         return cls(us, es), speed
 
 

@@ -81,8 +81,8 @@ class DiffusionPath:
 
     def __post_init__(self) -> None:
         self.values = np.asarray(self.values, dtype=float)
-        if self.step <= 0:
-            raise InputError("grid step must be > 0")
+        if not 0.0 < self.step < math.inf:
+            raise InputError("grid step must be finite and > 0")
 
     @property
     def duration(self) -> float:

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence, Union
 
 import numpy as np
+from scipy import integrate
 from scipy import stats as sps
 
 from .errors import InputError
@@ -105,6 +106,41 @@ def feller_extinction_cdf(x0: float, t: float, b1: float = 1.0) -> float:
     if t <= 0:
         return 0.0
     return math.exp(-2.0 * x0 / (b1 * t))
+
+
+def inverse_area_mean(t: float, x0: float = 1.0, b1: float = 2.0) -> float:
+    """E[1 / int_0^t X] for the square-root diffusion dX = sqrt(b1 X) dW,
+    X_0 = x0.
+
+    The area A = int_0^t X has the Laplace transform
+    E[exp(-lam A)] = exp(-x0 v(t)), where v' = lam - (b1/2) v^2, v(0) = 0,
+    so v(t) = sqrt(2 lam / b1) tanh(t sqrt(b1 lam / 2)).  Integrating
+    1/A = int_0^inf exp(-lam A) dlam under the expectation and putting
+    lam = 2 s^2 / b1 gives
+
+        E[1/A] = int_0^inf (4 s / b1) exp(-(2 x0 / b1) s tanh(t s)) ds.
+
+    With u = 2 x0 s / b1 it is (b1 / x0^2) J(tau), tau = b1 t / (2 x0),
+    J(tau) = int_0^inf u exp(-u tanh(tau u)) du: J ~ 1/(2 tau) as tau -> 0
+    (E[1/A] ~ 1/(x0 t)) and J -> 1 as tau -> inf (b1/x0^2, the Levy law
+    A ~ x0^2 / (b1 Z^2) of the total area).  The quadrature runs in
+    w = c u, c = min(1, sqrt(tau)), where the integrand lives on w of order
+    one at every tau.
+    """
+    for name, value in (("t", t), ("x0", x0), ("b1", b1)):
+        if not 0.0 < value < math.inf:
+            raise InputError(f"{name} must be finite and > 0")
+    tau = b1 * t / (2.0 * x0)
+    c = min(1.0, math.sqrt(tau))
+    a = tau / c
+
+    def integrand(w: float) -> float:
+        u = w / c
+        return w * math.exp(-u * math.tanh(a * w))
+
+    j, _ = integrate.quad(integrand, 0.0, math.inf, epsabs=0.0, epsrel=1e-12,
+                          limit=200)
+    return b1 / x0 ** 2 * j / c ** 2
 
 
 def stretch_map(x: RatePath, t: float, h: float) -> float:

@@ -92,8 +92,8 @@ class SimConfig:
                      "initial_reactant_mass"):
             if not math.isfinite(getattr(self, name)):
                 raise InputError(f"{name} must be finite")
-        if math.isnan(self.t_max):
-            raise InputError("t_max must not be NaN")
+        if not self.t_max > 0:  # NaN fails too; +inf is valid
+            raise InputError("t_max must be > 0")
         if self.b1 <= 0 or self.b2 <= 0:
             raise InputError("rates must be positive")
         if int(self.n) != self.n or self.n < 1:
@@ -136,6 +136,8 @@ class MassPath:
             raise InputError("mass path times must be finite and non-decreasing")
         if not np.isfinite(self.values).all():
             raise InputError("mass path values must be finite")
+        if not self.horizon > 0.0:  # NaN fails too; +inf is valid
+            raise InputError("mass path horizon must be > 0")
 
     @classmethod
     def constant(cls, value: float) -> "MassPath":

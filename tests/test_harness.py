@@ -1,5 +1,9 @@
+import importlib.util
+import inspect
 import json
 import math
+import os
+import sys
 
 import pytest
 
@@ -7,6 +11,20 @@ from catbranch import harness
 from catbranch.errors import InputError
 from catbranch.forest import FamilyForest
 from catbranch.oracles import OracleReport
+
+
+def _benchmark_workloads():
+    """`perfbench/workloads.py`, which states the suite arguments of the
+    benchmark, loaded without putting `perfbench/` on the import path."""
+    path = os.path.join(os.path.dirname(__file__), "..", "perfbench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+workloads = _benchmark_workloads()
 
 
 class TestHelpers:
@@ -55,6 +73,32 @@ class TestRegistry:
         r = OracleReport(name="x", law="why", statistic=1.25, target=1.0,
                          test="z", p_value=0.5, alpha_or_tol=0.01, passed=True)
         assert r.line().startswith("[PASS] x:")
+
+
+class TestBenchmarkArguments:
+    @pytest.mark.parametrize("workload, size",
+                             [(w, size) for w in workloads.VERIFY_SIZES
+                              for size in ("full", "tiny")])
+    def test_every_keyword_binds_to_its_suite(self, workload, size):
+        # a suite that drops a keyword the benchmark passes would turn every
+        # benchmark or smoke call into a failed operation
+        for suite, kwargs in workloads.VERIFY_SIZES[workload][size].items():
+            inspect.signature(harness.SUITES[suite]).bind_partial(**kwargs)
+
+
+class TestComparison:
+    def test_euler_estimate_agrees_with_the_closed_form(self):
+        reports = harness.run_comparison(replicas=2, z_replicas=6_000)
+        assert len(reports) == 2
+        for d in (r.details for r in reports):
+            assert abs(d["z_euler"] - d["z"]) <= 4.0 * d["z_euler_se"]
+
+    def test_no_euler_estimate_by_default(self):
+        reports = harness.run_comparison(replicas=2)
+        assert [r.details["z"] for r in reports] == pytest.approx(
+            [1.5, 2.2758474084])
+        assert [r.details["matched_initial_mass"] for r in reports] == [1.5, 2.275]
+        assert all("z_euler" not in r.details for r in reports)
 
 
 class TestReactantIntensity:

@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.integrate import quad
 
 from catbranch.errors import InputError
 from catbranch.oracles import (feller_extinction_cdf, hitting_probability,
-                               ks_test, laplace_branching,
+                               inverse_area_mean, ks_test, laplace_branching,
                                mean_confidence, oracle_brownian_intensity,
                                oracle_extinction_prob, oracle_mrca_cdf,
                                oracle_mrca_density, oracle_mrca_survival,
@@ -41,7 +44,6 @@ class TestMrca:
                     + oracle_mrca_cdf(1.0, 1.0, h)) == pytest.approx(1.0)
 
     def test_density_normalizes(self):
-        from scipy.integrate import quad
         total, _ = quad(lambda h: oracle_mrca_density(1.0, 1.0, h), 0.0, 1.0)
         assert total == pytest.approx(1.0, abs=1e-6)
 
@@ -100,6 +102,62 @@ class TestHittingAndTransforms:
         assert laplace_branching(1.0, 1.0, 1.0, 1.0) == pytest.approx(
             math.exp(-0.5))
         assert laplace_branching(1.0, 0.0, 1.0, 1.0) == 1.0
+
+
+def log_uniform(lo: float, hi: float):
+    return st.floats(math.log(lo), math.log(hi)).map(math.exp)
+
+
+class TestInverseAreaMean:
+    """E[1 / int_0^t X] for dX = sqrt(b1 X) dW from x0."""
+
+    def test_pinned_values(self):
+        # the matching constants of the comparison suite: z = t * E
+        assert inverse_area_mean(0.5) == pytest.approx(3.0, rel=1e-12)
+        assert inverse_area_mean(1.0) == pytest.approx(2.2758474084, rel=1e-10)
+
+    @pytest.mark.parametrize("t, x0, b1", [(0.5, 1.0, 2.0), (1.0, 1.0, 2.0),
+                                           (0.3, 2.5, 0.7), (4.0, 0.2, 1.0)])
+    def test_matches_the_laplace_integral(self, t, x0, b1):
+        # int_0^inf (4s/b1) exp(-(2 x0/b1) s tanh(t s)) ds, before rescaling
+        direct, _ = quad(lambda s: 4.0 * s / b1
+                         * math.exp(-2.0 * x0 / b1 * s * math.tanh(t * s)),
+                         0.0, math.inf, epsabs=0.0, epsrel=1e-12, limit=200)
+        assert inverse_area_mean(t, x0, b1) == pytest.approx(direct, rel=1e-9)
+
+    @pytest.mark.parametrize("x0, b1", [(1.0, 2.0), (0.3, 1.0), (4.0, 5.0)])
+    def test_small_t_limit(self, x0, b1):
+        # int_0^t X ~ x0 t, with relative variance b1 t / (3 x0)
+        for t in (1e-9, 1e-7, 1e-6):
+            e = inverse_area_mean(t, x0, b1) * x0 * t
+            assert e == pytest.approx(1.0 + b1 * t / (3.0 * x0), rel=1e-8)
+
+    @pytest.mark.parametrize("x0, b1", [(1.0, 2.0), (0.3, 1.0), (4.0, 5.0)])
+    def test_large_t_limit(self, x0, b1):
+        # the total area is Levy: x0^2 / (b1 Z^2), so E[1/A] = b1 / x0^2;
+        # the area left after t shifts it by O((x0 / (b1 t))^3)
+        t = 2e4 * x0 / b1
+        assert inverse_area_mean(t, x0, b1) == pytest.approx(b1 / x0 ** 2,
+                                                             rel=1e-10)
+
+    def test_decreasing_in_t(self):
+        values = [inverse_area_mean(t) for t in (0.1, 0.5, 1.0, 2.0, 10.0)]
+        assert all(a > b for a, b in zip(values, values[1:]))
+
+    @settings(max_examples=200, deadline=None)
+    @given(log_uniform(1e-3, 1e3), log_uniform(1e-2, 1e2),
+           log_uniform(1e-2, 1e2), log_uniform(1e-3, 1e3))
+    def test_feller_scaling(self, t, x0, b1, a):
+        # X_{a u} / a is the same diffusion from x0 / a, with area / a^2
+        assert inverse_area_mean(t, x0, b1) == pytest.approx(
+            inverse_area_mean(t / a, x0 / a, b1) / a ** 2, rel=1e-9)
+
+    @pytest.mark.parametrize("name", ["t", "x0", "b1"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf, -math.inf])
+    def test_rejects_bad_arguments(self, name, value):
+        args = {"t": 1.0, "x0": 1.0, "b1": 2.0, name: value}
+        with pytest.raises(InputError, match=name):
+            inverse_area_mean(**args)
 
 
 class TestStatTools:

@@ -53,6 +53,12 @@ class TestSimConfig:
         with pytest.raises(InputError):
             SimConfig(t_max=math.nan)
 
+    @pytest.mark.parametrize("t_max", [0.0, -1.0, -math.inf])
+    def test_t_max_must_be_positive(self, t_max):
+        # the mass path's horizon is t_max, and it must be > 0
+        with pytest.raises(InputError, match="t_max"):
+            SimConfig(t_max=t_max)
+
 
 class TestMassPath:
     def test_value_and_integral(self):

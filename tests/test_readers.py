@@ -15,6 +15,7 @@ import io
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -70,7 +71,7 @@ def mass_paths(draw):
     times = sorted(draw(st.lists(nonneg, max_size=12)))
     values = draw(st.lists(finite, min_size=len(times) + 1, max_size=len(times) + 1))
     return MassPath(np.array([0.0] + times), np.array(values),
-                    horizon=draw(st.one_of(nonneg, st.just(math.inf))))
+                    horizon=draw(st.one_of(positive, st.just(math.inf))))
 
 
 @st.composite
@@ -120,6 +121,24 @@ def test_mass_path_round_trip_is_bit_exact(p):
     back = MassPath.read(io.StringIO(text_of(p)))
     assert bits(back.times) == bits(p.times) and bits(back.values) == bits(p.values)
     assert bits([back.horizon]) == bits([p.horizon])
+
+
+@pytest.mark.parametrize("read, text", [
+    (DiffusionPath.read, "# step=nan seed=1\n1.0\n2.0\n"),
+    (DiffusionPath.read, "# step=inf seed=1\n1.0\n2.0\n"),
+    (DiffusionPath.read, "# step=0.0 seed=1\n1.0\n2.0\n"),
+    (DiffusionPath.read, "# step=-0.1 seed=1\n1.0\n2.0\n"),
+    (MassPath.read, "# horizon=nan\nt,value\n0.0,1.0\n"),
+    (MassPath.read, "# horizon=0.0\nt,value\n0.0,1.0\n"),
+    (MassPath.read, "# horizon=-inf\nt,value\n0.0,1.0\n"),
+    (Excursion.read, "# speed=nan\n0.0 0.0\n1.0 1.0\n2.0 0.0\n"),
+    (Excursion.read, "# speed=inf\n0.0 0.0\n1.0 1.0\n2.0 0.0\n"),
+    (Excursion.read, "# speed=0.0\n0.0 0.0\n1.0 1.0\n2.0 0.0\n"),
+], ids=["step-nan", "step-inf", "step-zero", "step-negative", "horizon-nan",
+        "horizon-zero", "horizon-minus-inf", "speed-nan", "speed-inf", "speed-zero"])
+def test_bad_header_is_an_input_error(read, text):
+    with pytest.raises(InputError):
+        read(io.StringIO(text))
 
 
 @settings(max_examples=150, deadline=None)
