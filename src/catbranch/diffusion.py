@@ -16,6 +16,8 @@ Conventions
   automatically.  The scheme has two forms: `_euler_step` steps many
   stacked replicas with numpy, and `_feller_path` steps one path on Python
   floats, which avoids numpy's per-call cost on a path of one replica.
+  `hitting_race` uses both: the batch step while many replicas race, and
+  Python floats for its last `RACE_FLOAT_LANES` survivors.
 * Generator-to-SDE dictionary: a generator a(x) f'' corresponds to noise
   variance d<B> = 2 a(x) dt.  The limit contour's Brownian image B = s(zeta)
   has generator 2 X f'' and hence d<B> = 4 X dt; in the driving Brownian
@@ -23,7 +25,8 @@ Conventions
   engine below steps beta on a uniform theta grid, which keeps the step
   quality uniform; levels, depths, local-time estimates and realized
   quadratic sums are invariant under this reparameterization, and the
-  natural-time stamps are returned as a cumulative time change.
+  natural-time stamps are a cumulative time change, computed from the
+  contour and its scale function on first access (no suite reads them).
 * Particle-clock dictionary: the particle model's mass limits are the
   b -> 2b versions of the pair above (a constant time change); closed-form
   cross-checks between the modules always go through the stated formulas,
@@ -49,6 +52,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -60,6 +64,16 @@ from .particle import MassPath
 
 DEFAULT_SDE_STEP = 1e-4
 DEFAULT_CONTOUR_STEP = 1e-5
+DEFAULT_CONTOUR_STEP_CAP = 50_000_000
+
+# Survivors at or below which `hitting_race` steps on Python floats.  On a
+# 2-CPU Xeon with CPython 3.11 and numpy 2.4, a batch step costs 10-11.5 us
+# for 1-32 survivors (eight numpy calls), and a float step about 2.1 us plus
+# 0.4 us per survivor, so the two break even near 22 survivors; over 30
+# races of 1000 replicas at step 1e-3, switching at 16, 24 and 32 survivors
+# cut the race's time to 0.79, 0.76 and 0.79 of the batch step's alone.
+# There about 10k of a race's 17.6k steps have 24 survivors or fewer.
+RACE_FLOAT_LANES = 24
 
 
 @dataclass
@@ -69,13 +83,12 @@ class DiffusionPath:
     Contour paths produced by `simulate_limit_contour` also carry the
     driving reflected Brownian path and the scale function used to map it,
     so downstream censuses can work in the coordinate where increments are
-    exactly Gaussian.
+    exactly Gaussian, and their natural-time stamps as `time_change`.
     """
 
     step: float
     values: np.ndarray
     absorbed_index: Optional[int] = None
-    time_change: Optional[np.ndarray] = None  # natural-time stamps, optional
     brownian: Optional[np.ndarray] = None
     scale: Optional["ScaleFunction"] = None
 
@@ -90,6 +103,15 @@ class DiffusionPath:
 
     def times(self) -> np.ndarray:
         return self.step * np.arange(len(self.values))
+
+    @cached_property
+    def time_change(self) -> Optional[np.ndarray]:
+        """Natural-time stamps of a contour, du = dtheta / X(zeta), computed
+        on first access and cached; None for a path without a scale."""
+        if self.scale is None:
+            return None
+        med = np.maximum(self.scale.medium_at(self.values), 1e-12)
+        return np.concatenate([[0.0], np.cumsum(self.step / med[:-1])])
 
     def value_at(self, t: float) -> float:
         return float(np.interp(t, self.times(), self.values))
@@ -219,20 +241,33 @@ def hitting_race(n_replicas: int, cfg: SDEConfig,
     so the relative resolution stays constant on survivors) until every
     replica resolved or the epoch cap is reached.  A replica resolves the
     moment either component hits zero: once X absorbs Y is frozen forever,
-    and vice versa the race is decided.  Leftovers are split evenly and
+    and vice versa the race is decided; a replica whose components hit in
+    the same step is decided by a fair coin.  Leftovers are split evenly and
     their fraction reported.
 
     Most steps resolve no replica, so the hit masks, tallies, tie coin and
     compaction of the survivors run only on steps where some replica hits.
+    Once at most `RACE_FLOAT_LANES` replicas survive, `_race_floats` steps
+    them on Python floats, with the same draws and the same floats.
     """
+    if n_replicas < 1:
+        raise InputError("the race needs at least one replica")
+    if not 0.0 < epoch_horizon < math.inf:
+        raise InputError("epoch_horizon must be finite and > 0")
+    if round(epoch_horizon / cfg.step) < 1:
+        # every epoch has the first one's step count: none would step
+        raise InputError("epoch_horizon must hold at least one step")
+    if max_epochs < 1:
+        raise InputError("the race needs at least one epoch")
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
+    b1, b2 = float(cfg.b1), float(cfg.b2)
     m = n_replicas
     z = np.empty(2 * m)
     z[:m] = cfg.x0
     z[m:] = cfg.y0
-    w = np.full(2 * m, float(cfg.b1))
-    reactant_first = 0
-    catalyst_first = 0
+    w = np.full(2 * m, b1)
+    lanes = None  # (xs, ys): the survivors as Python floats, once few are left
+    tally = [0, 0]  # reactant first, catalyst first
     step = cfg.step
     epoch_len = epoch_horizon
     for _ in range(max_epochs):
@@ -240,37 +275,95 @@ def hitting_race(n_replicas: int, cfg: SDEConfig,
             break
         n_steps = int(round(epoch_len / step))
         sqdt = math.sqrt(step)
-        for _ in range(n_steps):
-            z, hit = _euler_step(rng, z, w, cfg.b2, sqdt)
+        k = 0
+        while lanes is None and k < n_steps:
+            if m <= RACE_FLOAT_LANES:
+                lanes = (z[:m].tolist(), z[m:].tolist())
+                break
+            k += 1
+            z, hit = _euler_step(rng, z, w, b2, sqdt)
             if not hit:
                 continue
             x_hit = z[:m] == 0.0
             y_hit = z[m:] == 0.0
-            both = y_hit & x_hit
-            reactant_first += int(np.count_nonzero(y_hit & ~x_hit))
-            catalyst_first += int(np.count_nonzero(x_hit & ~y_hit))
-            nb = int(np.count_nonzero(both))
-            if nb:
-                heads = int(np.count_nonzero(rng.random(nb) < 0.5))
-                reactant_first += heads
-                catalyst_first += nb - heads
+            _tally_hits(rng, tally, int(np.count_nonzero(y_hit & ~x_hit)),
+                        int(np.count_nonzero(x_hit & ~y_hit)),
+                        int(np.count_nonzero(y_hit & x_hit)))
             keep = ~(y_hit | x_hit)
             z = np.concatenate((z[:m][keep], z[m:][keep]))
             m = z.size // 2
-            if m == 0:
-                break
-            w = np.full(2 * m, float(cfg.b1))
+            w = np.full(2 * m, b1)
+        if lanes is not None:
+            m = _race_floats(rng, *lanes, b1, b2, sqdt, n_steps - k, tally)
         epoch_len *= 2.0
         step *= 2.0
     unresolved = m
-    reactant_first += unresolved // 2
-    catalyst_first += unresolved - unresolved // 2
+    reactant_first = tally[0] + unresolved // 2
+    catalyst_first = tally[1] + unresolved - unresolved // 2
     p = reactant_first / n_replicas
     return {"p_reactant_first": p,
             "reactant_first": reactant_first,
             "catalyst_first": catalyst_first,
             "unresolved_fraction": unresolved / n_replicas,
             "se": math.sqrt(max(p * (1 - p), 1e-12) / n_replicas)}
+
+
+def _tally_hits(rng: np.random.Generator, tally: list, reactant: int,
+                catalyst: int, both: int) -> None:
+    """Add one step's resolved replicas to `tally`; the `both` replicas
+    whose components hit together take one fair coin each."""
+    tally[0] += reactant
+    tally[1] += catalyst
+    if both:
+        heads = int(np.count_nonzero(rng.random(both) < 0.5))
+        tally[0] += heads
+        tally[1] += both - heads
+
+
+def _race_floats(rng: np.random.Generator, xs: list, ys: list, b1: float,
+                 b2: float, sqdt: float, n_steps: int, tally: list) -> int:
+    """Up to `n_steps` race steps of the survivors `xs`, `ys` on Python
+    floats; updates the lists and `tally` in place and returns the number
+    of survivors.
+
+    Each step draws `_euler_step`'s normals (x's, then y's) and applies its
+    operations in its order, so the floats are the batch step's: a proposal
+    <= 0 is the only value the batch step clips, and its replica leaves the
+    race.  Hits are tallied, tie coins included, as in `hitting_race`.
+    """
+    sqrt = math.sqrt
+    normal = rng.standard_normal
+    m = len(xs)
+    for _ in range(n_steps):
+        if m == 0:
+            break
+        noise = normal(2 * m).tolist()
+        hit = False
+        for i in range(m):
+            x = xs[i]
+            y = ys[i]
+            ys[i] = y = y + sqrt(b2 * x * y) * sqdt * noise[m + i]
+            xs[i] = x = x + sqrt(b1 * x) * sqdt * noise[i]
+            if x <= 0.0 or y <= 0.0:
+                hit = True
+        if not hit:
+            continue
+        reactant = catalyst = both = 0
+        keep = []
+        for i, (x, y) in enumerate(zip(xs, ys)):
+            if x > 0.0 and y > 0.0:
+                keep.append(i)
+            elif x > 0.0:
+                reactant += 1
+            elif y > 0.0:
+                catalyst += 1
+            else:
+                both += 1
+        _tally_hits(rng, tally, reactant, catalyst, both)
+        xs[:] = [xs[i] for i in keep]
+        ys[:] = [ys[i] for i in keep]
+        m = len(keep)
+    return m
 
 
 # ---------------------------------------------------------------------- #
@@ -310,7 +403,7 @@ class ScaleFunction:
 def scale_function(X: DiffusionPath, delta: float) -> ScaleFunction:
     """Cumulative trapezoid integral of X up to its first entrance into
     [0, delta] (the whole sampled range if it stays above)."""
-    if delta < 0:
+    if not delta >= 0:
         raise InputError("threshold must be >= 0")
     vals = X.values
     if vals[0] <= delta:
@@ -354,7 +447,7 @@ def simulate_limit_contour(X: DiffusionPath, delta: float,
                            seed: int = 0,
                            theta_step: float = DEFAULT_CONTOUR_STEP,
                            boundary_band: float | None = None,
-                           max_steps: int = 50_000_000) -> DiffusionPath:
+                           max_steps: int = DEFAULT_CONTOUR_STEP_CAP) -> DiffusionPath:
     """Quenched limit contour, stopped at a boundary local-time budget.
 
     The contour zeta lives on [0, tau_delta] (first entrance of the medium
@@ -364,10 +457,11 @@ def simulate_limit_contour(X: DiffusionPath, delta: float,
     beta at 0 reaches the budget (the budget is the initial mass carried by
     the contour's forest).
 
-    The returned path holds zeta on the Brownian-clock grid along with the
-    natural-time stamps; see the module notes on reparameterization.
+    The returned path holds zeta on the Brownian-clock grid; its natural-time
+    stamps `time_change` are computed on first access.  See the module notes
+    on reparameterization.
     """
-    if delta <= 0:
+    if not delta > 0:
         raise InputError("the limit contour needs a positive threshold")
     sf = scale_function(X, delta)
     return _limit_contour_from_scale(sf, local_time_budget, seed, theta_step,
@@ -382,12 +476,19 @@ def _fold(path: np.ndarray, top: float) -> None:
     np.subtract(top, path, out=path)
 
 
-def _limit_contour_from_scale(sf: ScaleFunction, budget: float, seed,
-                              theta_step: float, boundary_band, max_steps):
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
+def _limit_contour_from_scale(sf: ScaleFunction, budget: float, seed=0,
+                              theta_step: float = DEFAULT_CONTOUR_STEP,
+                              boundary_band: float | None = None,
+                              max_steps: int = DEFAULT_CONTOUR_STEP_CAP) -> DiffusionPath:
+    """`simulate_limit_contour` on a given scale function."""
+    for name, value in (("local-time budget", budget), ("theta_step", theta_step),
+                        ("boundary_band", boundary_band)):
+        if value is not None and not 0.0 < value < math.inf:
+            raise InputError(f"{name} must be finite and > 0")
     top = sf.top / 2.0  # beta reflects on [0, top]
     if top <= 0:
         raise InputError("degenerate scale range")
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
     sq = math.sqrt(theta_step)
     band = boundary_band if boundary_band is not None else 20.0 * sq
     # beta is re-folded and ell0 updated once per logical 65536-step chunk.
@@ -448,11 +549,7 @@ def _limit_contour_from_scale(sf: ScaleFunction, budget: float, seed,
         raise InputError("step cap reached before the local-time budget")
     beta_path = np.concatenate(pieces)
     zeta = sf.inverse(2.0 * beta_path)
-    # natural-time stamps: du = dtheta / X(zeta)
-    med = np.maximum(sf.medium_at(zeta), 1e-12)
-    u = np.concatenate([[0.0], np.cumsum(theta_step / med[:-1])])
-    return DiffusionPath(theta_step, zeta, time_change=u,
-                         brownian=beta_path, scale=sf)
+    return DiffusionPath(theta_step, zeta, brownian=beta_path, scale=sf)
 
 
 def bridge_refined_depths(beta: np.ndarray, level: float, step_var: float,

@@ -286,17 +286,16 @@ def run_limit_intensity(seed: int = 8_000_000, replicas: int = 300,
                         bins: Sequence[tuple[float, float]] = ((0.1, 0.3), (0.3, 0.5), (0.5, 0.9)),
                         theta_step: float = 1e-5,
                         budget: float = 1.0) -> list[OracleReport]:
-    X = _x_identity_path(horizon=2.0)
+    sf = dfn.scale_function(_x_identity_path(horizon=2.0), 0.5)
+    w_t = float(sf(t)) / 2.0
+    x_t = float(sf.medium_at(t))
     nu = np.array([orc.oracle_brownian_intensity(1.0, t, h1, h2) for h1, h2 in bins])
     census_rng = np.random.default_rng(np.random.SeedSequence(seed + 7))
     counts = np.zeros((replicas, len(bins)))
     masses = np.zeros(replicas)
     for i in range(replicas):
-        z = dfn.simulate_limit_contour(X, 0.5, budget, seed=seed + i,
-                                       theta_step=theta_step)
-        sf = z.scale
-        w_t = float(sf(t)) / 2.0
-        x_t = float(sf.medium_at(t))
+        z = dfn._limit_contour_from_scale(sf, budget, seed=seed + i,
+                                          theta_step=theta_step)
         masses[i] = x_t * dfn.local_time_estimate(z, t, 0.02) / 2.0
         depths_b = dfn.bridge_refined_depths(z.brownian, w_t, theta_step,
                                              census_rng)

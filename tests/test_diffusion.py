@@ -4,10 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reference_race
 from catbranch import harness
-from catbranch.diffusion import (DiffusionPath, SDEConfig, _euler_step,
-                                 _limit_contour_from_scale,
+from catbranch.diffusion import (RACE_FLOAT_LANES, DiffusionPath, SDEConfig,
+                                 _euler_step, _limit_contour_from_scale,
+                                 _race_floats,
                                  bridge_refined_depths, hitting_race,
                                  integrate_catalytic_feller,
                                  local_time_estimate, quadratic_variation,
@@ -88,6 +92,23 @@ class TestIntegrator:
         assert 0.0 <= res["p_reactant_first"] <= 1.0
         assert res["unresolved_fraction"] <= 0.01
 
+    @pytest.mark.parametrize("args", [
+        {"n_replicas": 0}, {"n_replicas": -3},
+        {"epoch_horizon": 0.0}, {"epoch_horizon": -1.0},
+        {"epoch_horizon": math.nan}, {"epoch_horizon": math.inf},
+        {"epoch_horizon": 4e-3},  # under half the step: no epoch steps
+        {"max_epochs": 0}, {"max_epochs": -1}], ids=str)
+    def test_hitting_race_rejects_bad_arguments(self, args):
+        kwargs = dict({"n_replicas": 8, "epoch_horizon": 0.1, "max_epochs": 1},
+                      **args)
+        with pytest.raises(InputError):
+            hitting_race(cfg=SDEConfig(seed=1, step=1e-2), **kwargs)
+
+    def test_hitting_race_smallest_arguments(self):
+        res = hitting_race(8, SDEConfig(seed=1, step=1e-2), epoch_horizon=0.1,
+                           max_epochs=1)
+        assert res["reactant_first"] + res["catalyst_first"] == 8
+
     def test_path_csv_round_trip(self, tmp_path):
         X, _ = integrate_catalytic_feller(SDEConfig(seed=3, step=1e-2,
                                                     horizon=0.5))
@@ -133,6 +154,11 @@ class TestScaleFunction:
         with pytest.raises(InputError):
             scale_function(X, 0.5)
 
+    @pytest.mark.parametrize("delta", [-0.1, math.nan])
+    def test_rejects_bad_threshold(self, delta):
+        with pytest.raises(InputError, match="threshold must be >= 0"):
+            scale_function(flat_medium(), delta)
+
     def test_from_mass_path(self):
         medium = MassPath(np.array([0.0, 1.0, 2.0]),
                           np.array([2.0, 1.0, 0.0]))
@@ -153,6 +179,43 @@ class TestLimitContour:
         X = flat_medium()
         with pytest.raises(InputError):
             simulate_limit_contour(X, 0.0, 1.0, seed=1)
+
+    @pytest.mark.parametrize("delta", [-0.5, math.nan])
+    def test_rejects_negative_or_nan_threshold(self, delta):
+        with pytest.raises(InputError, match="positive threshold"):
+            simulate_limit_contour(flat_medium(), delta, 1.0, seed=1)
+
+    @pytest.mark.parametrize("args", [
+        {"local_time_budget": math.nan}, {"local_time_budget": math.inf},
+        {"local_time_budget": -1.0}, {"local_time_budget": 0.0},
+        {"theta_step": 0.0}, {"theta_step": -1e-4}, {"theta_step": math.nan},
+        {"theta_step": math.inf}, {"boundary_band": 0.0},
+        {"boundary_band": -0.1}, {"boundary_band": math.nan},
+        {"boundary_band": math.inf}], ids=str)
+    def test_rejects_bad_arguments_before_stepping(self, args):
+        # a NaN budget used to run to the step cap before it raised
+        kwargs = dict({"local_time_budget": 0.01, "theta_step": 1e-4}, **args)
+        with pytest.raises(InputError, match="must be finite and > 0"):
+            simulate_limit_contour(flat_medium(horizon=0.5), 0.5, seed=1,
+                                   max_steps=1_000, **kwargs)
+
+    def test_smallest_budget(self):
+        z = simulate_limit_contour(harness._x_identity_path(horizon=0.5), 0.5,
+                                   0.01, seed=1, theta_step=1e-4)
+        assert z.values.size > 1
+
+    def test_time_change_is_computed_once_on_first_access(self):
+        X, _ = integrate_catalytic_feller(SDEConfig(seed=5, step=1e-3,
+                                                    horizon=3.0))
+        sf = scale_function(X, 0.2)
+        assert np.ptp(sf.m) > 0.5  # a medium far from constant
+        z = _limit_contour_from_scale(sf, 0.5, seed=3, theta_step=1e-4)
+        assert "time_change" not in vars(z)
+        med = np.maximum(sf.medium_at(z.values), 1e-12)
+        eager = np.concatenate([[0.0], np.cumsum(1e-4 / med[:-1])])
+        assert z.time_change.tobytes() == eager.tobytes()
+        assert z.time_change is z.time_change
+        assert DiffusionPath(1e-3, [1.0, 2.0]).time_change is None
 
     def test_level_mass_near_budget(self):
         X = flat_medium()
@@ -175,6 +238,70 @@ class TestLimitContour:
         lb = local_time_estimate(2.0 * z.brownian, float(z.scale(t)),
                                  slope * eps)
         assert lz == pytest.approx(lb / slope, rel=1e-9)
+
+
+class TestRaceReference:
+    """`hitting_race` against the race that ran every step as a batch step
+    (`tests/reference_race.py`): the same dict, before, across and after
+    the switch to Python floats."""
+
+    @staticmethod
+    def check(n, cfg, epoch_horizon, max_epochs):
+        got = hitting_race(n, cfg, epoch_horizon, max_epochs)
+        assert got == reference_race.hitting_race(n, cfg, epoch_horizon,
+                                                  max_epochs)
+        return got
+
+    def test_crosses_the_switch_from_above(self):
+        n = 300
+        res = self.check(n, SDEConfig(seed=3, step=1e-2), 0.5, 8)
+        assert n * (1.0 - res["unresolved_fraction"]) > n - RACE_FLOAT_LANES
+
+    @pytest.mark.parametrize("n", [1, 2, RACE_FLOAT_LANES])
+    def test_starts_below_the_switch(self, n):
+        res = self.check(n, SDEConfig(seed=11, step=1e-2), 0.5, 8)
+        assert res["unresolved_fraction"] < 1.0
+
+    def test_stops_at_the_epoch_cap_with_float_survivors(self):
+        res = self.check(RACE_FLOAT_LANES + 40, SDEConfig(seed=5, step=1e-2),
+                         0.5, 3)
+        assert 0.0 < res["unresolved_fraction"] * (RACE_FLOAT_LANES + 40) \
+            <= RACE_FLOAT_LANES
+
+    def test_tie_coin_in_the_float_tail(self):
+        # small starts and a coarse step: at this seed one replica's two
+        # components hit in the same float step
+        self.check(20, SDEConfig(seed=10, step=0.05, x0=0.05, y0=0.05), 2.0, 3)
+
+    @settings(max_examples=60, deadline=None)
+    @given(m=st.integers(1, 40), seed=st.integers(0, 2**32 - 1),
+           b1=st.floats(0.25, 4.0), b2=st.floats(0.25, 4.0),
+           step=st.floats(1e-4, 1e-2))
+    def test_float_steps_are_batch_steps_bit_for_bit(self, m, seed, b1, b2,
+                                                     step):
+        z = np.random.default_rng(seed).uniform(0.5, 2.0, 2 * m)
+        xs, ys = z[:m].tolist(), z[m:].tolist()
+        w = np.full(2 * m, b1)
+        batch_rng = np.random.default_rng(seed + 1)
+        float_rng = np.random.default_rng(seed + 1)
+        sqdt = math.sqrt(step)
+        for _ in range(20):
+            z, hit = _euler_step(batch_rng, z, w, b2, sqdt)
+            _race_floats(float_rng, xs, ys, b1, b2, sqdt, 1, [0, 0])
+            if hit:
+                break
+            assert xs + ys == z.tolist()
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 300), seed=st.integers(0, 2**32 - 1),
+           step=st.sampled_from([1e-2, 2e-2, 5e-2]),
+           x0=st.floats(0.0, 2.0), y0=st.floats(0.0, 2.0),
+           b1=st.floats(0.25, 4.0), b2=st.floats(0.25, 4.0),
+           epoch_horizon=st.floats(0.05, 2.0), max_epochs=st.integers(1, 8))
+    def test_same_dict_as_the_batch_race(self, n, seed, step, x0, y0, b1, b2,
+                                         epoch_horizon, max_epochs):
+        self.check(n, SDEConfig(x0=x0, y0=y0, b1=b1, b2=b2, step=step,
+                                seed=seed), epoch_horizon, max_epochs)
 
 
 class TestLocalTimeAndQV:
@@ -327,8 +454,10 @@ class TestStreamPins:
     `hitting_race` compacted survivors only on hit steps, the limit contour
     stepped in doubling sub-blocks and `qv_dichotomy` ran its catalyst loop
     on Python floats; the criticality and comparison digests were recorded
-    before their Euler loops moved to the package's batch step.  Those
-    changes keep every draw and every float."""
+    before their Euler loops moved to the package's batch step, and the
+    diffusion_gate digest before the race's last survivors stepped on Python
+    floats and the time change became lazy.  Those changes keep every draw
+    and every float."""
 
     RACES = {
         # survivors carried through five epochs
@@ -378,6 +507,16 @@ class TestStreamPins:
         got = (len(z.values), _sha(z.values.tobytes()),
                _sha(z.brownian.tobytes()), _sha(z.time_change.tobytes()))
         assert got == self.CONTOURS[key]
+
+    def test_diffusion_gate_reports(self):
+        # the benchmark's diffusion_gate suites at its "full" sizes and the
+        # suites' default seeds: pass 0 of a benchmark run at seed 0
+        sizes = {"hitting_prob": {"replicas": 1_000, "step": 1e-3},
+                 "limit_intensity": {"replicas": 60, "theta_step": 1e-4},
+                 "qv_dichotomy": {"replicas": 30, "theta_step": 1e-3}}
+        reports, _ = harness.run_suites(list(sizes), sizes, echo=False)
+        assert _sha(harness.reports_to_json(reports).encode()) == (
+            "5299b90941d6697aae9b2298625a3596ddee269dbb854715e3c2456f08c95cd0")
 
     def test_qv_dichotomy_report(self):
         # 17 of 20 catalysts absorbed, 13 of them with a top-hitting contour
