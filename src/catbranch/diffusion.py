@@ -416,28 +416,6 @@ def scale_function(X: DiffusionPath, delta: float) -> ScaleFunction:
     return ScaleFunction(xs, s, vs.copy())
 
 
-def scale_function_from_mass_path(medium: MassPath, delta: float,
-                                  grid: float = 1e-3) -> ScaleFunction:
-    """Scale function of a step-function medium, exact on a uniform grid."""
-    cut = math.inf
-    hits = np.flatnonzero(medium.values <= delta)
-    if hits.size:
-        cut = float(medium.times[hits[0]])
-    if cut == 0.0:
-        raise InputError("medium starts at or below the threshold")
-    end = cut if math.isfinite(cut) else medium.horizon
-    if not math.isfinite(end):
-        raise InputError("medium never reaches the threshold; no finite top")
-    n = max(2, int(round(end / grid)) + 1)
-    xs = np.linspace(0.0, end, n)
-    s = np.empty_like(xs)
-    s[0] = 0.0
-    for i in range(1, n):
-        s[i] = s[i - 1] + medium.integral(xs[i - 1], xs[i])
-    m = np.array([medium.value_at(v) for v in xs])
-    return ScaleFunction(xs, s, m)
-
-
 # ---------------------------------------------------------------------- #
 # Limit contour engine                                                    #
 # ---------------------------------------------------------------------- #
@@ -599,11 +577,15 @@ def bridge_refined_depths(beta: np.ndarray, level: float, step_var: float,
     return np.asarray(depths)
 
 
+def _check_band(eps: float) -> None:
+    if not 0.0 < eps < math.inf:  # NaN fails too
+        raise InputError(f"band half-width must be finite and > 0, got {eps!r}")
+
+
 def local_time_estimate(path, t: float, eps: float) -> float:
     """(1 / 2 eps) * sum of squared increments taken inside the band."""
+    _check_band(eps)
     values = path.values if isinstance(path, DiffusionPath) else np.asarray(path, float)
-    if eps <= 0:
-        raise InputError("band half-width must be > 0")
     inside = np.abs(values[:-1] - t) < eps
     inc = np.diff(values)
     return float(np.sum(inc[inside] ** 2) / (2.0 * eps))
@@ -611,6 +593,7 @@ def local_time_estimate(path, t: float, eps: float) -> float:
 
 def cumulative_local_time(values: np.ndarray, t: float, eps: float) -> np.ndarray:
     """Running band estimator, aligned with the sample indices."""
+    _check_band(eps)
     values = np.asarray(values, dtype=float)
     inc2 = np.diff(values) ** 2
     inside = np.abs(values[:-1] - t) < eps

@@ -23,13 +23,29 @@ tests/test_acceptance.py):
   comparison         12   different-tree probability inequality
   qv_dichotomy       13   quadratic-variation growth dichotomy
   criticality        14   martingale means (smoke)
+
+Replicas in a shared medium.  Individuals are independent given their
+medium, so R replicas of k roots in one medium are one population of R * k
+roots, and the engine puts its roots in a uniformly random order.  The
+suites whose replicas share a medium (extinction, mrca, representation,
+random_evolution's particle half, reactant_intensity, tree_count,
+stretching and comparison's constant-rate half) therefore draw them as
+blocks of k consecutive trees of one engine call (`_replica_runs`, cut into
+calls of about `CHUNK_NODES` expected nodes) and read each statistic per
+block with one array reduction over the tree index // k: level counts by
+`bincount`, neighbour heights by the level point process's range minima,
+keeping the pairs inside a block (`_level_blocks`), and per-tree heights,
+leaves and extinction times by a reduction over each tree's run of the
+pre-order (`_tree_reduce`).  Calls go through the public `simulate_*`
+functions.  The suites whose replicas each carry their own medium
+(comparison's quenched half, criticality) make one call per replica.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -41,8 +57,8 @@ from .forest import FamilyForest, random_binary_forest
 from .particle import (MassPath, SimConfig, simulate_catalyst, simulate_joint,
                        simulate_reactant_quenched, stopping_time,
                        GALTON_WATSON, BIRTH_DEATH)
-from .points import (pairwise_level_distances, point_process_at_level,
-                     reconstruct_distance_matrix)
+from .points import (neighbor_heights, pairwise_level_distances,
+                     point_process_at_level, reconstruct_distance_matrix)
 from .oracles import OracleReport
 
 ALPHA = 0.01
@@ -52,13 +68,25 @@ ALPHA = 0.01
 # helpers                                                                 #
 # ---------------------------------------------------------------------- #
 
-def _level_tree_sizes(forest: FamilyForest, t: float) -> list[int]:
-    """Sizes of the level-t population per root tree (capped forests are
-    read at their cap, where lineages continue unbranched)."""
+# Expected node count of one engine call of a replica batch.  The engine
+# and the level reading of a call hold about 110 bytes a node at their peak,
+# so a call stays near 2 MB; larger calls saved little time per replica.
+CHUNK_NODES = 20_000
+
+
+def _level_trees(forest: FamilyForest, t: float) -> tuple[np.ndarray, np.ndarray]:
+    """The pre-order ranks of the level-t population and the tree of each,
+    in linear order (capped forests are read at their cap, where lineages
+    continue unbranched)."""
     cap = forest.height_cap
     level = t if cap is None else min(t, cap)
-    nodes = forest.order[forest.level_positions(level)]
-    counts = np.bincount(forest.tree_index()[nodes])
+    ranks = forest.level_positions(level)
+    return ranks, forest.tree_index()[forest.order[ranks]]
+
+
+def _level_tree_sizes(forest: FamilyForest, t: float) -> list[int]:
+    """Sizes of the level-t population per root tree."""
+    counts = np.bincount(_level_trees(forest, t)[1])
     return counts[counts > 0].tolist()
 
 
@@ -69,10 +97,82 @@ def _different_tree_prob(sizes: Sequence[int]) -> float:
     return 1.0 - sum((m / k) ** 2 for m in sizes)
 
 
-def _neighbor_heights(forest: FamilyForest, t: float) -> list[float]:
-    cap = forest.height_cap
-    level = t if cap is None else min(t, cap)
-    return point_process_at_level(forest, level, 1.0).heights
+def _replica_runs(replicas: int, k: int, seed: int, medium: Optional[MassPath],
+                  **config) -> Iterator[tuple[int, MassPath, FamilyForest]]:
+    """`replicas` independent populations of k roots each, drawn as blocks
+    of consecutive trees of few engine calls: (replicas in the call, mass
+    path, forest) per call.
+
+    Individuals are independent given the medium, so one population of
+    r * k roots is r replicas of k roots, and the engine orders its roots
+    uniformly at random, so any k consecutive trees of its linear order are
+    one replica.  A reactant in `medium` runs through
+    `simulate_reactant_quenched`; `medium` None runs catalysts through
+    `simulate_catalyst`.  Calls are cut at `CHUNK_NODES` expected nodes,
+    1 + 2 n b * (integral of the medium to the engine's horizon) per root,
+    and call c takes seed `seed + c`.  `config` holds the other `SimConfig`
+    fields (n, t_max, rates, ...); its `max_live` caps the live population
+    of a whole call, all its replicas together.
+    """
+    if replicas < 1:
+        raise InputError(f"replicas must be >= 1, got {replicas!r}")
+    cfg = SimConfig(**config)
+    rate = cfg.b1 if medium is None else cfg.b2
+    env = MassPath.constant(1.0) if medium is None else medium
+    horizon = min(cfg.t_max, stopping_time(env, 0.0))
+    per_root = 1.0 + 2.0 * cfg.n * rate * env.integral(0.0, horizon)
+    size = max(1, int(CHUNK_NODES / (k * per_root)))
+    for c, start in enumerate(range(0, replicas, size)):
+        r = min(size, replicas - start)
+        mass0 = r * k / cfg.n
+        if medium is None:
+            got = simulate_catalyst(SimConfig(
+                **config, seed=seed + c, initial_catalyst_mass=mass0))
+        else:
+            got = simulate_reactant_quenched(SimConfig(
+                **config, seed=seed + c, initial_reactant_mass=mass0), medium)
+        yield (r, *got)
+
+
+def _level_blocks(forest: FamilyForest, k: int,
+                  t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read a forest as blocks of k consecutive trees at level t.
+
+    Returns the tree of each level crossing, in linear order, and the
+    neighbour MRCA heights of the crossing pairs inside one block, with
+    each pair's block.  The pairs that straddle two blocks are dropped:
+    their zero marks only separate replicas.
+    """
+    ranks, trees = _level_trees(forest, t)
+    block = trees // k
+    inside = block[:-1] == block[1:]
+    return trees, neighbor_heights(forest, ranks)[inside], block[:-1][inside]
+
+
+def _tree_reduce(ufunc: np.ufunc, forest: FamilyForest,
+                 values: np.ndarray) -> np.ndarray:
+    """`ufunc` over the nodes of each tree, trees in linear order: each tree
+    is a run of the pre-order starting at its root."""
+    order = forest.order
+    return ufunc.reduceat(values[order], np.flatnonzero(forest.parent[order] == -1))
+
+
+def _level_census(replicas: int, seed: int, medium: Optional[MassPath],
+                  n: int, t: float, **config):
+    """Replicas of initial mass 1 (n roots) read at level t: the level
+    count of each replica, and the pooled neighbour heights inside the
+    replicas, in replica order, with the replica of each."""
+    counts, heights, blocks = [], [], []
+    done = 0
+    for r, _, forest in _replica_runs(replicas, n, seed, medium, n=n,
+                                      t_max=t, **config):
+        trees, h, block = _level_blocks(forest, n, t)
+        counts.append(np.bincount(trees // n, minlength=r))
+        heights.append(h)
+        blocks.append(block + done)
+        done += r
+    return (np.concatenate(counts), np.concatenate(heights),
+            np.concatenate(blocks))
 
 
 def _x_identity_path(horizon: float = 2.0, step: float = 1e-3) -> dfn.DiffusionPath:
@@ -103,22 +203,24 @@ def run_hitting_prob(seed: int = 101, replicas: int = 20_000,
 # 2. extinction law                                                       #
 # ---------------------------------------------------------------------- #
 
+def _extinction_times(replicas: int, seed: int, horizon: float) -> np.ndarray:
+    """Per replica of one unit-rate root in the unit medium, the time its
+    tree dies out, its last death; +inf for a tree alive at the horizon,
+    where the forest is capped."""
+    ends = np.concatenate([
+        _tree_reduce(np.maximum, forest, forest.death)
+        for _, _, forest in _replica_runs(replicas, 1, seed, MassPath.constant(1.0),
+                                          n=1, b2=1.0, t_max=horizon)])
+    return np.where(ends < horizon, ends, math.inf)
+
+
 def run_extinction(seed: int = 2_000_000, replicas: int = 20_000,
                    checkpoints: Sequence[float] = (0.5, 1.0, 2.0)) -> list[OracleReport]:
-    medium = MassPath.constant(1.0)
-    horizon = max(checkpoints)
-    hits = {t: 0 for t in checkpoints}
-    for i in range(replicas):
-        cfg = SimConfig(n=1, b2=1.0, t_max=horizon, seed=seed + i)
-        mass, _ = simulate_reactant_quenched(cfg, medium)
-        at = stopping_time(mass, 0.0)
-        for t in checkpoints:
-            if at <= t:
-                hits[t] += 1
+    extinct_at = _extinction_times(replicas, seed, max(checkpoints))
     tol = 0.015
     out = []
     for t in checkpoints:
-        emp = hits[t] / replicas
+        emp = int(np.count_nonzero(extinct_at <= t)) / replicas
         target = orc.oracle_extinction_prob(1.0, t)
         out.append(OracleReport(
             name=f"extinction[t={t}]", law="extinction I/(1+I)",
@@ -134,20 +236,25 @@ def run_extinction(seed: int = 2_000_000, replicas: int = 20_000,
 
 def run_mrca(seed: int = 3_000_000, replicas: int = 12_000,
              t: float = 1.0, min_samples: int = 5_000) -> list[OracleReport]:
-    medium = MassPath.constant(1.0)
-    heights: list[float] = []
-    i = 0
-    while len(heights) < min_samples and i < replicas:
-        cfg = SimConfig(n=1, b2=1.0, t_max=t, seed=seed + i)
-        _, forest = simulate_reactant_quenched(cfg, medium)
-        heights.extend(_neighbor_heights(forest, t))
-        i += 1
-    stat, p = orc.ks_test(heights, lambda h: orc.oracle_mrca_cdf(1.0, t, h))
+    # replicas in index order until min_samples heights are pooled
+    pooled: list[np.ndarray] = []
+    count = 0
+    for r, _, forest in _replica_runs(replicas, 1, seed, MassPath.constant(1.0),
+                                      n=1, b2=1.0, t_max=t):
+        _, heights, block = _level_blocks(forest, 1, t)
+        reached = np.bincount(block, minlength=r).cumsum()
+        last = np.searchsorted(reached, min_samples - count)
+        pooled.append(heights[block <= last])
+        count += pooled[-1].size
+        if count >= min_samples:
+            break
+    stat, p = orc.ks_test(np.concatenate(pooled),
+                          lambda h: orc.oracle_mrca_cdf(1.0, t, h))
     return [OracleReport(
         name="mrca", law="neighbor MRCA height CDF",
         statistic=stat, target="KS", test="one-sample KS",
         p_value=p, alpha_or_tol=ALPHA, passed=p >= ALPHA,
-        details={"pooled": len(heights),
+        details={"pooled": count,
                  "cdf_at_half": orc.oracle_mrca_cdf(1.0, t, t / 2)})]
 
 
@@ -208,21 +315,21 @@ def run_points(seed: int = 5, count: int = 1_000) -> list[OracleReport]:
 def run_representation(seed: int = 6_000_000, replicas: int = 10_000,
                        horizon: float = 30.0, level: float = 1.0) -> list[OracleReport]:
     data = {}
-    # disjoint seed blocks: the comparison is two-sample by design
-    for block, rep_kind in enumerate((GALTON_WATSON, BIRTH_DEATH)):
+    # disjoint seeds: the comparison is two-sample by design
+    for sample, rep_kind in enumerate((GALTON_WATSON, BIRTH_DEATH)):
         ext, pop, maxd = [], [], []
-        for i in range(replicas):
-            cfg = SimConfig(n=1, b1=1.0, t_max=horizon,
-                            seed=seed + block * replicas + i,
-                            representation=rep_kind)
-            mass, forest = simulate_catalyst(cfg)
-            ext.append(min(stopping_time(mass, 0.0), horizon))
-            k = len(forest.level_set(min(level, horizon)))
-            pop.append(k)
-            if k >= 2:
-                heights = _neighbor_heights(forest, level)
-                maxd.append(2.0 * (level - min(heights)))
-        data[rep_kind] = (ext, pop, maxd)
+        for r, _, forest in _replica_runs(replicas, 1, seed + 500_000 * sample,
+                                          None, n=1, b1=1.0, t_max=horizon,
+                                          representation=rep_kind):
+            # one root per replica; the forest is capped at the horizon
+            ext.append(_tree_reduce(np.maximum, forest, forest.death))
+            trees, heights, block = _level_blocks(forest, 1, level)
+            counts = np.bincount(trees, minlength=r)
+            lowest = np.full(r, math.inf)
+            np.minimum.at(lowest, block, heights)
+            pop.append(counts)
+            maxd.append(2.0 * (level - lowest[counts >= 2]))
+        data[rep_kind] = tuple(map(np.concatenate, (ext, pop, maxd)))
     out = []
     for name, idx in (("extinction_time", 0), ("level_population", 1),
                       ("level_max_distance", 2)):
@@ -246,16 +353,25 @@ def saved_catalyst(seed: int = 4) -> MassPath:
     return mass
 
 
+def _tree_heights_and_leaves(replicas: int, seed: int, medium: MassPath,
+                             **config) -> tuple[np.ndarray, np.ndarray]:
+    """Per replica of one unit-rate root in `medium`, the height and the
+    leaf count of its tree."""
+    heights, leaves = [], []
+    for _, _, forest in _replica_runs(replicas, 1, seed, medium, n=1, b2=1.0,
+                                      **config):
+        heights.append(_tree_reduce(np.maximum, forest, forest.death))
+        leaf = (np.diff(forest.kid_ptr) == 0).astype(np.intp)
+        leaves.append(_tree_reduce(np.add, forest, leaf))
+    return np.concatenate(heights), np.concatenate(leaves)
+
+
 def run_random_evolution(seed: int = 7_000_000, replicas: int = 3_000,
                          delta: float = 0.2,
                          catalyst_seed: int = 4) -> list[OracleReport]:
     medium = saved_catalyst(catalyst_seed)
-    heights_p, leaves_p = [], []
-    for i in range(replicas):
-        cfg = SimConfig(n=1, b2=1.0, delta=delta, seed=seed + i, t_max=50.0)
-        _, forest = simulate_reactant_quenched(cfg, medium)
-        heights_p.append(forest.height())
-        leaves_p.append(forest.leaf_count())
+    heights_p, leaves_p = _tree_heights_and_leaves(replicas, seed, medium,
+                                                   delta=delta, t_max=50.0)
     exc = dfn.simulate_random_evolution(medium, 1, delta, seed=seed - 1,
                                         n_excursions=replicas)
     hs = np.asarray(exc.e)
@@ -322,20 +438,16 @@ def run_limit_intensity(seed: int = 8_000_000, replicas: int = 300,
 # 9. reactant limit intensity at finite rescaling                         #
 # ---------------------------------------------------------------------- #
 
-def _depth_census_particle(n: int, b2: float, replicas: int, seed: int,
-                           t: float, bins) -> tuple[np.ndarray, np.ndarray]:
-    medium = MassPath.constant(1.0)
-    counts = np.zeros((replicas, len(bins)))
-    masses = np.zeros(replicas)
-    for i in range(replicas):
-        cfg = SimConfig(n=n, b2=b2, t_max=t, seed=seed + i)
-        mass, forest = simulate_reactant_quenched(cfg, medium)
-        masses[i] = mass.value_at(t)
-        for h in _neighbor_heights(forest, t):
-            for k, (h1, h2) in enumerate(bins):
-                if h1 < h <= h2:
-                    counts[i, k] += 1
-    return counts, masses
+def _depth_census_particle(n: int, replicas: int, seed: int, t: float,
+                           bins) -> tuple[np.ndarray, float]:
+    """The neighbour heights of unit-rate reactants of initial mass 1 in
+    the unit medium, at level t, pooled over the replicas per bin, and the
+    replicas' summed level mass."""
+    levels, heights, _ = _level_census(replicas, seed, MassPath.constant(1.0),
+                                       n, t, b2=1.0)
+    counts = np.array([np.count_nonzero((heights > h1) & (heights <= h2))
+                       for h1, h2 in bins], dtype=float)
+    return counts, levels.sum() / n
 
 
 def run_reactant_intensity(seed: int = 9_000_000, replicas: int = 50,
@@ -355,10 +467,9 @@ def run_reactant_intensity(seed: int = 9_000_000, replicas: int = 50,
     """
     nu = np.array([orc.oracle_reactant_intensity(1.0, 1.0, t, h1, h2)
                    for h1, h2 in bins])
-    counts, masses = _depth_census_particle(n, 1.0, replicas, seed, t, bins)
-    keep = masses > 0
-    pooled_obs = counts[keep].sum(axis=0)
-    pooled_exp = masses[keep].sum() * nu
+    # a replica with no level mass has no heights: it adds to neither side
+    pooled_obs, mass = _depth_census_particle(n, replicas, seed, t, bins)
+    pooled_exp = mass * nu
     p = orc.poisson_count_test(pooled_obs, pooled_exp, seed=seed + 5)
     ratio_n = pooled_obs / pooled_exp
     reports = [OracleReport(
@@ -372,10 +483,9 @@ def run_reactant_intensity(seed: int = 9_000_000, replicas: int = 50,
     if document_replicas < 1:
         return reports
     # residual-bias documentation at a finer rescaling: reported, not gated
-    counts2, masses2 = _depth_census_particle(document_n, 1.0,
-                                              document_replicas, seed + 77, t, bins)
-    keep2 = masses2 > 0
-    ratio_2n = counts2[keep2].sum(axis=0) / (masses2[keep2].sum() * nu)
+    counts2, mass2 = _depth_census_particle(document_n, document_replicas,
+                                            seed + 77, t, bins)
+    ratio_2n = counts2 / (mass2 * nu)
     reports.append(OracleReport(
         name=f"reactant_intensity[n={document_n}, documentation]",
         law="finite-rescaling bias shrinks with n",
@@ -391,6 +501,16 @@ def run_reactant_intensity(seed: int = 9_000_000, replicas: int = 50,
 # 10. tree-count Poisson                                                  #
 # ---------------------------------------------------------------------- #
 
+def _tree_counts(replicas: int, seed: int, medium: MassPath, n: int,
+                 t: float) -> np.ndarray:
+    """Per replica of unit-rate reactants of initial mass 1 in `medium`,
+    the number of trees with level-t survivors: the zero marks of its
+    level point process + 1 on a nonempty level, else 0."""
+    levels, heights, blocks = _level_census(replicas, seed, medium, n, t, b2=1.0)
+    zeros = np.bincount(blocks[heights == 0.0], minlength=replicas)
+    return np.where(levels > 0, zeros + 1.0, 0.0)
+
+
 def run_tree_count(seed: int = 10_000_000, replicas: int = 600,
                    n: int = 50, t: float = 1.0) -> list[OracleReport]:
     """Distinct-tree counts at the level versus their Poisson limit.
@@ -403,14 +523,7 @@ def run_tree_count(seed: int = 10_000_000, replicas: int = 600,
     size-composition posterior, which is not the Poisson statement.
     """
     medium = MassPath.constant(1.0)
-    counts = np.zeros(replicas)
-    for i in range(replicas):
-        cfg = SimConfig(n=n, b2=1.0, t_max=t, seed=seed + i)
-        mass, forest = simulate_reactant_quenched(cfg, medium)
-        if mass.value_at(t) <= 0.0:
-            continue
-        hs = _neighbor_heights(forest, t)
-        counts[i] = sum(1 for h in hs if h == 0.0) + 1.0
+    counts = _tree_counts(replicas, seed, medium, n, t)
     mean = 1.0 / medium.integral(0.0, t)
     p = orc.poisson_count_test(counts, mean, seed=seed + 3)
     return [OracleReport(
@@ -431,26 +544,19 @@ def run_stretching(seed: int = 11_000_000, replicas: int = 150,
                    medium_value: float = 2.0) -> list[OracleReport]:
     # quenched reactant in a constant medium, level t
     medium = MassPath.constant(medium_value)
-    depths_reactant: list[float] = []
-    for i in range(replicas):
-        cfg = SimConfig(n=n, b2=1.0, t_max=t, seed=seed + i)
-        _, forest = simulate_reactant_quenched(cfg, medium)
-        depths_reactant.extend(t - h for h in _neighbor_heights(forest, t))
+    depths_reactant = t - _level_census(replicas, seed, medium, n, t, b2=1.0)[1]
     # constant-rate population read at the stretched level
     t_z = orc.stretch_map(medium, t, t)  # = medium_value * t
-    depths_classic: list[float] = []
-    for i in range(replicas):
-        cfg = SimConfig(n=n, b1=1.0, t_max=t_z, seed=seed + 500_000 + i)
-        _, forest = simulate_catalyst(cfg)
-        depths_classic.extend(t_z - h for h in _neighbor_heights(forest, t_z))
-    mapped = [orc.stretch_map_inverse(medium, t, d) for d in depths_classic]
+    depths_classic = t_z - _level_census(replicas, seed + 500_000, None, n, t_z,
+                                         b1=1.0)[1]
+    mapped = orc.stretch_map_inverse(medium, t, depths_classic)
     stat, p = orc.two_sample_ks(depths_reactant, mapped)
     return [OracleReport(
         name="stretching", law="metric stretching by the backward medium integral",
         statistic=stat, target="two-sample KS", test="two-sample KS",
         p_value=p, alpha_or_tol=ALPHA, passed=p >= ALPHA,
-        details={"n_reactant": len(depths_reactant),
-                 "n_classic": len(depths_classic), "stretched_level": t_z})]
+        details={"n_reactant": depths_reactant.size,
+                 "n_classic": depths_classic.size, "stretched_level": t_z})]
 
 
 # ---------------------------------------------------------------------- #
@@ -502,15 +608,15 @@ def run_comparison(seed: int = 12_000_000, replicas: int = 700,
             sizes = _level_tree_sizes(rf, t)
             p_hat = _different_tree_prob(sizes)
             react.append(0.0 if math.isnan(p_hat) else p_hat)
+        k = max(round(z * n), 1)
+        z_mass = k / n
         classic = []
-        z_mass = max(round(z * n), 1) / n
-        for i in range(replicas):
-            cfg = SimConfig(n=n, b1=1.0, t_max=t, seed=base + 500_000 + i,
-                            initial_catalyst_mass=z_mass)
-            _, forest = simulate_catalyst(cfg)
-            sizes = _level_tree_sizes(forest, t)
-            p_hat = _different_tree_prob(sizes)
-            classic.append(0.0 if math.isnan(p_hat) else p_hat)
+        for r, _, forest in _replica_runs(replicas, k, base + 500_000, None,
+                                          n=n, b1=1.0, t_max=t):
+            sizes = np.bincount(_level_trees(forest, t)[1], minlength=r * k)
+            for row in sizes.reshape(r, k).tolist():
+                p_hat = _different_tree_prob(row)
+                classic.append(0.0 if math.isnan(p_hat) else p_hat)
         r_mean, r_se = orc.mean_confidence(react)
         c_mean, c_se = orc.mean_confidence(classic)
         gap = r_mean - c_mean

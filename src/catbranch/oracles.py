@@ -151,20 +151,34 @@ def stretch_map(x: RatePath, t: float, h: float) -> float:
     return _integral(x, t - h, t)
 
 
-def stretch_map_inverse(x: RatePath, t: float, w: float,
-                        tol: float = 1e-12) -> float:
-    """Inverse of `stretch_map` in h, by bisection."""
+def stretch_map_inverse(x: RatePath, t: float, w, tol: float = 1e-12):
+    """Inverse of `stretch_map` in h, for a scalar or an array of values
+    `w` in [0, total + tol]: the least h with stretch_map(x, t, h) >= w.
+
+    The backward integral of a step medium is piecewise linear in h, with
+    knots where t - h meets the medium's jumps, so the inverse is exact:
+    find the segment by `searchsorted` and divide by its slope.
+    """
     total = stretch_map(x, t, t)
-    if not 0.0 <= w <= total + tol:
+    ws = np.asarray(w, dtype=float)
+    if not ((0.0 <= ws) & (ws <= total + tol)).all():  # NaN fails too
         raise InputError("value outside the stretch range")
-    lo, hi = 0.0, t
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if stretch_map(x, t, mid) < w:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    medium = x if isinstance(x, MassPath) else MassPath.constant(x)
+    inside = medium.times[(medium.times > 0.0) & (medium.times < t)]
+    starts = np.concatenate(([0.0], inside))
+    # backward from t: knots in h and the medium's value on each segment
+    hs = t - np.concatenate((starts, [t]))[::-1]
+    rates = medium.values[np.searchsorted(medium.times, starts,
+                                          side="right") - 1][::-1]
+    cum = np.concatenate(([0.0], np.cumsum(rates * np.diff(hs))))
+    flat = np.atleast_1d(ws)
+    seg = np.searchsorted(cum, flat) - 1  # cum[seg] < w <= cum[seg + 1]
+    # w <= 0 maps to 0, and w past the summed total (by rounding) to t
+    h = np.where(seg < 0, 0.0, t)
+    inner = (seg >= 0) & (seg < rates.size)  # a segment of positive slope
+    s = seg[inner]
+    h[inner] = np.minimum(hs[s] + (flat[inner] - cum[s]) / rates[s], t)
+    return float(h[0]) if ws.ndim == 0 else h
 
 
 def laplace_branching(y: float, lam: float, rate: RatePath, t: float) -> float:

@@ -109,13 +109,19 @@ def point_process_at_level(f: FamilyForest, t: float,
     """
     if not 0 < t < math.inf:
         raise InputError(f"level must be finite and > 0 for a point process, got {t!r}")
-    ranks = f.level_positions(t)
+    heights = neighbor_heights(f, f.level_positions(t))
+    return GenealogicalPointProcess(t, spacing, heights.tolist())
+
+
+def neighbor_heights(f: FamilyForest, ranks: np.ndarray) -> np.ndarray:
+    """The splitting heights of consecutive level crossings at the
+    increasing pre-order ranks `ranks` (see `point_process_at_level`): one
+    fewer than the crossings, and none for fewer than two."""
     if ranks.size < 2:
-        return GenealogicalPointProcess(t, spacing, [])
+        return np.zeros(0)
     between = f.order[ranks[0] + 1:ranks[-1] + 1]
     floor = np.where(f.parent[between] == -1, 0.0, f.birth[between])
-    heights = np.minimum.reduceat(floor, ranks[:-1] - ranks[0])
-    return GenealogicalPointProcess(t, spacing, heights.tolist())
+    return np.minimum.reduceat(floor, ranks[:-1] - ranks[0])
 
 
 def reconstruct_distance_matrix(p: GenealogicalPointProcess) -> np.ndarray:

@@ -14,8 +14,8 @@ from catbranch.diffusion import (RACE_FLOAT_LANES, DiffusionPath, SDEConfig,
                                  _race_floats,
                                  bridge_refined_depths, hitting_race,
                                  integrate_catalytic_feller,
-                                 local_time_estimate, quadratic_variation,
-                                 scale_function, scale_function_from_mass_path,
+                                 cumulative_local_time, local_time_estimate,
+                                 quadratic_variation, scale_function,
                                  simulate_limit_contour,
                                  simulate_random_evolution)
 from catbranch.errors import InputError
@@ -159,13 +159,6 @@ class TestScaleFunction:
         with pytest.raises(InputError, match="threshold must be >= 0"):
             scale_function(flat_medium(), delta)
 
-    def test_from_mass_path(self):
-        medium = MassPath(np.array([0.0, 1.0, 2.0]),
-                          np.array([2.0, 1.0, 0.0]))
-        sf = scale_function_from_mass_path(medium, 0.0, grid=1e-3)
-        assert sf(1.0) == pytest.approx(2.0, abs=1e-6)
-        assert sf(2.0) == pytest.approx(3.0, abs=1e-6)
-
 
 class TestLimitContour:
     def test_stays_in_range(self):
@@ -308,6 +301,20 @@ class TestLocalTimeAndQV:
     def test_outside_band_zero(self):
         vals = np.linspace(0.0, 1.0, 50)
         assert local_time_estimate(vals, 5.0, 0.1) == 0.0
+
+    @pytest.mark.parametrize("estimator", [local_time_estimate,
+                                           cumulative_local_time])
+    @pytest.mark.parametrize("eps", [math.nan, math.inf, 0.0, -0.1])
+    def test_rejects_bad_band(self, estimator, eps):
+        vals = np.linspace(0.0, 1.0, 50)
+        with pytest.raises(InputError, match="band half-width"):
+            estimator(vals, 0.5, eps)
+
+    def test_cumulative_ends_at_the_estimate(self):
+        vals = np.abs(np.linspace(-1.0, 1.0, 201))
+        run = cumulative_local_time(vals, 0.3, 0.05)
+        assert run[0] == 0.0 and run.size == vals.size
+        assert run[-1] == pytest.approx(local_time_estimate(vals, 0.3, 0.05))
 
     def test_halving_consistency(self):
         rng = np.random.default_rng(11)

@@ -86,6 +86,40 @@ class TestBenchmarkArguments:
             inspect.signature(harness.SUITES[suite]).bind_partial(**kwargs)
 
 
+class TestBenchmarkWorkScaling:
+    def test_every_engine_call_is_counted(self, monkeypatch):
+        # the benchmark scales a pass's time by the events it counts at the
+        # public `simulate_*` names; an engine call that bypassed them would
+        # leave the time of one side of a comparison unscaled
+        from catbranch import particle
+        core = particle._simulate_population
+        events = []
+
+        def counted_core(*args, **kwargs):
+            mass, forest = core(*args, **kwargs)
+            events.append(mass.times.size - 1)
+            return mass, forest
+
+        bound = [(mod, name, getattr(mod, name))
+                 for key, mod in list(sys.modules.items())
+                 if key == "catbranch" or key.startswith("catbranch.")
+                 for name in workloads.ENGINE_FUNCTIONS if hasattr(mod, name)]
+        with monkeypatch.context() as patch:
+            for mod, name, fn in bound:  # undone when the context exits
+                patch.setattr(mod, name, fn)
+            patch.setattr(particle, "_simulate_population", counted_core)
+            counter = workloads.EngineEvents()
+            counter.install()
+            suites = workloads.VERIFY_SIZES["forest_gate"]["tiny"]
+            res = workloads.verify_pass(harness, suites,
+                                        workloads.suite_seeds(harness, suites),
+                                        workloads.pass_offset(1, 0))
+        assert res.failed == 0, res.errors
+        assert events and counter.count == sum(events)
+        assert particle._simulate_population is core
+        assert all(getattr(mod, name) is fn for mod, name, fn in bound)
+
+
 class TestComparison:
     def test_euler_estimate_agrees_with_the_closed_form(self):
         reports = harness.run_comparison(replicas=2, z_replicas=6_000)

@@ -98,10 +98,57 @@ class TestHittingAndTransforms:
             w = stretch_map(rate, 1.0, h)
             assert stretch_map_inverse(rate, 1.0, w) == pytest.approx(h, abs=1e-9)
 
+    @pytest.mark.parametrize("seed", range(20))
+    def test_stretch_inverse_agrees_with_bisection(self, seed):
+        rng = np.random.default_rng(seed)
+        k = int(rng.integers(1, 8))
+        times = np.concatenate(([0.0], np.sort(rng.uniform(0.0, 3.0, k))))
+        medium = MassPath(times, rng.uniform(0.05, 3.0, k + 1))
+        t = float(rng.uniform(0.5, 3.5))
+        total = stretch_map(medium, t, t)
+        at_knots = [stretch_map(medium, t, t - s) for s in times if 0 < s < t]
+        ws = np.concatenate(([0.0, total], at_knots, rng.uniform(0, total, 20)))
+        got = stretch_map_inverse(medium, t, ws)
+        want = [bisect_stretch_inverse(medium, t, w) for w in ws]
+        assert np.abs(got - want).max() <= 1e-12
+        assert stretch_map_inverse(medium, t, float(ws[-1])) == got[-1]
+
+    def test_stretch_inverse_constant_rate(self):
+        assert stretch_map_inverse(2.0, 1.0, 0.5) == pytest.approx(0.25)
+        assert stretch_map_inverse(2.0, 1.0, 2.0) == 1.0
+        assert stretch_map_inverse(2.0, 1.0, 0.0) == 0.0
+
+    def test_stretch_inverse_flat_tail(self):
+        # a medium absorbed at 0.6 leaves the backward integral flat for
+        # h < 0.4; the inverse is the least h reaching w
+        medium = MassPath(np.array([0.0, 0.6]), np.array([1.0, 0.0]))
+        got = stretch_map_inverse(medium, 1.0, np.array([0.0, 1e-3, 0.6]))
+        assert got[0] == 0.0
+        assert got[1:] == pytest.approx([0.401, 1.0], abs=1e-12)
+
+    @pytest.mark.parametrize("w", [-1e-9, 2.0 + 1e-9, math.nan])
+    def test_stretch_inverse_rejects_out_of_range(self, w):
+        with pytest.raises(InputError, match="stretch range"):
+            stretch_map_inverse(2.0, 1.0, w)
+        with pytest.raises(InputError, match="stretch range"):
+            stretch_map_inverse(2.0, 1.0, np.array([0.5, w]))
+
     def test_laplace_pinned(self):
         assert laplace_branching(1.0, 1.0, 1.0, 1.0) == pytest.approx(
             math.exp(-0.5))
         assert laplace_branching(1.0, 0.0, 1.0, 1.0) == 1.0
+
+
+def bisect_stretch_inverse(x, t: float, w: float, tol: float = 1e-12) -> float:
+    """Reference inverse of `stretch_map` in h, by bisection."""
+    lo, hi = 0.0, t
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if stretch_map(x, t, mid) < w:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def log_uniform(lo: float, hi: float):
