@@ -27,9 +27,9 @@ from .diffusion import (DiffusionPath, ScaleFunction, SDEConfig,
                         quadratic_variation, scale_function,
                         simulate_limit_contour, simulate_random_evolution)
 from .oracles import (OracleReport, hitting_probability, ks_test,
-                      laplace_branching, oracle_brownian_intensity,
-                      oracle_extinction_prob, oracle_mrca_cdf,
-                      oracle_reactant_intensity, poisson_count_test,
+                      laplace_branching, oracle_extinction_prob,
+                      oracle_mrca_cdf, oracle_reactant_intensity,
+                      poisson_count_test,
                       stretch_map, stretch_map_inverse)
 from .harness import SUITES, run_suites
 

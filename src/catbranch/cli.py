@@ -47,21 +47,31 @@ def _read_config_file(path: str) -> dict:
     return out
 
 
+_CONFIG_CASTS = {"b1": float, "b2": float, "n": int, "delta": float,
+                 "t_max": float, "seed": int, "representation": str,
+                 "initial_catalyst_mass": float, "initial_reactant_mass": float}
+
+
 def _build_sim_config(args) -> SimConfig:
     fields = {}
     if args.config:
         fields.update(_read_config_file(args.config))
-    for key in ("b1", "b2", "n", "delta", "t_max", "seed", "representation",
-                "initial_catalyst_mass", "initial_reactant_mass"):
+    unknown = sorted(set(fields) - set(_CONFIG_CASTS))
+    if unknown:
+        raise InputError(f"unknown config key(s) {', '.join(unknown)}; "
+                         f"known: {', '.join(_CONFIG_CASTS)}")
+    for key in _CONFIG_CASTS:
         val = getattr(args, key, None)
         if val is not None:
             fields[key] = val
     if "seed" not in fields:
         raise InputError("--seed is required (no wall-clock default)")
-    casts = {"b1": float, "b2": float, "n": int, "delta": float,
-             "t_max": float, "seed": int, "representation": str,
-             "initial_catalyst_mass": float, "initial_reactant_mass": float}
-    kwargs = {k: casts[k](v) for k, v in fields.items() if k in casts}
+    kwargs = {}
+    for key, val in fields.items():
+        try:
+            kwargs[key] = _CONFIG_CASTS[key](val)
+        except ValueError:
+            raise InputError(f"config key {key}: bad value {val!r}") from None
     return SimConfig(**kwargs)
 
 

@@ -424,7 +424,6 @@ def simulate_limit_contour(X: DiffusionPath, delta: float,
                            local_time_budget: float,
                            seed: int = 0,
                            theta_step: float = DEFAULT_CONTOUR_STEP,
-                           boundary_band: float | None = None,
                            max_steps: int = DEFAULT_CONTOUR_STEP_CAP) -> DiffusionPath:
     """Quenched limit contour, stopped at a boundary local-time budget.
 
@@ -432,8 +431,9 @@ def simulate_limit_contour(X: DiffusionPath, delta: float,
     into [0, delta]); its Brownian image B = s(zeta) has d<B> = 4 X dt and
     reflects at 0 and s(tau_delta).  We step beta = B/2 on a uniform grid in
     the Brownian clock and stop once the one-sided occupation density of
-    beta at 0 reaches the budget (the budget is the initial mass carried by
-    the contour's forest).
+    beta at 0 (its time in the band [0, 20 sqrt(theta_step)) over the
+    band's width) reaches the budget (the budget is the initial mass
+    carried by the contour's forest).
 
     The returned path holds zeta on the Brownian-clock grid; its natural-time
     stamps `time_change` are computed on first access.  See the module notes
@@ -443,7 +443,7 @@ def simulate_limit_contour(X: DiffusionPath, delta: float,
         raise InputError("the limit contour needs a positive threshold")
     sf = scale_function(X, delta)
     return _limit_contour_from_scale(sf, local_time_budget, seed, theta_step,
-                                     boundary_band, max_steps)
+                                     max_steps)
 
 
 def _fold(path: np.ndarray, top: float) -> None:
@@ -456,19 +456,17 @@ def _fold(path: np.ndarray, top: float) -> None:
 
 def _limit_contour_from_scale(sf: ScaleFunction, budget: float, seed=0,
                               theta_step: float = DEFAULT_CONTOUR_STEP,
-                              boundary_band: float | None = None,
                               max_steps: int = DEFAULT_CONTOUR_STEP_CAP) -> DiffusionPath:
     """`simulate_limit_contour` on a given scale function."""
-    for name, value in (("local-time budget", budget), ("theta_step", theta_step),
-                        ("boundary_band", boundary_band)):
-        if value is not None and not 0.0 < value < math.inf:
+    for name, value in (("local-time budget", budget), ("theta_step", theta_step)):
+        if not 0.0 < value < math.inf:
             raise InputError(f"{name} must be finite and > 0")
     top = sf.top / 2.0  # beta reflects on [0, top]
     if top <= 0:
         raise InputError("degenerate scale range")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     sq = math.sqrt(theta_step)
-    band = boundary_band if boundary_band is not None else 20.0 * sq
+    band = 20.0 * sq
     # beta is re-folded and ell0 updated once per logical 65536-step chunk.
     # A chunk is evaluated in sub-blocks of 2048 steps and then of the size
     # done so far (doubling), stopping at the first sub-block that can close
@@ -577,28 +575,14 @@ def bridge_refined_depths(beta: np.ndarray, level: float, step_var: float,
     return np.asarray(depths)
 
 
-def _check_band(eps: float) -> None:
-    if not 0.0 < eps < math.inf:  # NaN fails too
-        raise InputError(f"band half-width must be finite and > 0, got {eps!r}")
-
-
 def local_time_estimate(path, t: float, eps: float) -> float:
     """(1 / 2 eps) * sum of squared increments taken inside the band."""
-    _check_band(eps)
+    if not 0.0 < eps < math.inf:  # NaN fails too
+        raise InputError(f"band half-width must be finite and > 0, got {eps!r}")
     values = path.values if isinstance(path, DiffusionPath) else np.asarray(path, float)
     inside = np.abs(values[:-1] - t) < eps
     inc = np.diff(values)
     return float(np.sum(inc[inside] ** 2) / (2.0 * eps))
-
-
-def cumulative_local_time(values: np.ndarray, t: float, eps: float) -> np.ndarray:
-    """Running band estimator, aligned with the sample indices."""
-    _check_band(eps)
-    values = np.asarray(values, dtype=float)
-    inc2 = np.diff(values) ** 2
-    inside = np.abs(values[:-1] - t) < eps
-    out = np.concatenate([[0.0], np.cumsum(inc2 * inside) / (2.0 * eps)])
-    return out
 
 
 def quadratic_variation(path) -> float:

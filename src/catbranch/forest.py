@@ -107,7 +107,7 @@ class FamilyForest:
                  "height_cap", "_order", "_generations", "_tree")
 
     def __init__(self, parent, birth, death, kid_ptr, kids, roots,
-                 height_cap: Optional[float] = None, validate: bool = False,
+                 height_cap: Optional[float] = None,
                  order=None, generations: Optional[Sequence[int]] = None) -> None:
         death = np.asarray(death, dtype=float)
         if height_cap is not None:
@@ -122,19 +122,16 @@ class FamilyForest:
         self._order = None if order is None else _frozen(np.asarray(order, dtype=np.intp))
         self._generations = generations
         self._tree: Optional[np.ndarray] = None
-        if validate:
-            self.validate()
 
     @classmethod
     def from_children(cls, parent, birth, death, children, roots,
-                      height_cap: Optional[float] = None,
-                      validate: bool = False) -> "FamilyForest":
+                      height_cap: Optional[float] = None) -> "FamilyForest":
         """A forest from per-node child lists."""
         kid_ptr = np.zeros(len(children) + 1, dtype=np.intp)
         np.cumsum([len(c) for c in children], out=kid_ptr[1:])
         kids = list(itertools.chain.from_iterable(children))
         return cls(parent, birth, death, kid_ptr, kids, roots,
-                   height_cap=height_cap, validate=validate)
+                   height_cap=height_cap)
 
     @classmethod
     def _from_preorder(cls, parent, birth, death, roots,

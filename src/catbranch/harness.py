@@ -51,7 +51,7 @@ import numpy as np
 
 from . import diffusion as dfn
 from . import oracles as orc
-from .contour import contour_from_forest
+from .contour import contour_from_forest, tree_from_excursion
 from .errors import InputError
 from .forest import FamilyForest, random_binary_forest
 from .particle import (MassPath, SimConfig, simulate_catalyst, simulate_joint,
@@ -84,13 +84,10 @@ def _level_trees(forest: FamilyForest, t: float) -> tuple[np.ndarray, np.ndarray
     return ranks, forest.tree_index()[forest.order[ranks]]
 
 
-def _level_tree_sizes(forest: FamilyForest, t: float) -> list[int]:
-    """Sizes of the level-t population per root tree."""
-    counts = np.bincount(_level_trees(forest, t)[1])
-    return counts[counts > 0].tolist()
-
-
 def _different_tree_prob(sizes: Sequence[int]) -> float:
+    """The chance that two uniform picks of the level population lie in
+    different trees, from the level count of each tree (a tree with none
+    adds exactly 0)."""
     k = sum(sizes)
     if k == 0:
         return math.nan
@@ -263,7 +260,6 @@ def run_mrca(seed: int = 3_000_000, replicas: int = 12_000,
 # ---------------------------------------------------------------------- #
 
 def run_codec(seed: int = 4, count: int = 1_000) -> list[OracleReport]:
-    from .contour import tree_from_excursion
     rng = np.random.default_rng(seed)
     bad = 0
     for _ in range(count):
@@ -353,16 +349,20 @@ def saved_catalyst(seed: int = 4) -> MassPath:
     return mass
 
 
+def _heights_and_leaves(forest: FamilyForest) -> tuple[np.ndarray, np.ndarray]:
+    """The height and the leaf count of each tree, trees in linear order."""
+    leaf = (np.diff(forest.kid_ptr) == 0).astype(np.intp)
+    return (_tree_reduce(np.maximum, forest, forest.death),
+            _tree_reduce(np.add, forest, leaf))
+
+
 def _tree_heights_and_leaves(replicas: int, seed: int, medium: MassPath,
                              **config) -> tuple[np.ndarray, np.ndarray]:
     """Per replica of one unit-rate root in `medium`, the height and the
     leaf count of its tree."""
-    heights, leaves = [], []
-    for _, _, forest in _replica_runs(replicas, 1, seed, medium, n=1, b2=1.0,
-                                      **config):
-        heights.append(_tree_reduce(np.maximum, forest, forest.death))
-        leaf = (np.diff(forest.kid_ptr) == 0).astype(np.intp)
-        leaves.append(_tree_reduce(np.add, forest, leaf))
+    runs = [_heights_and_leaves(forest) for _, _, forest in
+            _replica_runs(replicas, 1, seed, medium, n=1, b2=1.0, **config)]
+    heights, leaves = zip(*runs)
     return np.concatenate(heights), np.concatenate(leaves)
 
 
@@ -374,14 +374,7 @@ def run_random_evolution(seed: int = 7_000_000, replicas: int = 3_000,
                                                    delta=delta, t_max=50.0)
     exc = dfn.simulate_random_evolution(medium, 1, delta, seed=seed - 1,
                                         n_excursions=replicas)
-    hs = np.asarray(exc.e)
-    zeros = np.flatnonzero(hs == 0.0)
-    heights_r, leaves_r = [], []
-    for a, b in zip(zeros[:-1], zeros[1:]):
-        seg = hs[a:b + 1]
-        heights_r.append(float(seg.max()))
-        interior = seg[1:-1]
-        leaves_r.append(int(np.sum((interior > seg[:-2]) & (interior > seg[2:]))))
+    heights_r, leaves_r = _heights_and_leaves(tree_from_excursion(exc))
     _, p_h = orc.two_sample_ks(heights_p, heights_r)
     p_l = orc.two_sample_counts_chi2(leaves_p, leaves_r)
     mk = lambda nm, p, stat: OracleReport(
@@ -405,7 +398,8 @@ def run_limit_intensity(seed: int = 8_000_000, replicas: int = 300,
     sf = dfn.scale_function(_x_identity_path(horizon=2.0), 0.5)
     w_t = float(sf(t)) / 2.0
     x_t = float(sf.medium_at(t))
-    nu = np.array([orc.oracle_brownian_intensity(1.0, t, h1, h2) for h1, h2 in bins])
+    nu = np.array([orc.oracle_reactant_intensity(1.0, 1.0, t, h1, h2)
+                   for h1, h2 in bins])
     census_rng = np.random.default_rng(np.random.SeedSequence(seed + 7))
     counts = np.zeros((replicas, len(bins)))
     masses = np.zeros(replicas)
@@ -605,7 +599,7 @@ def run_comparison(seed: int = 12_000_000, replicas: int = 700,
         for i in range(replicas):
             cfg = SimConfig(n=n, t_max=t + 0.25, seed=base + i)
             _, (rm, rf) = simulate_joint(cfg)
-            sizes = _level_tree_sizes(rf, t)
+            sizes = np.bincount(_level_trees(rf, t)[1]).tolist()
             p_hat = _different_tree_prob(sizes)
             react.append(0.0 if math.isnan(p_hat) else p_hat)
         k = max(round(z * n), 1)
@@ -656,7 +650,6 @@ def run_qv_dichotomy(seed: int = 555, replicas: int = 500,
         taus = [X.first_hit_time(d) for d in deltas]
         z = dfn._limit_contour_from_scale(sf, budget, seed=seed * 1_000_003 + rep,
                                           theta_step=theta_step,
-                                          boundary_band=None,
                                           max_steps=80_000_000)
         zeta = z.values
         dz2 = np.diff(zeta) ** 2

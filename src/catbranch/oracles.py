@@ -85,17 +85,6 @@ def oracle_reactant_intensity(X: RatePath, y_t: float, t: float,
     return y_t * (1.0 / i2 - 1.0 / i1)
 
 
-def oracle_brownian_intensity(x_t: float, t: float, h1: float, h2: float) -> float:
-    """Constant-medium counterpart: x_t * (1/(t-h2) - 1/(t-h1))."""
-    if not 0.0 <= h1 <= h2 <= t:
-        raise InputError("need 0 <= h1 <= h2 <= t")
-    if h2 >= t and h2 > h1:
-        raise InputError("the intensity is not integrable up to the level")
-    if h1 == h2:
-        return 0.0
-    return x_t * (1.0 / (t - h2) - 1.0 / (t - h1))
-
-
 def hitting_probability(b1: float, b2: float, x0: float, y0: float) -> float:
     """P{reactant mass absorbs before catalyst mass} for the SDE pair."""
     return (4.0 * b1 / b2 * y0 / x0 ** 2 + 1.0) ** -0.5

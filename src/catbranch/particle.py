@@ -358,15 +358,14 @@ def _stream(seed: int, which: int) -> np.random.Generator:
 
 def simulate_catalyst(cfg: SimConfig) -> tuple[MassPath, FamilyForest]:
     """Autonomous critical binary population at rate b1, rescaling n."""
-    rng = _stream(cfg.seed, _CATALYST)
-    return _catalyst_with_rng(cfg, rng)
+    return _catalyst(cfg)
 
 
-def _catalyst_with_rng(cfg: SimConfig, rng: np.random.Generator):
+def _catalyst(cfg: SimConfig):
     count0 = round(cfg.initial_catalyst_mass * cfg.n)
     return _simulate_population(
-        cfg.n, cfg.b1, MassPath.constant(1.0), count0, cfg.t_max, rng,
-        cfg.representation, cfg.max_live)
+        cfg.n, cfg.b1, MassPath.constant(1.0), count0, cfg.t_max,
+        _stream(cfg.seed, _CATALYST), cfg.representation, cfg.max_live)
 
 
 def simulate_reactant_quenched(cfg: SimConfig,
@@ -378,26 +377,21 @@ def simulate_reactant_quenched(cfg: SimConfig,
     at t_max if that comes first; after catalyst absorption the reactant
     mass is constant, and surviving lineages are clipped at the cut.
     """
-    rng = _stream(cfg.seed, _REACTANT)
-    return _reactant_with_rng(cfg, catalyst, rng)
+    return _reactant(cfg, catalyst)
 
 
-def _reactant_with_rng(cfg: SimConfig, catalyst: MassPath,
-                       rng: np.random.Generator):
-    cut = stopping_time(catalyst, cfg.delta)
+def _reactant(cfg: SimConfig, catalyst: MassPath):
+    cut = min(stopping_time(catalyst, cfg.delta), cfg.t_max)
     if not math.isfinite(cut):
-        if not math.isfinite(cfg.t_max):
-            raise InputError(
-                "catalyst path never reaches the truncation threshold; "
-                "set a finite t_max")
-        cut = cfg.t_max
-    cut = min(cut, cfg.t_max)
-    if min(cut, cfg.t_max) > catalyst.horizon:
+        raise InputError(
+            "catalyst path never reaches the truncation threshold; "
+            "set a finite t_max")
+    if cut > catalyst.horizon:
         raise InputError("catalyst path does not cover the reactant horizon")
     count0 = round(cfg.initial_reactant_mass * cfg.n)
     mass, forest = _simulate_population(
-        cfg.n, cfg.b2, catalyst, count0, cfg.t_max, rng,
-        cfg.representation, cfg.max_live)
+        cfg.n, cfg.b2, catalyst, count0, cfg.t_max,
+        _stream(cfg.seed, _REACTANT), cfg.representation, cfg.max_live)
     # the engine stops at min(t_max, catalyst absorption), which is the cut
     # unless a positive threshold is reached earlier
     if forest.height_cap is None or cut < forest.height_cap:
@@ -409,10 +403,9 @@ def simulate_joint(cfg: SimConfig):
     """Catalyst plus reactant quenched on it, one seed, fixed stream order.
 
     The catalyst half is what `simulate_catalyst` returns for the same
-    config.  Both call `_catalyst_with_rng` rather than each other, so code
-    that wraps the public functions (tracing, event counts) sees one call
-    per population.
+    config.  Both call `_catalyst` rather than each other, so code that
+    wraps the public functions (tracing, event counts) sees one call per
+    population.
     """
-    catalyst = _catalyst_with_rng(cfg, _stream(cfg.seed, _CATALYST))
-    return catalyst, _reactant_with_rng(cfg, catalyst[0],
-                                        _stream(cfg.seed, _REACTANT))
+    catalyst = _catalyst(cfg)
+    return catalyst, _reactant(cfg, catalyst[0])

@@ -159,24 +159,25 @@ PathLike = Union[Excursion, Sequence[float], np.ndarray]
 
 
 def excursion_depths_below_level(path: PathLike, t: float,
-                                 depth_floor: float = 0.0,
-                                 with_local_time: bool = False,
-                                 local_time_band: float | None = None):
+                                 depth_floor: float = 0.0):
     """Maximal depths of the complete downward excursions of a path below t.
 
     Returns a list of (index, depth) pairs, one per excursion that starts
-    and ends at the level; the leading segment before the first visit of t
-    and the trailing segment after the last are incomplete and are dropped.
-    For exact piecewise-linear excursions the index is the excursion
-    ordinal; for sampled paths it is the cumulative local-time estimate at
-    the level when requested, and dips shallower than the floor are
-    discarded as discretization noise.
+    and ends at the level, the index counting the excursions kept; the
+    leading segment before the first visit of t and the trailing segment
+    after the last are incomplete and are dropped, and so are dips
+    shallower than the floor.  A sampled path (a sequence of heights) is
+    read as the piecewise-linear path through its samples.
     """
+    if not math.isfinite(t):
+        raise InputError(f"level must be finite, got {t!r}")
     if isinstance(path, Excursion):
-        return _depths_exact(path.e, t, depth_floor)
-    values = np.asarray(path, dtype=float)
-    return _depths_sampled(values, t, depth_floor, with_local_time,
-                           local_time_band)
+        hs = path.e
+    else:
+        hs = np.asarray(path, dtype=float).tolist()
+    if len(hs) < 2:
+        return []
+    return _depths_exact(hs, t, depth_floor)
 
 
 def _depths_exact(hs: Sequence[float], t: float, floor: float):
@@ -202,34 +203,4 @@ def _depths_exact(hs: Sequence[float], t: float, floor: float):
                 run_min = None
             else:
                 run_min = min(run_min, h)
-    return out
-
-
-def _depths_sampled(values: np.ndarray, t: float, floor: float,
-                    with_local_time: bool, band):
-    below = values < t
-    if not below.any() or below.all():
-        return []
-    idx = np.flatnonzero(below)
-    starts = idx[np.r_[True, np.diff(idx) > 1]]
-    ends = idx[np.r_[np.diff(idx) > 1, True]]
-    # complete excursions only: drop runs touching either end of the path
-    if starts.size and starts[0] == 0:
-        starts, ends = starts[1:], ends[1:]
-    if starts.size and ends[-1] == len(values) - 1:
-        starts, ends = starts[:-1], ends[:-1]
-    local = None
-    if with_local_time:
-        from .diffusion import cumulative_local_time
-        eps = band if band is not None else max(floor / 2.0, 1e-9)
-        local = cumulative_local_time(values, t, eps)
-    out = []
-    count = 0
-    for s, e_ in zip(starts, ends):
-        depth = t - float(values[s:e_ + 1].min())
-        if depth < floor:
-            continue
-        count += 1
-        index = float(local[s]) if local is not None else count
-        out.append((index, depth))
     return out

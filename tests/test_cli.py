@@ -98,6 +98,28 @@ class TestSimulate:
         summary = json.loads(read(out / "summary.json"))
         assert summary["config"]["seed"] == 9
 
+    @pytest.mark.parametrize("line", ["b1=abc", "n=2.5"])
+    def test_config_file_bad_value_exit_code(self, tmp_path, capsys, line):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"t_max=1.0\n{line}\n")
+        rc = main(["simulate", "--config", str(cfg), "--seed", "1",
+                   "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error") and err.count("\n") == 1
+
+    def test_config_file_unknown_key_exit_code(self, tmp_path, capsys):
+        # a misspelt key used to be dropped, and the run went on without it
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("tmax=1\n")
+        out = tmp_path / "out"
+        rc = main(["simulate", "--config", str(cfg), "--seed", "1",
+                   "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error") and "tmax" in err
+        assert not out.exists()
+
     def test_outputs_parse_back(self, tmp_path):
         out = tmp_path / "o"
         main(["simulate", "--n", "1", "--seed", "3", "--t-max", "2.0",

@@ -7,6 +7,7 @@ from catbranch.contour import (Excursion, contour_from_forest, excise_above,
                                tree_from_excursion)
 from catbranch.errors import InputError
 from catbranch.forest import FamilyForest, random_binary_forest
+from catbranch.harness import _heights_and_leaves
 
 
 class TestExcursionType:
@@ -148,6 +149,17 @@ class TestDecode:
             leaf_heights = [g.death_height(v) for v in g.order.tolist()
                             if not g.children_of(v)]
             assert peaks == leaf_heights
+
+    def test_per_tree_heights_and_leaves_survive_the_codec(self, rng):
+        # `random_evolution` reads its flip-clock contour through the decoder
+        # with the reduction it applies to particle forests
+        for _ in range(200):
+            f = random_binary_forest(rng)
+            g = tree_from_excursion(contour_from_forest(f, 2.0))
+            want_h, want_l = _heights_and_leaves(f)
+            got_h, got_l = _heights_and_leaves(g)
+            assert got_h.tolist() == want_h.tolist()
+            assert got_l.tolist() == want_l.tolist()
 
     def test_equal_height_valleys(self):
         # crafted tie: both valleys at 0.5 resolve left-to-right

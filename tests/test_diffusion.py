@@ -9,12 +9,13 @@ from hypothesis import strategies as st
 
 import reference_race
 from catbranch import harness
+from catbranch.contour import tree_from_excursion
 from catbranch.diffusion import (RACE_FLOAT_LANES, DiffusionPath, SDEConfig,
                                  _euler_step, _limit_contour_from_scale,
                                  _race_floats,
                                  bridge_refined_depths, hitting_race,
                                  integrate_catalytic_feller,
-                                 cumulative_local_time, local_time_estimate,
+                                 local_time_estimate,
                                  quadratic_variation, scale_function,
                                  simulate_limit_contour,
                                  simulate_random_evolution)
@@ -182,9 +183,7 @@ class TestLimitContour:
         {"local_time_budget": math.nan}, {"local_time_budget": math.inf},
         {"local_time_budget": -1.0}, {"local_time_budget": 0.0},
         {"theta_step": 0.0}, {"theta_step": -1e-4}, {"theta_step": math.nan},
-        {"theta_step": math.inf}, {"boundary_band": 0.0},
-        {"boundary_band": -0.1}, {"boundary_band": math.nan},
-        {"boundary_band": math.inf}], ids=str)
+        {"theta_step": math.inf}], ids=str)
     def test_rejects_bad_arguments_before_stepping(self, args):
         # a NaN budget used to run to the step cap before it raised
         kwargs = dict({"local_time_budget": 0.01, "theta_step": 1e-4}, **args)
@@ -302,19 +301,11 @@ class TestLocalTimeAndQV:
         vals = np.linspace(0.0, 1.0, 50)
         assert local_time_estimate(vals, 5.0, 0.1) == 0.0
 
-    @pytest.mark.parametrize("estimator", [local_time_estimate,
-                                           cumulative_local_time])
     @pytest.mark.parametrize("eps", [math.nan, math.inf, 0.0, -0.1])
-    def test_rejects_bad_band(self, estimator, eps):
+    def test_rejects_bad_band(self, eps):
         vals = np.linspace(0.0, 1.0, 50)
         with pytest.raises(InputError, match="band half-width"):
-            estimator(vals, 0.5, eps)
-
-    def test_cumulative_ends_at_the_estimate(self):
-        vals = np.abs(np.linspace(-1.0, 1.0, 201))
-        run = cumulative_local_time(vals, 0.3, 0.05)
-        assert run[0] == 0.0 and run.size == vals.size
-        assert run[-1] == pytest.approx(local_time_estimate(vals, 0.3, 0.05))
+            local_time_estimate(vals, 0.5, eps)
 
     def test_halving_consistency(self):
         rng = np.random.default_rng(11)
@@ -451,6 +442,24 @@ class TestRandomEvolution:
         assert len(zeros) == 26  # start + one per completed excursion
         assert max(exc.e) <= 3.0
 
+    def test_decoded_trees_match_the_segment_reading(self):
+        # `random_evolution` reads each tree's height and leaves from the
+        # decoded contour; the reference reads each zero-to-zero segment's
+        # maximum and strict interior peaks, the top's reflections included
+        medium = harness.saved_catalyst(4)
+        exc = simulate_random_evolution(medium, 1, 0.2, seed=5,
+                                        n_excursions=300)
+        hs = np.asarray(exc.e)
+        zeros = np.flatnonzero(hs == 0.0)
+        want_h, want_l = [], []
+        for a, b in zip(zeros[:-1], zeros[1:]):
+            seg = hs[a:b + 1]
+            want_h.append(float(seg.max()))
+            inner = seg[1:-1]
+            want_l.append(int(np.sum((inner > seg[:-2]) & (inner > seg[2:]))))
+        got_h, got_l = harness._heights_and_leaves(tree_from_excursion(exc))
+        assert got_h.tolist() == want_h and got_l.tolist() == want_l
+
 
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -510,7 +519,7 @@ class TestStreamPins:
     def test_limit_contour(self, key):
         seed, budget = key
         sf = scale_function(flat_medium(), 0.5)
-        z = _limit_contour_from_scale(sf, budget, seed, 1e-5, None, 50_000_000)
+        z = _limit_contour_from_scale(sf, budget, seed, 1e-5, 50_000_000)
         got = (len(z.values), _sha(z.values.tobytes()),
                _sha(z.brownian.tobytes()), _sha(z.time_change.tobytes()))
         assert got == self.CONTOURS[key]

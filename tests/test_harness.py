@@ -3,8 +3,10 @@ import inspect
 import json
 import math
 import os
+import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from catbranch import harness
@@ -29,7 +31,7 @@ workloads = _benchmark_workloads()
 
 class TestHelpers:
     def test_single_tree_probability_zero(self, cherry):
-        sizes = harness._level_tree_sizes(cherry, 1.0)
+        sizes = np.bincount(harness._level_trees(cherry, 1.0)[1]).tolist()
         assert sizes == [2]
         assert harness._different_tree_prob(sizes) == 0.0
 
@@ -45,7 +47,7 @@ class TestHelpers:
     def test_capped_forest_reads_at_cap(self):
         f = FamilyForest.from_children([-1], [0.0], [1.0], [[]], [0],
                                        height_cap=1.0)
-        assert harness._level_tree_sizes(f, 3.0) == [1]
+        assert np.bincount(harness._level_trees(f, 3.0)[1]).tolist() == [1]
 
 
 class TestRegistry:
@@ -118,6 +120,20 @@ class TestBenchmarkWorkScaling:
         assert events and counter.count == sum(events)
         assert particle._simulate_population is core
         assert all(getattr(mod, name) is fn for mod, name, fn in bound)
+
+
+class TestBenchmarkSetUp:
+    def test_worker_set_up_runs(self):
+        # the worker's warm-up calls names and options of the package (the
+        # limit contour, `_x_identity_path`, `poisson_count_test(n_sim=)`);
+        # removing one would fail every benchmark run before its first pass
+        worker = os.path.join(os.path.dirname(__file__), "..", "perfbench",
+                              "worker.py")
+        got = subprocess.run(
+            [sys.executable, worker, "--workload", "forest_gate", "--setup-only"],
+            capture_output=True, text=True, timeout=120)
+        assert got.returncode == 0, got.stderr
+        assert "@ready" in got.stdout.splitlines()
 
 
 class TestComparison:

@@ -9,8 +9,7 @@ from scipy.integrate import quad
 from catbranch.errors import InputError
 from catbranch.oracles import (feller_extinction_cdf, hitting_probability,
                                inverse_area_mean, ks_test, laplace_branching,
-                               mean_confidence, oracle_brownian_intensity,
-                               oracle_extinction_prob, oracle_mrca_cdf,
+                               mean_confidence, oracle_extinction_prob, oracle_mrca_cdf,
                                oracle_mrca_density, oracle_mrca_survival,
                                oracle_reactant_intensity, poisson_count_test,
                                stretch_map, stretch_map_inverse,
@@ -56,15 +55,16 @@ class TestMrca:
 
 
 class TestIntensities:
-    def test_brownian_pinned(self):
-        assert oracle_brownian_intensity(1.0, 1.0, 0.0, 0.5) == pytest.approx(1.0)
-        assert oracle_brownian_intensity(1.0, 1.0, 0.3, 0.3) == 0.0
+    def test_flat_medium_pinned(self):
+        assert oracle_reactant_intensity(1.0, 1.0, 1.0, 0.0, 0.5) == pytest.approx(1.0)
+        assert oracle_reactant_intensity(1.0, 1.0, 1.0, 0.3, 0.3) == 0.0
 
-    def test_reactant_matches_brownian_flat(self):
-        for h1, h2 in ((0.0, 0.5), (0.2, 0.7), (0.1, 0.9)):
-            a = oracle_reactant_intensity(1.0, 1.0, 1.0, h1, h2)
-            b = oracle_brownian_intensity(1.0, 1.0, h1, h2)
-            assert a == pytest.approx(b)
+    def test_flat_medium_closed_form(self):
+        # in the unit medium the intensity is y_t * (1/(t-h2) - 1/(t-h1))
+        for y_t, t, h1, h2 in ((1.0, 1.0, 0.0, 0.5), (1.0, 1.0, 0.2, 0.7),
+                               (2.0, 1.0, 0.1, 0.9), (0.5, 3.0, 1.0, 2.5)):
+            got = oracle_reactant_intensity(1.0, y_t, t, h1, h2)
+            assert got == y_t * (1.0 / (t - h2) - 1.0 / (t - h1))
 
     def test_additivity(self):
         a = oracle_reactant_intensity(1.0, 2.0, 1.0, 0.1, 0.4)
@@ -73,8 +73,6 @@ class TestIntensities:
         assert a + b == pytest.approx(c)
 
     def test_divergence_guard(self):
-        with pytest.raises(InputError):
-            oracle_brownian_intensity(1.0, 1.0, 0.5, 1.0)
         with pytest.raises(InputError):
             oracle_reactant_intensity(1.0, 1.0, 1.0, 0.5, 1.0)
 

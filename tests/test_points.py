@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from catbranch.contour import Excursion, contour_from_forest
 from catbranch.errors import InputError
@@ -115,14 +117,46 @@ class TestDepths:
         assert excursion_depths_below_level(e, 1.0, depth_floor=0.1) == []
         assert len(excursion_depths_below_level(e, 1.0)) == 1
 
-    def test_sampled_with_local_time_index(self):
-        rngl = np.random.default_rng(3)
-        vals = np.abs(np.cumsum(rngl.standard_normal(20000) * 0.01))
-        out = excursion_depths_below_level(vals, 0.5, depth_floor=0.05,
-                                           with_local_time=True,
-                                           local_time_band=0.02)
-        indices = [i for i, _ in out]
-        assert indices == sorted(indices)
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_level(self, t):
+        e = Excursion([0, 1, 1.3, 2, 3], [0.0, 1.0, 0.4, 1.0, 0.0])
+        for path in (e, [0.0, 1.0, 0.4, 1.0, 0.0]):
+            with pytest.raises(InputError, match="level must be finite"):
+                excursion_depths_below_level(path, t)
+
+    @pytest.mark.parametrize("vals", [[], [0.3], np.zeros(0), np.ones(1)])
+    def test_empty_or_single_sample_path(self, vals):
+        assert excursion_depths_below_level(vals, 0.5) == []
+
+
+def run_length_depths(values, t, floor):
+    """The complete runs of samples below t and their depths, by run
+    lengths: runs touching either end of the path are dropped."""
+    values = np.asarray(values, dtype=float)
+    below = values < t
+    if not below.any() or below.all():
+        return []
+    idx = np.flatnonzero(below)
+    starts = idx[np.r_[True, np.diff(idx) > 1]]
+    ends = idx[np.r_[np.diff(idx) > 1, True]]
+    if starts[0] == 0:
+        starts, ends = starts[1:], ends[1:]
+    if starts.size and ends[-1] == values.size - 1:
+        starts, ends = starts[:-1], ends[:-1]
+    depths = [t - float(values[s:e + 1].min()) for s, e in zip(starts, ends)]
+    return list(enumerate((d for d in depths if d >= floor), start=1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.lists(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0, 1.5])
+                       | st.floats(0.0, 2.0), max_size=60),
+       t=st.sampled_from([0.5, 1.0]) | st.floats(0.0, 2.0),
+       floor=st.sampled_from([0.0, 0.3, 1.0]))
+def test_sampled_path_matches_run_lengths(values, t, floor):
+    # the grid values put samples exactly at the level
+    want = run_length_depths(values, t, floor)
+    assert excursion_depths_below_level(np.array(values), t, floor) == want
+    assert excursion_depths_below_level(values, t, floor) == want
 
 
 class TestCSV:

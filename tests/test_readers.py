@@ -55,8 +55,10 @@ def forests(draw):
                 for v in range(n)]
     roots = draw(st.permutations([v for v in range(n) if parent[v] == -1]))
     cap = max(death, default=0.0) if capped else None
-    return FamilyForest.from_children(parent, birth, death, children, roots,
-                                      height_cap=cap, validate=True)
+    forest = FamilyForest.from_children(parent, birth, death, children, roots,
+                                        height_cap=cap)
+    forest.validate()
+    return forest
 
 
 @st.composite
