@@ -53,25 +53,25 @@ _CONFIG_CASTS = {"b1": float, "b2": float, "n": int, "delta": float,
 
 
 def _build_sim_config(args) -> SimConfig:
-    fields = {}
+    """The file's values, every one converted, overridden by the flags."""
+    kwargs = {}
     if args.config:
-        fields.update(_read_config_file(args.config))
-    unknown = sorted(set(fields) - set(_CONFIG_CASTS))
-    if unknown:
-        raise InputError(f"unknown config key(s) {', '.join(unknown)}; "
-                         f"known: {', '.join(_CONFIG_CASTS)}")
+        fields = _read_config_file(args.config)
+        unknown = sorted(set(fields) - set(_CONFIG_CASTS))
+        if unknown:
+            raise InputError(f"unknown config key(s) {', '.join(unknown)}; "
+                             f"known: {', '.join(_CONFIG_CASTS)}")
+        for key, val in fields.items():
+            try:
+                kwargs[key] = _CONFIG_CASTS[key](val)
+            except ValueError:
+                raise InputError(f"config key {key}: bad value {val!r}") from None
     for key in _CONFIG_CASTS:
         val = getattr(args, key, None)
         if val is not None:
-            fields[key] = val
-    if "seed" not in fields:
+            kwargs[key] = val
+    if "seed" not in kwargs:
         raise InputError("--seed is required (no wall-clock default)")
-    kwargs = {}
-    for key, val in fields.items():
-        try:
-            kwargs[key] = _CONFIG_CASTS[key](val)
-        except ValueError:
-            raise InputError(f"config key {key}: bad value {val!r}") from None
     return SimConfig(**kwargs)
 
 

@@ -167,14 +167,21 @@ def excursion_depths_below_level(path: PathLike, t: float,
     leading segment before the first visit of t and the trailing segment
     after the last are incomplete and are dropped, and so are dips
     shallower than the floor.  A sampled path (a sequence of heights) is
-    read as the piecewise-linear path through its samples.
+    read as the piecewise-linear path through its samples, which must be
+    finite; the floor must lie in [0, inf).
     """
     if not math.isfinite(t):
         raise InputError(f"level must be finite, got {t!r}")
+    if not 0.0 <= depth_floor < math.inf:
+        raise InputError(f"depth floor must be finite and >= 0, "
+                         f"got {depth_floor!r}")
     if isinstance(path, Excursion):
         hs = path.e
     else:
-        hs = np.asarray(path, dtype=float).tolist()
+        arr = np.asarray(path, dtype=float)
+        if not np.isfinite(arr).all():
+            raise InputError("sampled path heights must be finite")
+        hs = arr.tolist()
     if len(hs) < 2:
         return []
     return _depths_exact(hs, t, depth_floor)

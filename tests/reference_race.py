@@ -20,7 +20,7 @@ from catbranch.diffusion import SDEConfig, _euler_step
 
 
 def hitting_race(n_replicas: int, cfg: SDEConfig,
-                 epoch_horizon: float = 8.0,
+                 epoch_horizon: float = 1.0,
                  max_epochs: int = 20) -> dict:
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
     m = n_replicas

@@ -108,6 +108,21 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert err.startswith("input error") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("line", ["seed=x", "b1=abc"])
+    def test_config_file_bad_value_under_a_flag_exit_code(self, tmp_path,
+                                                          capsys, line):
+        # the flag overrides the key, but the file is checked whole first
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"t_max=1.0\n{line}\n")
+        out = tmp_path / "out"
+        rc = main(["simulate", "--config", str(cfg), "--seed", "1",
+                   "--b1", "1.0", "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error") and err.count("\n") == 1
+        assert line.split("=")[0] in err
+        assert not out.exists()
+
     def test_config_file_unknown_key_exit_code(self, tmp_path, capsys):
         # a misspelt key used to be dropped, and the run went on without it
         cfg = tmp_path / "run.cfg"

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 import inspect
 import json
@@ -149,6 +150,37 @@ class TestComparison:
             [1.5, 2.2758474084])
         assert [r.details["matched_initial_mass"] for r in reports] == [1.5, 2.275]
         assert all("z_euler" not in r.details for r in reports)
+
+
+class TestHittingProbMutant:
+    """The `hitting_prob` gate fails on a wrong reactant rate.
+
+    The mutant runs the race with b2 x 1.25 behind the suite's back, which
+    moves the law from 0.4472 to 0.4880; the suite still compares with the
+    b2 = 1 target.  At 4000 replicas and step 1e-3 (SE about 0.008) the
+    mutant fell outside the 0.015 tolerance at all of seeds 0-19, and the
+    right model inside it at 18 of them; seed 101 is the gate's."""
+
+    @staticmethod
+    def run():
+        return harness.run_hitting_prob(seed=101, replicas=4_000, step=1e-3)[0]
+
+    def test_right_model_passes(self):
+        report = self.run()
+        assert report.passed
+        assert report.target == pytest.approx(1.0 / math.sqrt(5.0))
+
+    def test_faster_reactant_fails(self, monkeypatch):
+        race = harness.dfn.hitting_race
+
+        def mutant(n, cfg, *args, **kwargs):
+            return race(n, dataclasses.replace(cfg, b2=1.25 * cfg.b2),
+                        *args, **kwargs)
+
+        monkeypatch.setattr(harness.dfn, "hitting_race", mutant)
+        report = self.run()
+        assert not report.passed
+        assert report.statistic > report.target + report.alpha_or_tol
 
 
 class TestReactantIntensity:

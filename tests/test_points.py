@@ -124,6 +124,21 @@ class TestDepths:
             with pytest.raises(InputError, match="level must be finite"):
                 excursion_depths_below_level(path, t)
 
+    @pytest.mark.parametrize("floor", [math.nan, -0.1, math.inf, -math.inf])
+    def test_rejects_floor_outside_zero_to_inf(self, floor):
+        e = Excursion([0, 1, 1.3, 2, 3], [0.0, 1.0, 0.4, 1.0, 0.0])
+        for path in (e, [1.0, 0.2, 1.0]):
+            with pytest.raises(InputError, match="depth floor"):
+                excursion_depths_below_level(path, 0.5, depth_floor=floor)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_samples(self, bad):
+        # a NaN inside the run below 0.5 used to be dropped by its minimum
+        for path in ([1.0, 0.2, bad, 0.3, 1.0],
+                     np.array([1.0, 0.2, bad, 0.3, 1.0])):
+            with pytest.raises(InputError, match="finite"):
+                excursion_depths_below_level(path, 0.5)
+
     @pytest.mark.parametrize("vals", [[], [0.3], np.zeros(0), np.ones(1)])
     def test_empty_or_single_sample_path(self, vals):
         assert excursion_depths_below_level(vals, 0.5) == []
