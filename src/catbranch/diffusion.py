@@ -577,18 +577,22 @@ def bridge_refined_depths(beta: np.ndarray, level: float, step_var: float,
         starts, ends = starts[1:], ends[1:]
     if starts.size and ends[-1] == len(beta) - 1:
         starts, ends = starts[:-1], ends[:-1]
-    depths = []
-    for s, e in zip(starts, ends):
-        seg_start = s
-        cut_steps = np.flatnonzero(splits[s:e]) + s if e > s else np.empty(0, int)
-        for be in list(cut_steps) + [e]:
-            if be > seg_start:
-                m = float(mins[seg_start:be].min())
-            else:
-                m = float(beta[seg_start])
-            depths.append(level - m)
-            seg_start = be
-    return np.asarray(depths)
+    if not starts.size:
+        return np.empty(0)
+    # a run [s, e] of samples is cut into segments at its split steps: the
+    # steps s ... e - 1 lie below the level, and only they can split, so
+    # the split steps past the first kept start and before the last kept
+    # end are the cuts, each one starting a segment; segment [a, b) reads
+    # the bridge minima of its steps, an empty one (a cut on the run's
+    # first step) the sample beta[a]
+    cuts = np.flatnonzero(splits)
+    cuts = cuts[(cuts >= starts[0]) & (cuts < ends[-1])]
+    seg_start = np.sort(np.concatenate((starts, cuts)))
+    seg_end = np.sort(np.concatenate((cuts, ends)))
+    bounds = np.empty(2 * seg_start.size, dtype=np.intp)
+    bounds[0::2], bounds[1::2] = seg_start, seg_end
+    m = np.minimum.reduceat(mins, bounds)[0::2]
+    return level - np.where(seg_end > seg_start, m, beta[seg_start])
 
 
 def local_time_estimate(path, t: float, eps: float) -> float:

@@ -110,7 +110,7 @@ class FamilyForest:
                  height_cap: Optional[float] = None,
                  order=None, generations: Optional[Sequence[int]] = None) -> None:
         death = np.asarray(death, dtype=float)
-        if height_cap is not None:
+        if height_cap is not None and (death == NEVER).any():
             death = np.where(death == NEVER, height_cap, death)
         self.parent = _frozen(np.asarray(parent, dtype=np.intp))
         self.birth = _frozen(np.asarray(birth, dtype=float))
@@ -303,12 +303,19 @@ class FamilyForest:
 
     def tree_index(self) -> np.ndarray:
         """Index of the root tree each node belongs to: the count of roots
-        met up to the node in the pre-order, less one.  Cached and
-        read-only."""
+        met up to the node in the pre-order, less one.  A forest in the
+        generation layout whose pre-order is not built yet hands each
+        generation its parents' trees instead.  Cached and read-only."""
         if self._tree is None:
-            order = self.order
             tree = np.empty(len(self), dtype=np.intp)
-            tree[order] = np.cumsum(self.parent[order] == -1) - 1
+            if self._order is None and self._generations is not None:
+                tree[self.roots] = np.arange(self.roots.size)
+                bounds, parent = self._generations, self.parent
+                for a, b in zip(bounds[1:-1], bounds[2:]):
+                    tree[a:b] = tree[parent[a:b]]
+            else:
+                order = self.order
+                tree[order] = np.cumsum(self.parent[order] == -1) - 1
             self._tree = _frozen(tree)
         return self._tree
 

@@ -37,8 +37,16 @@ block with one array reduction over the tree index // k: level counts by
 keeping the pairs inside a block (`_level_blocks`), and per-tree heights,
 leaves and extinction times by a reduction over each tree's run of the
 pre-order (`_tree_reduce`).  Calls go through the public `simulate_*`
-functions.  The suites whose replicas each carry their own medium
-(comparison's quenched half, criticality) make one call per replica.
+functions.
+
+Replicas with their own medium.  The suites whose replicas each carry their
+own catalyst (comparison's quenched half, criticality) draw R catalysts as
+blocks of one `simulate_catalyst` call, split its forest into the R
+catalysts' mass paths without an engine call (`_block_mass_paths`), and
+pass those paths as the R media of one `simulate_reactant_quenched` call,
+whose block j is the reactant of catalyst j, cut at min(t_max, catalyst j's
+absorption) (`_quenched_runs`, cut into chunks of about `CHUNK_NODES`
+expected nodes).  Each replica is read at min(t, its own cap) (`_alive_at`).
 """
 
 from __future__ import annotations
@@ -54,7 +62,7 @@ from . import oracles as orc
 from .contour import contour_from_forest, tree_from_excursion
 from .errors import InputError
 from .forest import FamilyForest, random_binary_forest
-from .particle import (MassPath, SimConfig, simulate_catalyst, simulate_joint,
+from .particle import (MassPath, SimConfig, simulate_catalyst,
                        simulate_reactant_quenched, stopping_time,
                        GALTON_WATSON, BIRTH_DEATH)
 from .points import (neighbor_heights, pairwise_level_distances,
@@ -94,6 +102,17 @@ def _different_tree_prob(sizes: Sequence[int]) -> float:
     return 1.0 - sum((m / k) ** 2 for m in sizes)
 
 
+def _chunks(replicas: int, per_replica: float) -> Iterator[tuple[int, int]]:
+    """(call index, replicas in the call) of `replicas` replicas of
+    `per_replica` expected nodes each, cut into calls of about
+    `CHUNK_NODES` expected nodes."""
+    if replicas < 1:
+        raise InputError(f"replicas must be >= 1, got {replicas!r}")
+    size = max(1, int(CHUNK_NODES / per_replica))
+    for c, start in enumerate(range(0, replicas, size)):
+        yield c, min(size, replicas - start)
+
+
 def _replica_runs(replicas: int, k: int, seed: int, medium: Optional[MassPath],
                   **config) -> Iterator[tuple[int, MassPath, FamilyForest]]:
     """`replicas` independent populations of k roots each, drawn as blocks
@@ -111,16 +130,12 @@ def _replica_runs(replicas: int, k: int, seed: int, medium: Optional[MassPath],
     fields (n, t_max, rates, ...); its `max_live` caps the live population
     of a whole call, all its replicas together.
     """
-    if replicas < 1:
-        raise InputError(f"replicas must be >= 1, got {replicas!r}")
     cfg = SimConfig(**config)
     rate = cfg.b1 if medium is None else cfg.b2
     env = MassPath.constant(1.0) if medium is None else medium
     horizon = min(cfg.t_max, stopping_time(env, 0.0))
     per_root = 1.0 + 2.0 * cfg.n * rate * env.integral(0.0, horizon)
-    size = max(1, int(CHUNK_NODES / (k * per_root)))
-    for c, start in enumerate(range(0, replicas, size)):
-        r = min(size, replicas - start)
+    for c, r in _chunks(replicas, k * per_root):
         mass0 = r * k / cfg.n
         if medium is None:
             got = simulate_catalyst(SimConfig(
@@ -129,6 +144,84 @@ def _replica_runs(replicas: int, k: int, seed: int, medium: Optional[MassPath],
             got = simulate_reactant_quenched(SimConfig(
                 **config, seed=seed + c, initial_reactant_mass=mass0), medium)
         yield (r, *got)
+
+
+def _block_mass_paths(forest: FamilyForest, k: int, n: int) -> list[MassPath]:
+    """The mass path of each block of k consecutive trees of a catalyst
+    forest, blocks in linear order, read from the forest without an engine
+    call.
+
+    The events are the deaths below the height cap: a split (a node with
+    children) adds one individual, another death removes one.  One sort
+    orders them by time, and a stable radix pass by block (keys of the
+    smallest unsigned type) groups them, time order kept.  As for the
+    engine's path of one population in the constant medium, a block's path
+    is valid forever once the block has died out, and up to the cap
+    otherwise.
+    """
+    cap = math.inf if forest.height_cap is None else forest.height_cap
+    ended = forest.death < cap
+    times = forest.death[ended]
+    block = forest.tree_index()[ended] // k
+    step = np.where(np.diff(forest.kid_ptr)[ended] > 0, 1, -1)
+    blocks = forest.roots.size // k
+    order = times.argsort()
+    keys = block[order].astype(np.min_scalar_type(blocks))
+    order = order[keys.argsort(kind="stable")]
+    times, block = times[order], block[order]
+    bounds = np.searchsorted(block, np.arange(blocks + 1))
+    counts = np.concatenate(([0], step[order].cumsum()))
+    # each block's counts start again from its k roots
+    counts = k + counts[1:] - counts[bounds[:-1]].repeat(np.diff(bounds))
+    paths = []
+    for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+        live = counts[hi - 1] if hi > lo else k
+        paths.append(MassPath(np.concatenate(([0.0], times[lo:hi])),
+                              np.concatenate(([k], counts[lo:hi])) / n,
+                              horizon=math.inf if live == 0 else cap))
+    return paths
+
+
+def _quenched_runs(replicas: int, seed: int, n: int, t_max: float) -> Iterator[
+        tuple[int, list[MassPath], FamilyForest]]:
+    """`replicas` independent pairs of a unit-rate catalyst and a unit-rate
+    reactant in it, both of initial mass 1 (n roots), run to a finite t_max
+    and drawn as blocks of two engine calls per chunk: (replicas in the
+    chunk, the catalysts' mass paths, reactant forest).
+
+    The catalysts of a chunk are blocks of one `simulate_catalyst` call,
+    whose mass paths `_block_mass_paths` reads; those paths are the media
+    of one `simulate_reactant_quenched` call, whose block j is the reactant
+    of catalyst j, cut at min(t_max, its catalyst's absorption).  A replica
+    has 1 + 2 n t_max expected nodes a root in each call (the catalyst is a
+    martingale from 1), and chunks are cut at `CHUNK_NODES` expected nodes a
+    call; chunk c takes seed `seed + c`, whose catalyst and reactant streams
+    are those of `simulate_joint`.
+    """
+    for c, r in _chunks(replicas, n * (1.0 + 2.0 * n * t_max)):
+        cfg = SimConfig(n=n, t_max=t_max, seed=seed + c,
+                        initial_catalyst_mass=r, initial_reactant_mass=r)
+        _, cat = simulate_catalyst(cfg)
+        media = _block_mass_paths(cat, n, n)
+        del cat  # not held through the reactant call, the chunk's peak
+        _, rea = simulate_reactant_quenched(cfg, media)
+        yield r, media, rea
+
+
+def _alive_at(forest: FamilyForest, k: int,
+              levels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Which nodes of a forest read as blocks of k consecutive trees are
+    alive at their block's level (birth < level <= death, `levels[j]` for
+    block j), and the tree of every node in linear order."""
+    tree = forest.tree_index()
+    level = levels[tree // k]
+    return (forest.birth < level) & (level <= forest.death), tree
+
+
+def _caps(media: Sequence[MassPath], t_max: float) -> np.ndarray:
+    """The level at which each reactant block of a `_quenched_runs` chunk
+    is capped: min(t_max, absorption of its catalyst)."""
+    return np.minimum(t_max, [stopping_time(m, 0.0) for m in media])
 
 
 def _level_blocks(forest: FamilyForest, k: int,
@@ -557,6 +650,25 @@ def run_stretching(seed: int = 11_000_000, replicas: int = 150,
 # 12. comparison inequality                                               #
 # ---------------------------------------------------------------------- #
 
+def _different_tree_probs(sizes: np.ndarray) -> list[float]:
+    """`_different_tree_prob` of each row of per-tree level counts, 0 for a
+    row with an empty level."""
+    probs = map(_different_tree_prob, sizes.tolist())
+    return [0.0 if math.isnan(p) else p for p in probs]
+
+
+def _reactant_level_sizes(replicas: int, seed: int, n: int, t: float,
+                          t_max: float) -> np.ndarray:
+    """Per replica (rows) of a unit-mass reactant in its own unit-mass
+    catalyst run to t_max, the level count of each of its n trees at
+    min(t, its cap)."""
+    rows = []
+    for r, media, forest in _quenched_runs(replicas, seed, n, t_max):
+        alive, tree = _alive_at(forest, n, np.minimum(t, _caps(media, t_max)))
+        rows.append(np.bincount(tree[alive], minlength=r * n).reshape(r, n))
+    return np.concatenate(rows)
+
+
 def run_comparison(seed: int = 12_000_000, replicas: int = 700,
                    n: int = 40, checkpoints: Sequence[float] = (0.5, 1.0),
                    z_replicas: int = 0, tol: float = 0.02) -> list[OracleReport]:
@@ -594,23 +706,17 @@ def run_comparison(seed: int = 12_000_000, replicas: int = 700,
         # measure has no mass), so dead replicas count as zeros rather than
         # being dropped; dropping them conditions the two sides on survival
         # events with different probabilities and breaks the comparison
-        react = []
         base = seed + 1000 * idx
-        for i in range(replicas):
-            cfg = SimConfig(n=n, t_max=t + 0.25, seed=base + i)
-            _, (rm, rf) = simulate_joint(cfg)
-            sizes = np.bincount(_level_trees(rf, t)[1]).tolist()
-            p_hat = _different_tree_prob(sizes)
-            react.append(0.0 if math.isnan(p_hat) else p_hat)
+        react = _different_tree_probs(_reactant_level_sizes(
+            replicas, base, n, t, t + 0.25))
         k = max(round(z * n), 1)
         z_mass = k / n
         classic = []
         for r, _, forest in _replica_runs(replicas, k, base + 500_000, None,
                                           n=n, b1=1.0, t_max=t):
-            sizes = np.bincount(_level_trees(forest, t)[1], minlength=r * k)
-            for row in sizes.reshape(r, k).tolist():
-                p_hat = _different_tree_prob(row)
-                classic.append(0.0 if math.isnan(p_hat) else p_hat)
+            alive, tree = _alive_at(forest, k, np.full(r, t))
+            sizes = np.bincount(tree[alive], minlength=r * k)
+            classic.extend(_different_tree_probs(sizes.reshape(r, k)))
         r_mean, r_se = orc.mean_confidence(react)
         c_mean, c_se = orc.mean_confidence(classic)
         gap = r_mean - c_mean
@@ -698,17 +804,29 @@ def run_qv_dichotomy(seed: int = 555, replicas: int = 500,
 # 14. criticality martingale smoke test                                   #
 # ---------------------------------------------------------------------- #
 
+def _joint_masses(replicas: int, seed: int, n: int,
+                  checkpoints: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
+    """Per replica (rows) of a unit-mass catalyst and a unit-mass reactant
+    in it, run to the last checkpoint, the two masses at each checkpoint:
+    the catalyst's read from its mass path, the reactant's as its level
+    count / n at min(t, its cap)."""
+    t_max = max(checkpoints)
+    cat, rea = [], []
+    for r, media, forest in _quenched_runs(replicas, seed, n, t_max):
+        cat.append([[m.value_at(t) for t in checkpoints] for m in media])
+        caps = _caps(media, t_max)
+        masses = np.empty((r, len(checkpoints)))
+        for k, t in enumerate(checkpoints):
+            alive, tree = _alive_at(forest, n, np.minimum(t, caps))
+            masses[:, k] = np.bincount(tree[alive] // n, minlength=r) / n
+        rea.append(masses)
+    return np.concatenate(cat), np.concatenate(rea)
+
+
 def run_criticality(seed: int = 14_000_000, replicas: int = 4_000,
                     n: int = 20, checkpoints: Sequence[float] = (0.25, 0.5, 1.0),
                     sde_replicas: int = 20_000) -> list[OracleReport]:
-    cat = np.zeros((replicas, len(checkpoints)))
-    rea = np.zeros((replicas, len(checkpoints)))
-    for i in range(replicas):
-        cfg = SimConfig(n=n, t_max=max(checkpoints), seed=seed + i)
-        (cm, _), (rm, _) = simulate_joint(cfg)
-        for k, t in enumerate(checkpoints):
-            cat[i, k] = cm.value_at(t)
-            rea[i, k] = rm.value_at(t)
+    cat, rea = _joint_masses(replicas, seed, n, checkpoints)
     out = []
     for label, arr in (("catalyst", cat), ("reactant", rea)):
         worst = 0.0

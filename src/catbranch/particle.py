@@ -43,6 +43,18 @@ distributions; they differ path-by-path, which the representation
 equivalence suite exercises.  Before the generations, a population of more
 than one root draws its roots' linear order with `permutation`.
 
+Several media.  A reactant may be given R media, one per replica: medium j
+drives block j, the k = count0 / R consecutive trees j*k ... j*k + k - 1 of
+the linear order, and every node carries its block.  Each medium's
+piecewise-linear cumulative hazard is offset by the hazard totals of the
+media before it, so one `searchsorted` per generation finds every node's
+segment on the joined hazard axis; the time is then read from the node's
+own medium, so a block's deaths do not depend on the blocks before it, to
+a few ulps.  Each block stops at its own horizon, min(t_max, absorption of
+its medium), which caps its nodes; the forest's height cap is the largest
+of these.  The mass path is the sum of the blocks' paths: every event of
+every block is one of its jumps.
+
 Forest.  The engine hands its forest over as the arrays it drew: births,
 deaths clipped at the horizon, parents, and the children as the run of
 non-root ids (the j-th split's pair at count0 + 2j, +1), with the node-id
@@ -62,7 +74,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import TextIO
+from typing import Sequence, TextIO, Union
 
 import numpy as np
 
@@ -231,18 +243,73 @@ def _time_of_hazard(medium: MassPath, rate_scale: float, horizon: float):
     return to_time
 
 
+def _time_of_hazards(media: Sequence[MassPath], rate_scale: float,
+                     horizons: np.ndarray):
+    """The inverse cumulative hazards of several media at once, as a
+    function of arrays of hazards, of the birth times that bound them from
+    below and of each node's medium.
+
+    Medium j's knots below its horizon, with their rates and cumulative
+    hazards, are a run of segments of joined arrays, ending at last[j].  On the
+    joined hazard axis each medium's hazards are offset by the hazard totals
+    of the media before it (a total runs to the medium's horizon), so one
+    `searchsorted` finds every node's segment.  Rounding the offset is
+    monotone, so the segment found is never below the node's own, and it
+    is too high only where the offset rounds a knot's hazard onto the
+    node's; a comparison with the medium's own hazards steps those back.
+    The time is read on the medium's own axis, so it is what
+    `_time_of_hazard` gives for that medium alone, to a few ulps.  A medium
+    with horizon 0 accrues no hazard: every time it gives is at or beyond
+    its horizon.
+    """
+    knots, rates, hazards, totals = [], [], [], []
+    for medium, horizon in zip(media, horizons):
+        inside = medium.times < horizon
+        if not inside.any():  # absorbed at time 0
+            inside = medium.times == 0.0
+            rate = np.ones(1)
+        else:
+            rate = rate_scale * medium.values[inside]
+        knot = medium.times[inside]
+        hazard = np.concatenate(([0.0], np.cumsum(rate[:-1] * np.diff(knot))))
+        knots.append(knot)
+        rates.append(rate)
+        hazards.append(hazard)
+        totals.append(hazard[-1] + rate[-1] * (horizon - knot[-1]))
+    sizes = [k.size for k in knots]
+    last = np.cumsum(sizes) - 1
+    offset = np.concatenate(([0.0], np.cumsum(totals[:-1])))
+    knots, rates, hazards = map(np.concatenate, (knots, rates, hazards))
+    joined = hazards + offset.repeat(sizes)
+
+    def to_time(h, born, medium):
+        seg = np.minimum(np.searchsorted(joined, offset[medium] + h, side="right") - 1,
+                         last[medium])
+        below = hazards[seg]
+        high = below > h
+        while high.any():  # stops at the latest at a medium's first hazard, 0
+            seg -= high
+            below = hazards[seg]
+            high = below > h
+        t = knots[seg] + (h - below) / rates[seg]
+        # a time may round below the birth by an ulp
+        return np.maximum(t, born)
+    return to_time
+
+
 def _live_counts(count0: int, death: np.ndarray, split: np.ndarray,
-                 horizon: float):
-    """The times of the events (the deaths below the horizon) in order, and
-    the live count after each: a split adds one individual (two children
-    replace the parent), another death removes one."""
-    ended = death < horizon
+                 ended: np.ndarray):
+    """The times of the events (the deaths below the horizon, marked
+    `ended`) in order, and the live count after each: a split adds one
+    individual (two children replace the parent), another death removes
+    one."""
     times = death[ended]
     order = times.argsort()
     return times[order], count0 + np.where(split[ended], 1, -1)[order].cumsum()
 
 
-def _simulate_population(n: int, b: float, medium: MassPath, count0: int,
+def _simulate_population(n: int, b: float,
+                         medium: Union[MassPath, Sequence[MassPath]], count0: int,
                          t_max: float, rng: np.random.Generator,
                          representation: str,
                          max_live: int) -> tuple[MassPath, FamilyForest]:
@@ -266,6 +333,11 @@ def _simulate_population(n: int, b: float, medium: MassPath, count0: int,
     and the forest is uncapped.  `PopulationCapError` is raised when the
     live count exceeds `max_live` after some event; generations are
     checked as they grow, before the whole forest is drawn.
+
+    `medium` may also be a sequence of R media, one per block of count0 / R
+    consecutive trees of the linear order (see the module docstring); R
+    must divide count0, and each medium needs a finite horizon.  A sequence
+    of one medium is that medium.
     """
     exponential = rng.exponential
     uniform = rng.random
@@ -274,9 +346,22 @@ def _simulate_population(n: int, b: float, medium: MassPath, count0: int,
     roots = np.arange(count0)
     if count0 > 1:  # roots sit in a random linear order
         roots = rng.permutation(count0)
-    med_stop = stopping_time(medium, 0.0)
-    horizon = min(t_max, med_stop)
-    to_time = _time_of_hazard(medium, 2.0 * n * b, horizon)
+    media = [medium] if isinstance(medium, MassPath) else list(medium)
+    stops = [stopping_time(m, 0.0) for m in media]
+    med_stop = max(stops)
+    if len(media) == 1:
+        horizon = min(t_max, med_stop)
+        to_time = _time_of_hazard(media[0], 2.0 * n * b, horizon)
+        block = None
+        cap = horizon
+    else:
+        horizons = np.minimum(t_max, stops)
+        horizon = float(horizons.max())
+        to_time = _time_of_hazards(media, 2.0 * n * b, horizons)
+        # each root's block is its place in the linear order // k
+        block = np.empty(count0, dtype=np.intp)
+        block[roots] = np.arange(count0) // (count0 // len(media))
+        cap = horizons[block]
 
     # one array per generation, in node order
     born = np.zeros(count0)
@@ -284,6 +369,7 @@ def _simulate_population(n: int, b: float, medium: MassPath, count0: int,
     births = [born]
     deaths: list[np.ndarray] = []
     splits: list[np.ndarray] = []
+    endings: list[np.ndarray] = []  # deaths below the node's horizon
     nodes = count0
     next_check = max_live
     while True:  # at least once, so that no roots make empty arrays
@@ -298,12 +384,20 @@ def _simulate_population(n: int, b: float, medium: MassPath, count0: int,
             death_clock = exponential(size=m)
             hazard = born_hazard + 2.0 * np.minimum(birth_clock, death_clock)
             split = birth_clock < death_clock
-        death = to_time(hazard, born)
-        split &= death < horizon
-        deaths.append(np.minimum(death, horizon))
+        if block is None:
+            death = to_time(hazard, born)
+        else:
+            death = to_time(hazard, born, block)
+        ended = death < cap
+        split &= ended
+        deaths.append(np.minimum(death, cap))
         splits.append(split)
+        endings.append(ended)
         born = death[split].repeat(2)
         born_hazard = hazard[split].repeat(2)
+        if block is not None:
+            block = block[split].repeat(2)
+            cap = horizons[block]
         births.append(born)
         nodes += born.size
         if nodes > next_check:
@@ -311,7 +405,8 @@ def _simulate_population(n: int, b: float, medium: MassPath, count0: int,
             # out, so this generation's splits only remove their parents
             _, lower = _live_counts(
                 count0, np.concatenate(deaths),
-                np.concatenate(splits[:-1] + [np.zeros_like(split)]), horizon)
+                np.concatenate(splits[:-1] + [np.zeros_like(split)]),
+                np.concatenate(endings))
             if lower.size and lower.max() > max_live:
                 raise PopulationCapError(
                     f"live population exceeded cap {max_live}")
@@ -319,38 +414,45 @@ def _simulate_population(n: int, b: float, medium: MassPath, count0: int,
         if not born.size:
             break
 
-    # drop each generation list once it is copied into one array: kept to
-    # the return, they cost about 18 of the call's 107 bytes a node at peak
+    # the arrays of the end are built one after another, and each input is
+    # dropped once used: the generation lists, the inverse hazards (for
+    # several media, 32 bytes a knot) and the event arrays would otherwise
+    # be held to the return, which is the call's peak
+    del to_time
     generations = list(itertools.accumulate((d.size for d in deaths),
                                             initial=0))
     death = np.concatenate(deaths)
     del deaths
     split = np.concatenate(splits)
     del splits
-    birth = np.concatenate(births)
-    del births
-    times, counts = _live_counts(count0, death, split, horizon)
+    ended = np.concatenate(endings)
+    del endings
+    times, counts = _live_counts(count0, death, split, ended)
+    del ended
     if counts.size and counts.max() > max_live:
         raise PopulationCapError(f"live population exceeded cap {max_live}")
     live = int(counts[-1]) if counts.size else count0
-
-    # generations are numbered in order and each lists its children in
-    # parent order, so the j-th split node has children count0 + 2j, +1:
-    # the child list is every non-root node, in id order
-    parent = np.concatenate((np.full(count0, -1), split.nonzero()[0].repeat(2)))
-    kid_ptr = np.zeros(death.size + 1, dtype=np.intp)
-    np.cumsum(split, out=kid_ptr[1:])
-    kid_ptr *= 2
-    forest = FamilyForest(parent, birth, death, kid_ptr,
-                          np.arange(count0, death.size), roots,
-                          height_cap=horizon if math.isfinite(horizon) else None,
-                          generations=generations)
-
     # the recording is valid forever once the population or its medium died
     path_horizon = math.inf if (live == 0 or med_stop <= t_max) else t_max
     mass = MassPath(np.concatenate(([0.0], times)),
                     np.concatenate(([count0], counts)) / n,
                     horizon=path_horizon)
+    del times, counts
+
+    # generations are numbered in order and each lists its children in
+    # parent order, so the j-th split node has children count0 + 2j, +1:
+    # the child list is every non-root node, in id order
+    birth = np.concatenate(births)
+    del births
+    parent = np.concatenate((np.full(count0, -1), split.nonzero()[0].repeat(2)))
+    kid_ptr = np.zeros(death.size + 1, dtype=np.intp)
+    np.cumsum(split, out=kid_ptr[1:])
+    del split
+    kid_ptr *= 2
+    forest = FamilyForest(parent, birth, death, kid_ptr,
+                          np.arange(count0, death.size), roots,
+                          height_cap=horizon if math.isfinite(horizon) else None,
+                          generations=generations)
     return mass, forest
 
 
@@ -375,33 +477,54 @@ def _catalyst(cfg: SimConfig):
         _stream(cfg.seed, _CATALYST), cfg.representation, cfg.max_live)
 
 
-def simulate_reactant_quenched(cfg: SimConfig,
-                               catalyst: MassPath) -> tuple[MassPath, FamilyForest]:
+def simulate_reactant_quenched(
+        cfg: SimConfig, catalyst: Union[MassPath, Sequence[MassPath]]
+) -> tuple[MassPath, FamilyForest]:
     """Reactant population in a fixed catalyst medium.
 
     The forest is cut at the first time the catalyst mass reaches the
     truncation threshold (its absorption time when the threshold is 0), or
     at t_max if that comes first; after catalyst absorption the reactant
     mass is constant, and surviving lineages are clipped at the cut.
+
+    `catalyst` may also be a sequence of R catalyst paths, one per replica:
+    path j drives the k = n * initial_reactant_mass / R consecutive trees
+    j*k ... j*k + k - 1 of the forest's linear order, whose lineages are cut
+    at min(t_max, absorption of path j).  The mass path returned is the sum
+    of the replicas'.  This needs the threshold 0, and n *
+    initial_reactant_mass a multiple of R.
     """
     return _reactant(cfg, catalyst)
 
 
-def _reactant(cfg: SimConfig, catalyst: MassPath):
-    cut = min(stopping_time(catalyst, cfg.delta), cfg.t_max)
-    if not math.isfinite(cut):
-        raise InputError(
-            "catalyst path never reaches the truncation threshold; "
-            "set a finite t_max")
-    if cut > catalyst.horizon:
-        raise InputError("catalyst path does not cover the reactant horizon")
+def _reactant(cfg: SimConfig, catalyst: Union[MassPath, Sequence[MassPath]]):
+    media = [catalyst] if isinstance(catalyst, MassPath) else list(catalyst)
+    if not media:
+        raise InputError("no catalyst path given")
+    if len(media) > 1 and cfg.delta != 0.0:
+        raise InputError("per-replica catalyst paths need truncation threshold 0")
     count0 = round(cfg.initial_reactant_mass * cfg.n)
+    if count0 % len(media):
+        raise InputError(f"{count0} reactant roots do not split into "
+                         f"{len(media)} equal blocks")
+    for medium in media:
+        cut = min(stopping_time(medium, cfg.delta), cfg.t_max)
+        if not math.isfinite(cut):
+            raise InputError(
+                "catalyst path never reaches the truncation threshold; "
+                "set a finite t_max")
+        if cut > medium.horizon:
+            raise InputError("catalyst path does not cover the reactant horizon")
+    # one medium goes in as a MassPath, the form that the event-driven
+    # reference engine (tests/reference_engine.py) also takes
     mass, forest = _simulate_population(
-        cfg.n, cfg.b2, catalyst, count0, cfg.t_max,
-        _stream(cfg.seed, _REACTANT), cfg.representation, cfg.max_live)
+        cfg.n, cfg.b2, media[0] if len(media) == 1 else media, count0,
+        cfg.t_max, _stream(cfg.seed, _REACTANT), cfg.representation,
+        cfg.max_live)
     # the engine stops at min(t_max, catalyst absorption), which is the cut
-    # unless a positive threshold is reached earlier
-    if forest.height_cap is None or cut < forest.height_cap:
+    # unless a positive threshold is reached earlier (one medium only)
+    if len(media) == 1 and (forest.height_cap is None
+                            or cut < forest.height_cap):
         forest = forest.truncate(cut)
     return mass, forest
 

@@ -1,16 +1,18 @@
 """
 The one-engine-call-per-replica loops that `catbranch.harness` ran before it
-drew the replicas of a shared medium as blocks of consecutive trees of one
-engine call, kept as the reference for the tests.  Replica i is a
-`simulate_*` call of its own at seed `seed + i`, read whole.
+drew its replicas as blocks of consecutive trees of one engine call (first
+those of a shared medium, then those that each carry their own catalyst),
+kept as the reference for the tests.  Replica i is a `simulate_*` call of
+its own at seed `seed + i`, read whole.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from catbranch.particle import (MassPath, SimConfig, simulate_reactant_quenched,
-                                stopping_time)
+from catbranch.harness import _different_tree_prob, _level_trees
+from catbranch.particle import (MassPath, SimConfig, simulate_joint,
+                                simulate_reactant_quenched, stopping_time)
 from catbranch.points import point_process_at_level
 
 
@@ -74,3 +76,32 @@ def tree_heights_and_leaves(replicas: int, seed: int, medium: MassPath,
         heights[i] = forest.height()
         leaves[i] = forest.leaf_count()
     return heights, leaves
+
+
+def different_tree_probs(replicas: int, seed: int, n: int, t: float,
+                         t_max: float) -> np.ndarray:
+    """`comparison`'s quenched half: per replica, a catalyst and a reactant
+    of initial mass 1 run to t_max by one `simulate_joint` call, the chance
+    that two level-t picks of the reactant lie in different trees (the
+    forest read at min(t, its cap)), 0 on an empty level."""
+    out = np.zeros(replicas)
+    for i in range(replicas):
+        _, (_, forest) = simulate_joint(SimConfig(n=n, t_max=t_max, seed=seed + i))
+        p = _different_tree_prob(np.bincount(_level_trees(forest, t)[1]).tolist())
+        out[i] = 0.0 if np.isnan(p) else p
+    return out
+
+
+def joint_masses(replicas: int, seed: int, n: int,
+                 checkpoints) -> tuple[np.ndarray, np.ndarray]:
+    """`criticality`'s particle half: per replica (rows), the catalyst and
+    reactant masses of one `simulate_joint` call run to the last checkpoint,
+    at each checkpoint."""
+    cat = np.zeros((replicas, len(checkpoints)))
+    rea = np.zeros((replicas, len(checkpoints)))
+    for i in range(replicas):
+        cfg = SimConfig(n=n, t_max=max(checkpoints), seed=seed + i)
+        (cm, _), (rm, _) = simulate_joint(cfg)
+        cat[i] = [cm.value_at(t) for t in checkpoints]
+        rea[i] = [rm.value_at(t) for t in checkpoints]
+    return cat, rea

@@ -2,12 +2,15 @@ import io
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from catbranch.contour import (Excursion, contour_from_forest, excise_above,
                                tree_from_excursion)
 from catbranch.errors import InputError
 from catbranch.forest import FamilyForest, random_binary_forest
 from catbranch.harness import _heights_and_leaves
+from forest_strategies import forests
 
 
 class TestExcursionType:
@@ -116,11 +119,11 @@ class TestDecode:
         f = tree_from_excursion(e)
         assert f.canonical_shape() == cherry.canonical_shape()
 
-    def test_round_trip_exact(self, rng):
-        for _ in range(400):
-            f = random_binary_forest(rng)
-            g = tree_from_excursion(contour_from_forest(f, 2.0))
-            assert g.canonical_shape() == f.canonical_shape()
+    @settings(max_examples=400, deadline=None)
+    @given(f=forests())
+    def test_round_trip_exact(self, f):
+        g = tree_from_excursion(contour_from_forest(f, 2.0))
+        assert g.canonical_shape() == f.canonical_shape()
 
     def test_round_trip_other_speeds(self, rng):
         for speed in (0.5, 2.0, 16.0):
@@ -183,18 +186,20 @@ class TestExcise:
         g = excise_above(e, 1.0)
         assert list(zip(g.u, g.e)) == [(0.0, 0.0), (0.5, 1.0), (1.0, 0.0)]
 
-    def test_matches_truncation(self, rng):
-        for _ in range(60):
-            f = random_binary_forest(rng)
-            t = 0.6 * f.height()
-            e = contour_from_forest(f, 2.0)
-            left = tree_from_excursion(excise_above(e, t))
-            right = f.truncate(t)
-            # compare metric content: contours of both agree
-            ce = contour_from_forest(left, 2.0)
-            cf = contour_from_forest(right, 2.0)
-            assert ce.e == pytest.approx(cf.e, abs=1e-12)
-            assert ce.u == pytest.approx(cf.u, abs=1e-12)
+    @settings(max_examples=100, deadline=None)
+    @given(f=forests(), frac=st.sampled_from([0.25, 0.5, 0.6, 0.75])
+           | st.floats(0.05, 0.95))
+    def test_matches_truncation(self, f, frac):
+        # the dyadic fractions put the cut exactly at node heights
+        t = frac * f.height()
+        e = contour_from_forest(f, 2.0)
+        left = tree_from_excursion(excise_above(e, t))
+        right = f.truncate(t)
+        # compare metric content: contours of both agree
+        ce = contour_from_forest(left, 2.0)
+        cf = contour_from_forest(right, 2.0)
+        assert ce.e == pytest.approx(cf.e, abs=1e-12)
+        assert ce.u == pytest.approx(cf.u, abs=1e-12)
 
     def test_sup_norm_bound(self, rng):
         for _ in range(20):

@@ -363,6 +363,83 @@ class TestBridgeCensus:
             assert counts[k] == pytest.approx(expected, rel=0.12)
 
 
+def bridge_depths_loop(beta, level, step_var, rng):
+    """`bridge_refined_depths` as it was written before its segments were
+    read with one `minimum.reduceat`: a Python loop over the runs below the
+    level and the cut steps of each.  The reference of the exactness test."""
+    below = beta < level
+    if not below.any() or below.all():
+        return np.empty(0)
+    a = beta[:-1]
+    b = beta[1:]
+    step_below = below[:-1] & below[1:]
+    p_split = np.zeros(a.size)
+    p_split[step_below] = np.exp(
+        -2.0 * (level - a[step_below]) * (level - b[step_below]) / step_var)
+    splits = rng.random(a.size) < p_split
+    mins = np.minimum(a, b)
+    u = rng.random(a.size)
+    sb = step_below
+    aa, bb = a[sb], b[sb]
+    mins[sb] = 0.5 * (aa + bb -
+                      np.sqrt((aa - bb) ** 2 - 2.0 * step_var * np.log(u[sb])))
+    idx = np.flatnonzero(below)
+    starts = idx[np.r_[True, np.diff(idx) > 1]]
+    ends = idx[np.r_[np.diff(idx) > 1, True]]
+    if starts.size and starts[0] == 0:
+        starts, ends = starts[1:], ends[1:]
+    if starts.size and ends[-1] == len(beta) - 1:
+        starts, ends = starts[:-1], ends[:-1]
+    depths = []
+    for s, e in zip(starts, ends):
+        seg_start = s
+        cut_steps = np.flatnonzero(splits[s:e]) + s if e > s else np.empty(0, int)
+        for be in list(cut_steps) + [e]:
+            if be > seg_start:
+                m = float(mins[seg_start:be].min())
+            else:
+                m = float(beta[seg_start])
+            depths.append(level - m)
+            seg_start = be
+    return np.asarray(depths)
+
+
+# samples on a grid around the level 0.5, so that runs of every length,
+# leading and trailing runs and samples at the level itself all occur
+GRID_PATHS = st.lists(st.sampled_from([0.0, 0.2, 0.45, 0.5, 0.55, 0.8, 1.0]),
+                      min_size=1, max_size=40)
+
+
+@settings(max_examples=400, deadline=None)
+@given(values=GRID_PATHS,
+       # a large step variance splits nearly every step below the level,
+       # cuts on a run's first step included; a small one almost none
+       step_var=st.sampled_from([1e-3, 0.05, 1.0, 1e3]),
+       seed=st.integers(0, 2**32 - 1))
+def test_bridge_depths_match_the_loop(values, step_var, seed):
+    beta = np.array(values)
+    got = bridge_refined_depths(beta, 0.5, step_var, np.random.default_rng(seed))
+    want = bridge_depths_loop(beta, 0.5, step_var, np.random.default_rng(seed))
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("values, segments", [
+    ([1.0, 0.2, 1.0], 1),                      # a one-sample run
+    ([0.2, 0.0, 1.0, 0.1, 1.0, 0.0, 0.2], 1),  # leading and trailing runs dropped
+    ([1.0, 0.2, 0.1, 0.0, 0.1, 1.0], 4),       # three steps, each cut
+    ([1.0, 0.4, 1.0, 0.3, 0.2, 1.0, 0.1, 0.1, 0.2, 0.3, 1.0], 1 + 2 + 4),
+])
+def test_bridge_depths_cut_cases(values, segments):
+    # at a step variance of 1e6 every step below the level splits (with
+    # chance 1 - 5e-7), so a run of j steps is j + 1 segments, the first
+    # empty: a cut on the run's first step
+    beta = np.array(values)
+    for seed in range(20):
+        got = bridge_refined_depths(beta, 0.5, 1e6, np.random.default_rng(seed))
+        want = bridge_depths_loop(beta, 0.5, 1e6, np.random.default_rng(seed))
+        assert np.array_equal(got, want) and got.size == segments
+
+
 class TestLaplaceDictionary:
     def test_frozen_medium_laplace_transform(self):
         # E[exp(-lam Y_t)] for dY = sqrt(Y) dW matches the closed form with

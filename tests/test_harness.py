@@ -183,6 +183,50 @@ class TestHittingProbMutant:
         assert report.statistic > report.target + report.alpha_or_tol
 
 
+class _BiasedCoin:
+    """A generator whose uniforms fall below 0.5 with chance 0.53, so that
+    the engine's 0-or-2 offspring coin (galton_watson recording) splits
+    with chance 0.53: a supercritical population."""
+
+    def __init__(self, rng):
+        self._rng = rng
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+    def random(self, size=None):
+        return self._rng.random(size) * (0.5 / 0.53)
+
+
+class TestCriticalityMutant:
+    """The particle half of `criticality` fails on a split coin of 0.53.
+
+    The mutant wraps the engine's generators behind the suite's back.  At
+    n = 5 and 1000 replicas the catalyst mean at t = 1 moves by about 12 SE
+    and the reactant's by about 9; over seeds 14_000_000-14_000_005 the
+    mutant failed both reports at all six seeds, and the right model passed
+    both at five (the sixth read 3.8 SE on the reactant).  A smaller n keeps
+    the supercritical populations small: at the gate's n = 20 the reactant
+    grows by a factor of about e^10."""
+
+    @staticmethod
+    def run():
+        return harness.run_criticality(replicas=1_000, n=5, sde_replicas=1_000)[:2]
+
+    def test_right_model_passes(self):
+        assert all(r.passed for r in self.run())
+
+    def test_biased_coin_fails(self, monkeypatch):
+        from catbranch import particle
+        stream = particle._stream
+        monkeypatch.setattr(particle, "_stream",
+                            lambda seed, which: _BiasedCoin(stream(seed, which)))
+        reports = self.run()
+        assert [r.name for r in reports] == ["criticality[catalyst]",
+                                             "criticality[reactant]"]
+        assert not any(r.passed for r in reports)
+
+
 class TestReactantIntensity:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_no_documentation_report_without_replicas(self):

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from catbranch.contour import Excursion, contour_from_forest
@@ -14,6 +14,7 @@ from catbranch.points import (GenealogicalPointProcess,
                               pairwise_level_distances,
                               point_process_at_level,
                               reconstruct_distance_matrix)
+from forest_strategies import forests
 
 
 class TestExtraction:
@@ -69,18 +70,16 @@ class TestReconstruction:
         off = m[~np.eye(3, dtype=bool)]
         assert np.all(off == 2.0)
 
-    def test_matches_direct_distances(self, rng):
-        checked = 0
-        for _ in range(300):
-            f = random_binary_forest(rng)
-            t = float(rng.uniform(0.2, 0.95)) * f.height()
-            if not f.level_set(t):
-                continue
-            checked += 1
-            pp = point_process_at_level(f, t, 1.0)
-            assert np.array_equal(reconstruct_distance_matrix(pp),
-                                  pairwise_level_distances(f, t))
-        assert checked > 200
+    @settings(max_examples=300, deadline=None)
+    @given(f=forests(), frac=st.sampled_from([0.25, 0.5, 0.75])
+           | st.floats(0.2, 0.95))
+    def test_matches_direct_distances(self, f, frac):
+        # the dyadic fractions put the level exactly at node heights
+        t = frac * f.height()
+        assume(f.level_set(t))
+        pp = point_process_at_level(f, t, 1.0)
+        assert np.array_equal(reconstruct_distance_matrix(pp),
+                              pairwise_level_distances(f, t))
 
     def test_truncation_does_not_change_level(self, rng):
         for _ in range(50):

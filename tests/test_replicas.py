@@ -1,20 +1,24 @@
 """
 The replica axis of the particle suites: replicas of a shared medium are
-blocks of k consecutive trees of one engine call.  Exact checks per block,
-and fixed-seed two-sample tests of each statistic the suites read per
-block against the one-call-per-replica loops of `reference_replicas`.
+blocks of k consecutive trees of one engine call, and so are replicas that
+each carry their own catalyst, the catalysts' mass paths being the media of
+one reactant call.  Exact checks per block, and fixed-seed two-sample tests
+of each statistic the suites read per block against the one-call-per-replica
+loops of `reference_replicas`.
 """
 
 import hashlib
+import math
 
 import numpy as np
 import pytest
 
 import reference_replicas as ref
-from catbranch import harness
+from catbranch import harness, particle
 from catbranch.errors import InputError
 from catbranch.oracles import two_sample_counts_chi2, two_sample_ks
-from catbranch.particle import MassPath, SimConfig, simulate_reactant_quenched
+from catbranch.particle import (MassPath, SimConfig, simulate_catalyst,
+                                simulate_reactant_quenched)
 
 # a medium with a jump below the level, so the engine inverts a hazard with
 # a knot
@@ -107,3 +111,124 @@ class TestAgainstOneCallPerReplica:
                                                      delta=0.2, t_max=50.0)
         assert two_sample_ks(got_h, want_h)[1] >= ALPHA
         assert two_sample_counts_chi2(got_l, want_l) >= ALPHA
+
+
+class TestPerReplicaMedia:
+    """Replicas that each carry their own catalyst: blocks of one catalyst
+    call, whose mass paths drive the blocks of one reactant call."""
+
+    def test_catalyst_paths_are_the_live_counts_of_their_blocks(self):
+        n, k, r, t_max = 5, 5, 8, 1.5
+        mass, forest = simulate_catalyst(SimConfig(
+            n=n, t_max=t_max, seed=8, initial_catalyst_mass=r * k / n))
+        paths = harness._block_mass_paths(forest, k, n)
+        assert len(paths) == r
+        block = forest.tree_index() // k
+        died = 0
+        for j, path in enumerate(paths):
+            birth, death = forest.birth[block == j], forest.death[block == j]
+            ends = np.append(path.times, t_max)
+            for s in np.concatenate((path.times, (ends[:-1] + ends[1:]) / 2)):
+                live = np.count_nonzero((birth <= s) & (s < death))
+                assert path.value_at(s) == live / n
+            extinct = path.values[-1] == 0.0
+            assert path.horizon == (math.inf if extinct else t_max)
+            died += extinct
+        assert 0 < died < r  # both kinds of horizon are checked
+        # the blocks' paths add up to the call's own path
+        for s in mass.times:
+            assert sum(round(n * p.value_at(s)) for p in paths) == round(
+                n * mass.value_at(s))
+
+    @pytest.mark.parametrize("t_max", [0.8, 30.0])  # below and past absorption
+    @pytest.mark.parametrize("seeds, scales", [
+        ((4, 4, 4, 4), (1.0, 1.0, 1.0, 1.0)),
+        ((4, 6, 5, 4), (1.0, 2.0, 0.5, 1.5)),
+    ], ids=["copies", "distinct"])
+    def test_each_medium_inverts_as_that_medium_alone(self, t_max, seeds, scales):
+        # copies of one medium, and media with different values, knot counts
+        # and absorption times, so that a node searched in the wrong
+        # medium's knots would read the wrong time
+        media = [MassPath(m.times, c * m.values) for m, c in zip(
+            (simulate_catalyst(SimConfig(n=20, t_max=30.0, seed=s))[0] for s in seeds),
+            scales)]
+        assert min(m.times.size for m in media) > 50
+        horizons = np.minimum(t_max, [particle.stopping_time(m, 0.0) for m in media])
+        scale = 2.0 * 5
+        joined = particle._time_of_hazards(media, scale, horizons)
+        rng = np.random.default_rng(3)
+        for j, (medium, horizon) in enumerate(zip(media, horizons)):
+            single = particle._time_of_hazard(medium, scale, horizon)
+            total = scale * medium.integral(0.0, horizon)
+            h = np.append(rng.uniform(0.0, 1.2 * total, 20_000), total)
+            born = single(h * rng.uniform(0.0, 1.0, h.size), np.zeros(h.size))
+            want = single(h, born)
+            got = joined(h, born, np.full(h.size, j))
+            # np.interp's slope is a ratio of rounded differences, and ours
+            # the medium's rate: up to 5 ulps apart were seen
+            assert (np.abs(got - want) <= 8 * np.spacing(want)).all()
+
+    def test_copies_of_one_medium_draw_the_single_medium_forest(self):
+        # one seed, so one stream: the same nodes, and every death within a
+        # few ulps of the single-medium engine's
+        medium = harness.saved_catalyst(4)
+        copies, k, n = 5, 4, 4
+        cfg = SimConfig(n=n, t_max=3.0, seed=17,
+                        initial_reactant_mass=copies * k / n)
+        mass1, one = simulate_reactant_quenched(cfg, medium)
+        mass, many = simulate_reactant_quenched(cfg, [medium] * copies)
+        assert len(one) > 1000
+        assert np.array_equal(one.parent, many.parent)
+        assert np.array_equal(one.roots, many.roots)
+        assert (np.abs(many.death - one.death) <= 4 * np.spacing(one.death)).all()
+        assert (np.abs(many.birth - one.birth) <= 4 * np.spacing(one.birth)).all()
+        assert np.array_equal(mass.values, mass1.values)
+        assert many.height_cap == one.height_cap
+
+    @pytest.mark.parametrize("t_max", [2.0, 1.0])
+    def test_each_block_stops_at_its_own_catalyst(self, t_max):
+        absorb = [0.9, 0.3, 1.2, 0.6]  # not in order, so offsets matter
+        media = [MassPath(np.array([0.0, a]), np.array([1.0, 0.0])) for a in absorb]
+        n, k = 6, 24  # mass 4 a block: its lineages reach the cap
+        mass, forest = simulate_reactant_quenched(SimConfig(
+            n=n, t_max=t_max, seed=5, initial_reactant_mass=len(absorb) * k / n),
+            media)
+        caps = np.minimum(absorb, t_max)
+        block = forest.tree_index() // k
+        events = 0
+        for j, cap in enumerate(caps):
+            death = forest.death[block == j]
+            assert (death <= cap).all() and (death == cap).any()
+            events += np.count_nonzero(death < cap)
+        assert forest.height_cap == caps.max()
+        # every event of every block is a jump of the summed path
+        assert mass.times.size - 1 == events
+
+    @pytest.mark.parametrize("config, match", [
+        ({"initial_reactant_mass": 1.0}, "equal blocks"),  # 4 roots, 3 media
+        ({"initial_reactant_mass": 3.0, "delta": 0.5}, "threshold 0"),
+    ])
+    def test_rejected_media(self, config, match):
+        with pytest.raises(InputError, match=match):
+            simulate_reactant_quenched(SimConfig(n=4, t_max=1.0, **config),
+                                       [STEP] * 3)
+
+
+class TestPerReplicaMediaAgainstOneCallPerReplica:
+    """Blocks of two calls per chunk against one `simulate_joint` call per
+    replica; the streams differ, the laws must not."""
+
+    def test_different_tree_probabilities(self):
+        got = harness._different_tree_probs(
+            harness._reactant_level_sizes(400, 31, 10, 1.0, 1.25))
+        want = ref.different_tree_probs(400, 41, 10, 1.0, 1.25)
+        assert two_sample_ks(got, want)[1] >= ALPHA
+
+    def test_catalyst_and_reactant_masses(self):
+        checkpoints = (0.25, 0.5, 1.0)
+        got = harness._joint_masses(400, 32, 10, checkpoints)
+        want = ref.joint_masses(400, 42, 10, checkpoints)
+        for ours, theirs in zip(got, want):  # catalyst, then reactant
+            for k in range(len(checkpoints)):
+                assert two_sample_counts_chi2(np.rint(10 * ours[:, k]),
+                                              np.rint(10 * theirs[:, k])) >= ALPHA

@@ -130,24 +130,33 @@ def test_engine_forests_match_reference(data):
     check(f, data.draw(levels(f)))
 
 
-@pytest.mark.parametrize("cfg, step", [
-    (SimConfig(n=40, t_max=1.0, seed=3), False),
-    (SimConfig(n=40, t_max=2.0, seed=4, representation=BIRTH_DEATH), False),
-    (SimConfig(n=6, t_max=math.inf, seed=5), False),
-    (SimConfig(n=20, t_max=5.0, delta=0.5, seed=6), True),
-], ids=["gw", "bd", "uncapped", "step-cut"])
-def test_engine_forest_matches_its_read_back(cfg, step):
+# four media that absorb at distinct times, one per block of 10 roots
+PER_REPLICA_MEDIA = [MassPath(np.array([0.0, a]), np.array([1.0, 0.0]))
+                     for a in (0.7, 1.2, 0.4, 2.0)]
+
+
+@pytest.mark.parametrize("cfg, media", [
+    (SimConfig(n=40, t_max=1.0, seed=3), None),
+    (SimConfig(n=40, t_max=2.0, seed=4, representation=BIRTH_DEATH), None),
+    (SimConfig(n=6, t_max=math.inf, seed=5), None),
+    (SimConfig(n=20, t_max=5.0, delta=0.5, seed=6), STEP_MEDIUM),
+    (SimConfig(n=10, t_max=1.5, seed=7, initial_reactant_mass=4.0),
+     PER_REPLICA_MEDIA),
+], ids=["gw", "bd", "uncapped", "step-cut", "per-replica-media"])
+def test_engine_forest_matches_its_read_back(cfg, media):
     """The pre-order swept from the engine's generations equals the walk
-    of the same forest read back from text, and so do the queries."""
-    if step:
-        forests = [simulate_reactant_quenched(cfg, STEP_MEDIUM)[1]]
-    else:
+    of the same forest read back from text, and so do the queries; the
+    tree index handed down the generations, read before the pre-order is
+    built, equals the walk's too."""
+    if media is None:
         forests = [f for _, f in simulate_joint(cfg)]
+    else:
+        forests = [simulate_reactant_quenched(cfg, media)[1]]
     for f in forests:
         g = FamilyForest.from_text(f.to_text())
         assert len(f) > 50
-        assert np.array_equal(f.order, g.order)
         assert np.array_equal(f.tree_index(), g.tree_index())
+        assert np.array_equal(f.order, g.order)
         top = f.height() if f.height_cap is None else f.height_cap
         for t in (0.0, 0.1 * top, 0.5 * top, 0.9 * top, top):
             assert f.level_set(t) == g.level_set(t)
