@@ -591,11 +591,18 @@ def run_reactant_intensity(seed: int = 9_000_000, replicas: int = 50,
 def _tree_counts(replicas: int, seed: int, medium: MassPath, n: int,
                  t: float) -> np.ndarray:
     """Per replica of unit-rate reactants of initial mass 1 in `medium`,
-    the number of trees with level-t survivors: the zero marks of its
-    level point process + 1 on a nonempty level, else 0."""
-    levels, heights, blocks = _level_census(replicas, seed, medium, n, t, b2=1.0)
-    zeros = np.bincount(blocks[heights == 0.0], minlength=replicas)
-    return np.where(levels > 0, zeros + 1.0, 0.0)
+    the number of trees with level-t survivors (a capped forest read at
+    its cap); on a nonempty level it is the zero marks of the level point
+    process + 1."""
+    counts = []
+    for r, _, forest in _replica_runs(replicas, n, seed, medium, n=n,
+                                      t_max=t, b2=1.0):
+        cap = forest.height_cap
+        level = t if cap is None else min(t, cap)
+        alive, tree = _alive_at(forest, n, np.full(r, level))
+        occupied = np.bincount(tree[alive], minlength=r * n) > 0
+        counts.append(occupied.reshape(r, n).sum(axis=1))
+    return np.concatenate(counts).astype(float)
 
 
 def run_tree_count(seed: int = 10_000_000, replicas: int = 600,

@@ -22,13 +22,18 @@ I(t) = integral of lambda.  (The square-root diffusion pair integrated in
 constant time change, documented there.)
 
 Engine.  Individuals are independent given the medium, so the engine draws
-a whole generation at once.  A node born at time s with cumulative hazard
-L(s) = 2 n b * integral of the medium over [0, s] ends at L^-1(L(s) + E),
-E a standard exponential; nodes that end before the horizon split into two
-children born at that time or die.  Nodes are numbered generation by
-generation, and the two children of a split have consecutive ids.  The
-total-mass path has one entry per event.  Two interchangeable recordings
-draw a generation of m nodes differently:
+a whole generation at once, in hazard units: on the clock L(t) = 2 n b *
+integral of the medium over [0, t] the population is the classical
+constant-rate critical forest, so a node born at hazard L(s) ends at hazard
+L(s) + E, E a standard exponential.  A node that ends below the hazard at
+the horizon splits into two children born at that hazard or dies; the
+others live to the horizon.  No time is read while the generations are
+drawn: after the last one, one call of the inverse L^-1 maps every node's
+hazard to its time of death, which is then raised to its parent's where
+rounding put it an ulp below and clipped at the horizon.  Nodes are
+numbered generation by generation, and the two children of a split have
+consecutive ids.  The total-mass path has one entry per event.  Two
+interchangeable recordings draw a generation of m nodes differently:
 
   galton_watson   `exponential(size=m)` for the branch clocks at rate
                   2 n b * medium, then `random(m) < 0.5` for the 0-or-2
@@ -45,15 +50,16 @@ than one root draws its roots' linear order with `permutation`.
 
 Several media.  A reactant may be given R media, one per replica: medium j
 drives block j, the k = count0 / R consecutive trees j*k ... j*k + k - 1 of
-the linear order, and every node carries its block.  Each medium's
-piecewise-linear cumulative hazard is offset by the hazard totals of the
-media before it, so one `searchsorted` per generation finds every node's
-segment on the joined hazard axis; the time is then read from the node's
-own medium, so a block's deaths do not depend on the blocks before it, to
-a few ulps.  Each block stops at its own horizon, min(t_max, absorption of
-its medium), which caps its nodes; the forest's height cap is the largest
-of these.  The mass path is the sum of the blocks' paths: every event of
-every block is one of its jumps.
+the linear order, and every node carries its block.  Each block stops at
+its own horizon, min(t_max, absorption of its medium): a node ends iff its
+hazard is below its medium's hazard at that horizon, which caps its
+block's nodes; the forest's height cap is the largest of the horizons.
+For the one time map at the end, each medium's piecewise-linear cumulative
+hazard is offset by the hazard totals of the media before it, so one
+`searchsorted` finds every node's segment on the joined hazard axis; the
+time is then read from the node's own medium, so a block's deaths do not
+depend on the blocks before it, to a few ulps.  The mass path is the sum of
+the blocks' paths: every event of every block is one of its jumps.
 
 Forest.  The engine hands its forest over as the arrays it drew: births,
 deaths clipped at the horizon, parents, and the children as the run of
@@ -66,7 +72,9 @@ only the concatenation of its generations.
 Cap.  `max_live` bounds the live population after every event;
 `PopulationCapError` is raised as soon as the generations drawn so far show
 that the bound is exceeded, so a runaway population stops before its whole
-forest is drawn.
+forest is drawn.  The check runs when the node count first passes
+`max_live` and each time it has doubled since, and maps the hazards drawn
+so far to times.
 """
 
 from __future__ import annotations
@@ -108,9 +116,8 @@ class SimConfig:
             raise InputError("t_max must be > 0")
         if self.b1 <= 0 or self.b2 <= 0:
             raise InputError("rates must be positive")
-        if int(self.n) != self.n or self.n < 1:
-            raise InputError("rescaling index must be a positive integer")
-        self.n = int(self.n)
+        self.n = _positive_int(self.n, "rescaling index")
+        self.max_live = _positive_int(self.max_live, "max_live")
         if self.delta < 0:
             raise InputError("truncation threshold must be >= 0")
         if self.seed < 0:
@@ -121,6 +128,14 @@ class SimConfig:
             count = mass * self.n
             if abs(count - round(count)) > 1e-9 or count < 0:
                 raise InputError("initial masses must be multiples of 1/n")
+
+
+def _positive_int(value, name: str) -> int:
+    """`value` as an int; NaN, infinities, fractions and values below 1
+    are an `InputError`."""
+    if not (math.isfinite(value) and value == int(value) and value >= 1):
+        raise InputError(f"{name} must be a positive integer, got {value!r}")
+    return int(value)
 
 
 @dataclass
@@ -216,38 +231,37 @@ def stopping_time(path: MassPath, delta: float) -> float:
 
 def _time_of_hazard(medium: MassPath, rate_scale: float, horizon: float):
     """The inverse of the cumulative hazard L(t) = rate_scale * integral of
-    the medium over [0, t], as a function of arrays of hazards and of the
-    birth times that bound them from below.
+    the medium over [0, t], as a function of an array of hazards, and
+    L(horizon), the hazard at the horizon.
 
     Below the horizon the medium is positive, so L is strictly increasing
     and piecewise linear with knots at the medium's jumps; past its last
-    knot below the horizon it continues with the last slope.  Times at or
-    beyond the horizon only tell that a clock did not ring before it.
+    knot below the horizon it continues with the last slope.  A hazard
+    below L(horizon) reads a time below the horizon, up to rounding;
+    times at or beyond the horizon only tell that a clock did not ring
+    before it.
     """
     if not horizon > 0.0:  # nothing happens before the horizon
-        return lambda h, born: np.full(h.size, horizon)
+        return (lambda h: np.full(h.size, horizon)), 0.0
     inside = medium.times < horizon
     knots = medium.times[inside]
     rates = rate_scale * medium.values[inside]
     slope = rates[-1]
-    if knots.size == 1:  # constant medium; knots[0] == 0
-        return lambda h, born: h / slope
     hazards = np.concatenate(([0.0], np.cumsum(rates[:-1] * np.diff(knots))))
     last_knot, last_hazard = knots[-1], hazards[-1]
-
-    def to_time(h, born):
-        t = np.where(h > last_hazard, last_knot + (h - last_hazard) / slope,
-                     np.interp(h, hazards, knots))
-        # interpolation may round a time below the birth by an ulp
-        return np.maximum(t, born)
-    return to_time
+    top = last_hazard + slope * (horizon - last_knot)
+    if knots.size == 1:  # constant medium; knots[0] == 0
+        return (lambda h: h / slope), top
+    return (lambda h: np.where(h > last_hazard,
+                               last_knot + (h - last_hazard) / slope,
+                               np.interp(h, hazards, knots))), top
 
 
 def _time_of_hazards(media: Sequence[MassPath], rate_scale: float,
                      horizons: np.ndarray):
     """The inverse cumulative hazards of several media at once, as a
-    function of arrays of hazards, of the birth times that bound them from
-    below and of each node's medium.
+    function of arrays of hazards and of each node's medium, and each
+    medium's hazard at its horizon.
 
     Medium j's knots below its horizon, with their rates and cumulative
     hazards, are a run of segments of joined arrays, ending at last[j].  On the
@@ -259,8 +273,8 @@ def _time_of_hazards(media: Sequence[MassPath], rate_scale: float,
     node's; a comparison with the medium's own hazards steps those back.
     The time is read on the medium's own axis, so it is what
     `_time_of_hazard` gives for that medium alone, to a few ulps.  A medium
-    with horizon 0 accrues no hazard: every time it gives is at or beyond
-    its horizon.
+    with horizon 0 accrues no hazard: its total is 0, and every time it
+    gives is at or beyond its horizon.
     """
     knots, rates, hazards, totals = [], [], [], []
     for medium, horizon in zip(media, horizons):
@@ -282,19 +296,25 @@ def _time_of_hazards(media: Sequence[MassPath], rate_scale: float,
     knots, rates, hazards = map(np.concatenate, (knots, rates, hazards))
     joined = hazards + offset.repeat(sizes)
 
-    def to_time(h, born, medium):
-        seg = np.minimum(np.searchsorted(joined, offset[medium] + h, side="right") - 1,
-                         last[medium])
+    def to_time(h, medium):
+        # in place where it can be: the engine maps a whole forest at once
+        shifted = offset[medium]
+        shifted += h
+        seg = np.searchsorted(joined, shifted, side="right")
+        del shifted
+        seg -= 1
+        np.minimum(seg, last[medium], out=seg)
         below = hazards[seg]
         high = below > h
         while high.any():  # stops at the latest at a medium's first hazard, 0
             seg -= high
             below = hazards[seg]
             high = below > h
-        t = knots[seg] + (h - below) / rates[seg]
-        # a time may round below the birth by an ulp
-        return np.maximum(t, born)
-    return to_time
+        t = np.subtract(h, below, out=below)
+        t /= rates[seg]
+        t += knots[seg]
+        return t
+    return to_time, np.array(totals)
 
 
 def _live_counts(count0: int, death: np.ndarray, split: np.ndarray,
@@ -308,6 +328,30 @@ def _live_counts(count0: int, death: np.ndarray, split: np.ndarray,
     return times[order], count0 + np.where(split[ended], 1, -1)[order].cumsum()
 
 
+def _parents(count0: int, split: np.ndarray) -> np.ndarray:
+    """The parent of every node, -1 for the roots: the j-th split node has
+    children count0 + 2j, +1."""
+    return np.concatenate((np.full(count0, -1), split.nonzero()[0].repeat(2)))
+
+
+def _settle(death: np.ndarray, parent: np.ndarray, count0: int,
+            ended: np.ndarray, cap) -> None:
+    """Finish the times of death of a forest's nodes, read from their
+    hazards, in place: never below the parent's death, and clipped at the
+    cap (one per node, or one for all), which is the death of every node
+    that does not end below it."""
+    # a time may round below the parent's by an ulp, and a raised death may
+    # raise its children's in turn
+    kids, up = death[count0:], death[parent[count0:]]
+    low = kids < up
+    while low.any():
+        kids[low] = up[low]
+        up = death[parent[count0:]]
+        low = kids < up
+    np.minimum(death, cap, out=death)
+    np.copyto(death, cap, where=~ended)
+
+
 def _simulate_population(n: int, b: float,
                          medium: Union[MassPath, Sequence[MassPath]], count0: int,
                          t_max: float, rng: np.random.Generator,
@@ -317,12 +361,13 @@ def _simulate_population(n: int, b: float,
     each of birth and death, recording mass path and forest.
 
     Individuals are independent given the medium, so the engine draws one
-    generation at a time: every node's lifetime comes from the cumulative
-    hazard, and the nodes that end before the horizon split or die.  Nodes
-    are numbered generation by generation, and the two children of a split
-    have consecutive ids; the forest keeps the generation bounds, from
-    which it derives its pre-order when first read.  The mass path has one
-    entry per event.
+    generation at a time in hazard units: a node ends at its birth hazard
+    plus an exponential, and the nodes that end below the hazard at the
+    horizon split or die.  Nodes are numbered generation by generation, and
+    the two children of a split have consecutive ids; the forest keeps the
+    generation bounds, from which it derives its pre-order when first read.
+    The hazards of all nodes are mapped to times once, at the end.  The
+    mass path has one entry per event.
 
     The medium must cover [0, t_max] (step paths cover everything to the
     right of their last jump, so constants always do).  Simulation stops at
@@ -351,29 +396,27 @@ def _simulate_population(n: int, b: float,
     med_stop = max(stops)
     if len(media) == 1:
         horizon = min(t_max, med_stop)
-        to_time = _time_of_hazard(media[0], 2.0 * n * b, horizon)
+        to_time, top = _time_of_hazard(media[0], 2.0 * n * b, horizon)
         block = None
-        cap = horizon
     else:
         horizons = np.minimum(t_max, stops)
         horizon = float(horizons.max())
-        to_time = _time_of_hazards(media, 2.0 * n * b, horizons)
+        to_time, tops = _time_of_hazards(media, 2.0 * n * b, horizons)
         # each root's block is its place in the linear order // k
-        block = np.empty(count0, dtype=np.intp)
+        block = np.empty(count0, dtype=np.min_scalar_type(len(media) - 1))
         block[roots] = np.arange(count0) // (count0 // len(media))
-        cap = horizons[block]
+        top = tops[block]
 
     # one array per generation, in node order
-    born = np.zeros(count0)
-    born_hazard = born  # cumulative hazard at birth
-    births = [born]
-    deaths: list[np.ndarray] = []
+    born_hazard = np.zeros(count0)  # cumulative hazard at birth
+    hazards: list[np.ndarray] = []
     splits: list[np.ndarray] = []
     endings: list[np.ndarray] = []  # deaths below the node's horizon
+    blocks: list[np.ndarray] = []
     nodes = count0
     next_check = max_live
     while True:  # at least once, so that no roots make empty arrays
-        m = born.size
+        m = born_hazard.size
         if galton_watson:
             hazard = born_hazard + exponential(size=m)
             split = uniform(m) < 0.5
@@ -384,49 +427,57 @@ def _simulate_population(n: int, b: float,
             death_clock = exponential(size=m)
             hazard = born_hazard + 2.0 * np.minimum(birth_clock, death_clock)
             split = birth_clock < death_clock
-        if block is None:
-            death = to_time(hazard, born)
-        else:
-            death = to_time(hazard, born, block)
-        ended = death < cap
+        ended = hazard < top
         split &= ended
-        deaths.append(np.minimum(death, cap))
+        hazards.append(hazard)
         splits.append(split)
         endings.append(ended)
-        born = death[split].repeat(2)
         born_hazard = hazard[split].repeat(2)
         if block is not None:
+            blocks.append(block)
             block = block[split].repeat(2)
-            cap = horizons[block]
-        births.append(born)
-        nodes += born.size
+            top = tops[block]
+        nodes += born_hazard.size
         if nodes > next_check:
             # a lower bound on the live count: the new children are left
             # out, so this generation's splits only remove their parents
-            _, lower = _live_counts(
-                count0, np.concatenate(deaths),
-                np.concatenate(splits[:-1] + [np.zeros_like(split)]),
-                np.concatenate(endings))
+            drawn = np.concatenate(splits[:-1] + [np.zeros_like(split)])
+            drawn_ended = np.concatenate(endings)
+            drawn_block = np.concatenate(blocks) if blocks else None
+            death = np.concatenate(hazards)
+            death = (to_time(death) if drawn_block is None
+                     else to_time(death, drawn_block))
+            _settle(death, _parents(count0, drawn[:drawn.size - m]), count0,
+                    drawn_ended,
+                    horizon if drawn_block is None else horizons[drawn_block])
+            _, lower = _live_counts(count0, death, drawn, drawn_ended)
             if lower.size and lower.max() > max_live:
                 raise PopulationCapError(
                     f"live population exceeded cap {max_live}")
             next_check = 2 * nodes
-        if not born.size:
+        if not born_hazard.size:
             break
 
     # the arrays of the end are built one after another, and each input is
     # dropped once used: the generation lists, the inverse hazards (for
     # several media, 32 bytes a knot) and the event arrays would otherwise
     # be held to the return, which is the call's peak
-    del to_time
-    generations = list(itertools.accumulate((d.size for d in deaths),
+    generations = list(itertools.accumulate((h.size for h in hazards),
                                             initial=0))
-    death = np.concatenate(deaths)
-    del deaths
     split = np.concatenate(splits)
     del splits
     ended = np.concatenate(endings)
     del endings
+    block = np.concatenate(blocks) if blocks else None
+    del blocks
+    death = np.concatenate(hazards)
+    del hazards
+    death = to_time(death) if block is None else to_time(death, block)
+    del to_time
+    parent = _parents(count0, split)
+    _settle(death, parent, count0, ended,
+            horizon if block is None else horizons[block])
+    del block
     times, counts = _live_counts(count0, death, split, ended)
     del ended
     if counts.size and counts.max() > max_live:
@@ -440,11 +491,9 @@ def _simulate_population(n: int, b: float,
     del times, counts
 
     # generations are numbered in order and each lists its children in
-    # parent order, so the j-th split node has children count0 + 2j, +1:
-    # the child list is every non-root node, in id order
-    birth = np.concatenate(births)
-    del births
-    parent = np.concatenate((np.full(count0, -1), split.nonzero()[0].repeat(2)))
+    # parent order, so the child list is every non-root node, in id order
+    birth = death[parent]
+    birth[:count0] = 0.0
     kid_ptr = np.zeros(death.size + 1, dtype=np.intp)
     np.cumsum(split, out=kid_ptr[1:])
     del split

@@ -1,0 +1,231 @@
+"""
+The generation loop that `catbranch.particle` ran before it drew its
+generations in hazard units, kept as the reference for the tests.
+
+Each generation's hazards are mapped to times as they are drawn, a node
+ends iff its time is below its horizon, and its children are born at that
+time.  The time maps take the birth times, which bound a time from below.
+`simulate_population` has the signature and outputs of
+`particle._simulate_population`, so a test can put it in the engine's place
+and run the public `simulate_*` functions through it.
+"""
+
+from __future__ import annotations
+
+import itertools
+import math
+from typing import Sequence, Union
+
+import numpy as np
+
+from catbranch.errors import PopulationCapError
+from catbranch.forest import FamilyForest
+from catbranch.particle import (GALTON_WATSON, MassPath, _live_counts,
+                                stopping_time)
+
+
+def time_of_hazard(medium: MassPath, rate_scale: float, horizon: float):
+    """The inverse of the cumulative hazard L(t) = rate_scale * integral of
+    the medium over [0, t], as a function of arrays of hazards and of the
+    birth times that bound them from below.
+
+    Below the horizon the medium is positive, so L is strictly increasing
+    and piecewise linear with knots at the medium's jumps; past its last
+    knot below the horizon it continues with the last slope.  Times at or
+    beyond the horizon only tell that a clock did not ring before it.
+    """
+    if not horizon > 0.0:  # nothing happens before the horizon
+        return lambda h, born: np.full(h.size, horizon)
+    inside = medium.times < horizon
+    knots = medium.times[inside]
+    rates = rate_scale * medium.values[inside]
+    slope = rates[-1]
+    if knots.size == 1:  # constant medium; knots[0] == 0
+        return lambda h, born: h / slope
+    hazards = np.concatenate(([0.0], np.cumsum(rates[:-1] * np.diff(knots))))
+    last_knot, last_hazard = knots[-1], hazards[-1]
+
+    def to_time(h, born):
+        t = np.where(h > last_hazard, last_knot + (h - last_hazard) / slope,
+                     np.interp(h, hazards, knots))
+        # interpolation may round a time below the birth by an ulp
+        return np.maximum(t, born)
+    return to_time
+
+
+def time_of_hazards(media: Sequence[MassPath], rate_scale: float,
+                     horizons: np.ndarray):
+    """The inverse cumulative hazards of several media at once, as a
+    function of arrays of hazards, of the birth times that bound them from
+    below and of each node's medium.
+
+    Medium j's knots below its horizon, with their rates and cumulative
+    hazards, are a run of segments of joined arrays, ending at last[j].  On the
+    joined hazard axis each medium's hazards are offset by the hazard totals
+    of the media before it (a total runs to the medium's horizon), so one
+    `searchsorted` finds every node's segment.  Rounding the offset is
+    monotone, so the segment found is never below the node's own, and it
+    is too high only where the offset rounds a knot's hazard onto the
+    node's; a comparison with the medium's own hazards steps those back.
+    The time is read on the medium's own axis, so it is what
+    `time_of_hazard` gives for that medium alone, to a few ulps.  A medium
+    with horizon 0 accrues no hazard: every time it gives is at or beyond
+    its horizon.
+    """
+    knots, rates, hazards, totals = [], [], [], []
+    for medium, horizon in zip(media, horizons):
+        inside = medium.times < horizon
+        if not inside.any():  # absorbed at time 0
+            inside = medium.times == 0.0
+            rate = np.ones(1)
+        else:
+            rate = rate_scale * medium.values[inside]
+        knot = medium.times[inside]
+        hazard = np.concatenate(([0.0], np.cumsum(rate[:-1] * np.diff(knot))))
+        knots.append(knot)
+        rates.append(rate)
+        hazards.append(hazard)
+        totals.append(hazard[-1] + rate[-1] * (horizon - knot[-1]))
+    sizes = [k.size for k in knots]
+    last = np.cumsum(sizes) - 1
+    offset = np.concatenate(([0.0], np.cumsum(totals[:-1])))
+    knots, rates, hazards = map(np.concatenate, (knots, rates, hazards))
+    joined = hazards + offset.repeat(sizes)
+
+    def to_time(h, born, medium):
+        seg = np.minimum(np.searchsorted(joined, offset[medium] + h, side="right") - 1,
+                         last[medium])
+        below = hazards[seg]
+        high = below > h
+        while high.any():  # stops at the latest at a medium's first hazard, 0
+            seg -= high
+            below = hazards[seg]
+            high = below > h
+        t = knots[seg] + (h - below) / rates[seg]
+        # a time may round below the birth by an ulp
+        return np.maximum(t, born)
+    return to_time
+
+
+def simulate_population(n: int, b: float,
+                        medium: Union[MassPath, Sequence[MassPath]], count0: int,
+                        t_max: float, rng: np.random.Generator,
+                        representation: str,
+                        max_live: int) -> tuple[MassPath, FamilyForest]:
+    """`particle._simulate_population` with each generation's deaths read
+    on the time axis as the generation is drawn."""
+    exponential = rng.exponential
+    uniform = rng.random
+    galton_watson = representation == GALTON_WATSON
+
+    roots = np.arange(count0)
+    if count0 > 1:  # roots sit in a random linear order
+        roots = rng.permutation(count0)
+    media = [medium] if isinstance(medium, MassPath) else list(medium)
+    stops = [stopping_time(m, 0.0) for m in media]
+    med_stop = max(stops)
+    if len(media) == 1:
+        horizon = min(t_max, med_stop)
+        to_time = time_of_hazard(media[0], 2.0 * n * b, horizon)
+        block = None
+        cap = horizon
+    else:
+        horizons = np.minimum(t_max, stops)
+        horizon = float(horizons.max())
+        to_time = time_of_hazards(media, 2.0 * n * b, horizons)
+        # each root's block is its place in the linear order // k
+        block = np.empty(count0, dtype=np.intp)
+        block[roots] = np.arange(count0) // (count0 // len(media))
+        cap = horizons[block]
+
+    # one array per generation, in node order
+    born = np.zeros(count0)
+    born_hazard = born  # cumulative hazard at birth
+    births = [born]
+    deaths: list[np.ndarray] = []
+    splits: list[np.ndarray] = []
+    endings: list[np.ndarray] = []  # deaths below the node's horizon
+    nodes = count0
+    next_check = max_live
+    while True:  # at least once, so that no roots make empty arrays
+        m = born.size
+        if galton_watson:
+            hazard = born_hazard + exponential(size=m)
+            split = uniform(m) < 0.5
+        else:
+            # competing birth and death clocks, each at half the hazard
+            # rate; the birth clock ringing first splits the edge
+            birth_clock = exponential(size=m)
+            death_clock = exponential(size=m)
+            hazard = born_hazard + 2.0 * np.minimum(birth_clock, death_clock)
+            split = birth_clock < death_clock
+        if block is None:
+            death = to_time(hazard, born)
+        else:
+            death = to_time(hazard, born, block)
+        ended = death < cap
+        split &= ended
+        deaths.append(np.minimum(death, cap))
+        splits.append(split)
+        endings.append(ended)
+        born = death[split].repeat(2)
+        born_hazard = hazard[split].repeat(2)
+        if block is not None:
+            block = block[split].repeat(2)
+            cap = horizons[block]
+        births.append(born)
+        nodes += born.size
+        if nodes > next_check:
+            # a lower bound on the live count: the new children are left
+            # out, so this generation's splits only remove their parents
+            _, lower = _live_counts(
+                count0, np.concatenate(deaths),
+                np.concatenate(splits[:-1] + [np.zeros_like(split)]),
+                np.concatenate(endings))
+            if lower.size and lower.max() > max_live:
+                raise PopulationCapError(
+                    f"live population exceeded cap {max_live}")
+            next_check = 2 * nodes
+        if not born.size:
+            break
+
+    # the arrays of the end are built one after another, and each input is
+    # dropped once used: the generation lists, the inverse hazards (for
+    # several media, 32 bytes a knot) and the event arrays would otherwise
+    # be held to the return, which is the call's peak
+    del to_time
+    generations = list(itertools.accumulate((d.size for d in deaths),
+                                            initial=0))
+    death = np.concatenate(deaths)
+    del deaths
+    split = np.concatenate(splits)
+    del splits
+    ended = np.concatenate(endings)
+    del endings
+    times, counts = _live_counts(count0, death, split, ended)
+    del ended
+    if counts.size and counts.max() > max_live:
+        raise PopulationCapError(f"live population exceeded cap {max_live}")
+    live = int(counts[-1]) if counts.size else count0
+    # the recording is valid forever once the population or its medium died
+    path_horizon = math.inf if (live == 0 or med_stop <= t_max) else t_max
+    mass = MassPath(np.concatenate(([0.0], times)),
+                    np.concatenate(([count0], counts)) / n,
+                    horizon=path_horizon)
+    del times, counts
+
+    # generations are numbered in order and each lists its children in
+    # parent order, so the j-th split node has children count0 + 2j, +1:
+    # the child list is every non-root node, in id order
+    birth = np.concatenate(births)
+    del births
+    parent = np.concatenate((np.full(count0, -1), split.nonzero()[0].repeat(2)))
+    kid_ptr = np.zeros(death.size + 1, dtype=np.intp)
+    np.cumsum(split, out=kid_ptr[1:])
+    del split
+    kid_ptr *= 2
+    forest = FamilyForest(parent, birth, death, kid_ptr,
+                          np.arange(count0, death.size), roots,
+                          height_cap=horizon if math.isfinite(horizon) else None,
+                          generations=generations)
+    return mass, forest

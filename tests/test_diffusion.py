@@ -621,6 +621,31 @@ class TestStreamPins:
         reports, _ = harness.run_suites([suite], {suite: size}, echo=False)
         assert _sha(harness.reports_to_json(reports).encode()) == digest
 
+    # the benchmark's forest_gate suites, likewise; recorded before the
+    # particle engine drew its generations in hazard units and mapped them
+    # to time once per call, and before tree_count read its counts from the
+    # level's trees instead of the zero marks, changes that keep every draw
+    FOREST_GATE_SUITES = {
+        "tree_count": ({"replicas": 10},
+                       "7b982b55231c7c3d4d64afc236310d902cacea4efb6fea37cbc7e99d6b98bbe4"),
+        "stretching": ({"replicas": 2},
+                       "98c27a91c321c5661f4a3aaf54e21241e20f8da5a75ac33e32a8158889024380"),
+        "comparison": ({"replicas": 4},
+                       "b5134f9a4cc4f8de9e5ee3974d05adbb82b765b97863c24f964ec8e319495886"),
+        "reactant_intensity": ({"replicas": 12, "document_replicas": 0},
+                               "203ffc8b941582a192436981cb40d4f72000081ad6c28acf33d2ae061a7da5b7"),
+        "codec": ({"count": 150},
+                  "b6c4b2ee31a21eebad848bfb70c6070943b182ed09a1c4725b18a88df0a07fdd"),
+        "points": ({"count": 150},
+                   "804609de6c16aaea9902a1c31aaa3f05e6a4673478ffd3c4bab5b8e93dd47beb"),
+    }
+
+    @pytest.mark.parametrize("suite", list(FOREST_GATE_SUITES))
+    def test_forest_gate_reports(self, suite):
+        size, digest = self.FOREST_GATE_SUITES[suite]
+        reports, _ = harness.run_suites([suite], {suite: size}, echo=False)
+        assert _sha(harness.reports_to_json(reports).encode()) == digest
+
     def test_qv_dichotomy_report(self):
         # 17 of 20 catalysts absorbed, 13 of them with a top-hitting contour
         reports = harness.run_qv_dichotomy(replicas=20, theta_step=1e-3)

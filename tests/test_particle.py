@@ -31,6 +31,23 @@ class TestSimConfig:
         with pytest.raises(InputError):
             SimConfig(representation="bogus")
 
+    @pytest.mark.parametrize("value", [0, -1, 2.5, math.nan, math.inf])
+    def test_rescaling_index_must_be_a_positive_integer(self, value):
+        with pytest.raises(InputError, match="rescaling index"):
+            SimConfig(n=value)
+
+    @pytest.mark.parametrize("value", [-5, 0, 2.5, math.nan, math.inf])
+    def test_max_live_must_be_a_positive_integer(self, value):
+        # a NaN cap would switch the check off, and a cap below 1 would
+        # stop every run with PopulationCapError
+        with pytest.raises(InputError, match="max_live"):
+            SimConfig(n=50, t_max=3.0, seed=3, max_live=value)
+
+    def test_integral_values_become_ints(self):
+        cfg = SimConfig(n=4.0, max_live=16.0)
+        assert (cfg.n, cfg.max_live) == (4, 16)
+        assert type(cfg.n) is int and type(cfg.max_live) is int
+
     def test_mass_granularity(self):
         with pytest.raises(InputError):
             SimConfig(n=4, initial_reactant_mass=0.3)

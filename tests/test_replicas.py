@@ -77,6 +77,20 @@ class TestBlocks:
         assert (np.diff(blocks) >= 0).all()
         assert (np.bincount(blocks, minlength=12) == np.maximum(levels - 1, 0)).all()
 
+    @pytest.mark.parametrize("medium", [
+        STEP, MassPath(np.array([0.0, 0.6]), np.array([1.0, 0.0]))],
+        ids=["step", "absorbed-below-the-level"])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_tree_counts_are_zero_marks_plus_one(self, medium, seed):
+        # the point-process statement behind tree_count: a nonempty level's
+        # zero marks separate its trees
+        levels, heights, blocks = harness._level_census(40, seed, medium, 10,
+                                                        1.0, b2=1.0)
+        zeros = np.bincount(blocks[heights == 0.0], minlength=40)
+        want = np.where(levels > 0, zeros + 1.0, 0.0)
+        got = harness._tree_counts(40, seed, medium, 10, 1.0)
+        assert np.array_equal(got, want) and 0 < want.max() and 0 in want
+
     def test_zero_replicas_is_an_input_error(self):
         with pytest.raises(InputError, match="replicas must be >= 1"):
             harness._tree_counts(0, 1, STEP, 5, 1.0)
@@ -155,15 +169,16 @@ class TestPerReplicaMedia:
         assert min(m.times.size for m in media) > 50
         horizons = np.minimum(t_max, [particle.stopping_time(m, 0.0) for m in media])
         scale = 2.0 * 5
-        joined = particle._time_of_hazards(media, scale, horizons)
+        joined, tops = particle._time_of_hazards(media, scale, horizons)
         rng = np.random.default_rng(3)
         for j, (medium, horizon) in enumerate(zip(media, horizons)):
-            single = particle._time_of_hazard(medium, scale, horizon)
+            single, top = particle._time_of_hazard(medium, scale, horizon)
             total = scale * medium.integral(0.0, horizon)
+            # the hazard at the horizon, which decides whether a node ends
+            assert tops[j] == top == pytest.approx(total, rel=1e-12)
             h = np.append(rng.uniform(0.0, 1.2 * total, 20_000), total)
-            born = single(h * rng.uniform(0.0, 1.0, h.size), np.zeros(h.size))
-            want = single(h, born)
-            got = joined(h, born, np.full(h.size, j))
+            want = single(h)
+            got = joined(h, np.full(h.size, j))
             # np.interp's slope is a ratio of rounded differences, and ours
             # the medium's rate: up to 5 ulps apart were seen
             assert (np.abs(got - want) <= 8 * np.spacing(want)).all()
