@@ -12,6 +12,7 @@ byte-identical.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -96,11 +97,9 @@ def cmd_simulate(args) -> int:
         raise InputError("--level must be finite and > 0")
     cfg = _build_sim_config(args)
     out = _out_dir(args)
-    cfg_kwargs = dict(b1=cfg.b1, b2=cfg.b2, n=cfg.n, delta=cfg.delta,
-                      t_max=cfg.t_max, seed=cfg.seed,
-                      representation=cfg.representation,
-                      initial_catalyst_mass=cfg.initial_catalyst_mass,
-                      initial_reactant_mass=cfg.initial_reactant_mass)
+    # max_live is no option of simulate: the replicas keep its default
+    cfg_kwargs = dataclasses.asdict(cfg)
+    del cfg_kwargs["max_live"]
     payloads = [(cfg_kwargs, r) for r in range(args.replicas)]
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:

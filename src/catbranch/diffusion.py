@@ -13,11 +13,14 @@ Conventions
   independent drivers by one scheme, full-truncation Euler-Maruyama: one
   normal per component and step, negative proposals clipped to zero, zero
   absorbs.  Y's coefficient vanishes once X absorbs, so Y freezes
-  automatically.  The scheme has two forms: `_euler_step` steps many
-  stacked replicas with numpy, and `_feller_path` steps one path on Python
-  floats, which avoids numpy's per-call cost on a path of one replica.
-  `hitting_race` uses both: the batch step while many replicas race, and
-  Python floats for its last `RACE_FLOAT_LANES` survivors.
+  automatically.  The scheme has three forms: `_euler_step` steps many
+  stacked replicas with numpy; `_feller_path` steps one path on Python
+  floats, which avoids numpy's per-call cost on a path of one replica; and
+  `_race_floats` steps the few pairs left in an absorption race on Python
+  floats, with `_euler_step`'s normals and operation order, so its floats
+  are the batch step's.  `hitting_race` uses the batch step while many
+  replicas race, and `_race_floats` for its last `RACE_FLOAT_LANES`
+  survivors.
 * Generator-to-SDE dictionary: a generator a(x) f'' corresponds to noise
   variance d<B> = 2 a(x) dt.  The limit contour's Brownian image B = s(zeta)
   has generator 2 X f'' and hence d<B> = 4 X dt; in the driving Brownian

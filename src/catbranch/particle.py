@@ -54,12 +54,10 @@ the linear order, and every node carries its block.  Each block stops at
 its own horizon, min(t_max, absorption of its medium): a node ends iff its
 hazard is below its medium's hazard at that horizon, which caps its
 block's nodes; the forest's height cap is the largest of the horizons.
-For the one time map at the end, each medium's piecewise-linear cumulative
-hazard is offset by the hazard totals of the media before it, so one
-`searchsorted` finds every node's segment on the joined hazard axis; the
-time is then read from the node's own medium, so a block's deaths do not
-depend on the blocks before it, to a few ulps.  The mass path is the sum of
-the blocks' paths: every event of every block is one of its jumps.
+The time map groups the nodes by block and maps each group through its own
+medium's inverse hazard, so a block's deaths are exactly those its medium
+alone gives.  The mass path is the sum of the blocks' paths: every event of
+every block is one of its jumps.
 
 Forest.  The engine hands its forest over as the arrays it drew: births,
 deaths clipped at the horizon, parents, and the children as the run of
@@ -259,62 +257,26 @@ def _time_of_hazard(medium: MassPath, rate_scale: float, horizon: float):
 
 def _time_of_hazards(media: Sequence[MassPath], rate_scale: float,
                      horizons: np.ndarray):
-    """The inverse cumulative hazards of several media at once, as a
-    function of arrays of hazards and of each node's medium, and each
-    medium's hazard at its horizon.
+    """The inverse cumulative hazards of several media, as a function of
+    arrays of hazards and of each node's medium, and each medium's hazard
+    at its horizon.
 
-    Medium j's knots below its horizon, with their rates and cumulative
-    hazards, are a run of segments of joined arrays, ending at last[j].  On the
-    joined hazard axis each medium's hazards are offset by the hazard totals
-    of the media before it (a total runs to the medium's horizon), so one
-    `searchsorted` finds every node's segment.  Rounding the offset is
-    monotone, so the segment found is never below the node's own, and it
-    is too high only where the offset rounds a knot's hazard onto the
-    node's; a comparison with the medium's own hazards steps those back.
-    The time is read on the medium's own axis, so it is what
-    `_time_of_hazard` gives for that medium alone, to a few ulps.  A medium
-    with horizon 0 accrues no hazard: its total is 0, and every time it
-    gives is at or beyond its horizon.
+    Each medium has its own `_time_of_hazard`.  The nodes are grouped by
+    medium with one stable sort of their media, and each group goes through
+    its medium's map, so a node's time is what its medium alone gives.
     """
-    knots, rates, hazards, totals = [], [], [], []
-    for medium, horizon in zip(media, horizons):
-        inside = medium.times < horizon
-        if not inside.any():  # absorbed at time 0
-            inside = medium.times == 0.0
-            rate = np.ones(1)
-        else:
-            rate = rate_scale * medium.values[inside]
-        knot = medium.times[inside]
-        hazard = np.concatenate(([0.0], np.cumsum(rate[:-1] * np.diff(knot))))
-        knots.append(knot)
-        rates.append(rate)
-        hazards.append(hazard)
-        totals.append(hazard[-1] + rate[-1] * (horizon - knot[-1]))
-    sizes = [k.size for k in knots]
-    last = np.cumsum(sizes) - 1
-    offset = np.concatenate(([0.0], np.cumsum(totals[:-1])))
-    knots, rates, hazards = map(np.concatenate, (knots, rates, hazards))
-    joined = hazards + offset.repeat(sizes)
+    maps, tops = zip(*(_time_of_hazard(medium, rate_scale, horizon)
+                       for medium, horizon in zip(media, horizons)))
 
     def to_time(h, medium):
-        # in place where it can be: the engine maps a whole forest at once
-        shifted = offset[medium]
-        shifted += h
-        seg = np.searchsorted(joined, shifted, side="right")
-        del shifted
-        seg -= 1
-        np.minimum(seg, last[medium], out=seg)
-        below = hazards[seg]
-        high = below > h
-        while high.any():  # stops at the latest at a medium's first hazard, 0
-            seg -= high
-            below = hazards[seg]
-            high = below > h
-        t = np.subtract(h, below, out=below)
-        t /= rates[seg]
-        t += knots[seg]
+        order = medium.argsort(kind="stable")
+        groups = np.split(order, np.bincount(medium, minlength=len(maps))
+                          .cumsum()[:-1])
+        t = np.empty_like(h)
+        for one, group in zip(maps, groups):
+            t[group] = one(h[group])
         return t
-    return to_time, np.array(totals)
+    return to_time, np.array(tops)
 
 
 def _live_counts(count0: int, death: np.ndarray, split: np.ndarray,
@@ -459,9 +421,9 @@ def _simulate_population(n: int, b: float,
             break
 
     # the arrays of the end are built one after another, and each input is
-    # dropped once used: the generation lists, the inverse hazards (for
-    # several media, 32 bytes a knot) and the event arrays would otherwise
-    # be held to the return, which is the call's peak
+    # dropped once used: the generation lists, the inverse hazards (16
+    # bytes a knot) and the event arrays would otherwise be held to the
+    # return, which is the call's peak
     generations = list(itertools.accumulate((h.size for h in hazards),
                                             initial=0))
     split = np.concatenate(splits)

@@ -53,60 +53,6 @@ def time_of_hazard(medium: MassPath, rate_scale: float, horizon: float):
     return to_time
 
 
-def time_of_hazards(media: Sequence[MassPath], rate_scale: float,
-                     horizons: np.ndarray):
-    """The inverse cumulative hazards of several media at once, as a
-    function of arrays of hazards, of the birth times that bound them from
-    below and of each node's medium.
-
-    Medium j's knots below its horizon, with their rates and cumulative
-    hazards, are a run of segments of joined arrays, ending at last[j].  On the
-    joined hazard axis each medium's hazards are offset by the hazard totals
-    of the media before it (a total runs to the medium's horizon), so one
-    `searchsorted` finds every node's segment.  Rounding the offset is
-    monotone, so the segment found is never below the node's own, and it
-    is too high only where the offset rounds a knot's hazard onto the
-    node's; a comparison with the medium's own hazards steps those back.
-    The time is read on the medium's own axis, so it is what
-    `time_of_hazard` gives for that medium alone, to a few ulps.  A medium
-    with horizon 0 accrues no hazard: every time it gives is at or beyond
-    its horizon.
-    """
-    knots, rates, hazards, totals = [], [], [], []
-    for medium, horizon in zip(media, horizons):
-        inside = medium.times < horizon
-        if not inside.any():  # absorbed at time 0
-            inside = medium.times == 0.0
-            rate = np.ones(1)
-        else:
-            rate = rate_scale * medium.values[inside]
-        knot = medium.times[inside]
-        hazard = np.concatenate(([0.0], np.cumsum(rate[:-1] * np.diff(knot))))
-        knots.append(knot)
-        rates.append(rate)
-        hazards.append(hazard)
-        totals.append(hazard[-1] + rate[-1] * (horizon - knot[-1]))
-    sizes = [k.size for k in knots]
-    last = np.cumsum(sizes) - 1
-    offset = np.concatenate(([0.0], np.cumsum(totals[:-1])))
-    knots, rates, hazards = map(np.concatenate, (knots, rates, hazards))
-    joined = hazards + offset.repeat(sizes)
-
-    def to_time(h, born, medium):
-        seg = np.minimum(np.searchsorted(joined, offset[medium] + h, side="right") - 1,
-                         last[medium])
-        below = hazards[seg]
-        high = below > h
-        while high.any():  # stops at the latest at a medium's first hazard, 0
-            seg -= high
-            below = hazards[seg]
-            high = below > h
-        t = knots[seg] + (h - below) / rates[seg]
-        # a time may round below the birth by an ulp
-        return np.maximum(t, born)
-    return to_time
-
-
 def simulate_population(n: int, b: float,
                         medium: Union[MassPath, Sequence[MassPath]], count0: int,
                         t_max: float, rng: np.random.Generator,
@@ -132,7 +78,15 @@ def simulate_population(n: int, b: float,
     else:
         horizons = np.minimum(t_max, stops)
         horizon = float(horizons.max())
-        to_time = time_of_hazards(media, 2.0 * n * b, horizons)
+        maps = [time_of_hazard(m, 2.0 * n * b, h) for m, h in zip(media, horizons)]
+
+        def to_time(h, born, block):
+            # each block through its own medium's map
+            t = np.empty_like(h)
+            for j, one in enumerate(maps):
+                mine = block == j
+                t[mine] = one(h[mine], born[mine])
+            return t
         # each root's block is its place in the linear order // k
         block = np.empty(count0, dtype=np.intp)
         block[roots] = np.arange(count0) // (count0 // len(media))
@@ -190,9 +144,9 @@ def simulate_population(n: int, b: float,
             break
 
     # the arrays of the end are built one after another, and each input is
-    # dropped once used: the generation lists, the inverse hazards (for
-    # several media, 32 bytes a knot) and the event arrays would otherwise
-    # be held to the return, which is the call's peak
+    # dropped once used: the generation lists, the inverse hazards (16
+    # bytes a knot) and the event arrays would otherwise be held to the
+    # return, which is the call's peak
     del to_time
     generations = list(itertools.accumulate((d.size for d in deaths),
                                             initial=0))

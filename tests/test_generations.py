@@ -104,25 +104,41 @@ class _CountedDraws:
         return self._count(self._rng.permutation(x))
 
 
+# runaway populations: (draw, config, cap, least forest size)
+CAPPED = {
+    # a peak of 158 (galton_watson) or 179 (birth_death) live individuals
+    "one-medium": (simulate_catalyst, dict(n=64, seed=5, t_max=5.0), 100, 7_000),
+    # 4 blocks of 16 roots, a peak of 350 (galton_watson) or 361
+    # (birth_death) live individuals
+    "four-media": (lambda cfg: simulate_reactant_quenched(cfg, [
+        MassPath(np.array([0.0, 1.0, 2.5]), np.array([1.0, 1.5, 0.75])),
+        MassPath(np.array([0.0, 0.5]), np.array([2.0, 0.5])),
+        MassPath.constant(1.0),
+        MassPath(np.array([0.0, 2.0, 3.0]), np.array([0.5, 1.0, 0.0]))]),
+        dict(n=16, seed=7, t_max=5.0, initial_reactant_mass=4.0), 120, 15_000),
+}
+
+
+@pytest.mark.parametrize("case", list(CAPPED))
 @pytest.mark.parametrize("representation", [GALTON_WATSON, BIRTH_DEATH])
-def test_population_cap_stops_before_the_forest_is_drawn(monkeypatch,
+def test_population_cap_stops_before_the_forest_is_drawn(monkeypatch, case,
                                                          representation):
     drawn = [0]
     stream = particle._stream
     monkeypatch.setattr(particle, "_stream", lambda seed, which: _CountedDraws(
         stream(seed, which), drawn))
-    # a peak of 158 (galton_watson) or 179 (birth_death) live individuals
-    cfg = SimConfig(n=64, seed=5, t_max=5.0, representation=representation)
-    _, forest = simulate_catalyst(cfg)
+    draw, config, cap, least = CAPPED[case]
+    cfg = SimConfig(representation=representation, **config)
+    _, forest = draw(cfg)
     whole, drawn[0] = drawn[0], 0
-    assert len(forest) > 7_000
-    cfg.max_live = 100
+    assert len(forest) > least
+    cfg.max_live = cap
     with pytest.raises(PopulationCapError):
-        simulate_catalyst(cfg)
+        draw(cfg)
     capped, drawn[0] = drawn[0], 0
     # at the same generation as the loop that read times as it drew
     monkeypatch.setattr(particle, "_simulate_population",
                         reference_generations.simulate_population)
     with pytest.raises(PopulationCapError):
-        simulate_catalyst(cfg)
+        draw(cfg)
     assert capped == drawn[0] < 0.7 * whole

@@ -26,6 +26,30 @@ STEP = MassPath(np.array([0.0, 0.4]), np.array([1.5, 0.75]))
 ALPHA = 1e-3
 
 
+def _catalysts(seeds, scales) -> list[MassPath]:
+    return [MassPath(m.times, c * m.values) for m, c in zip(
+        (simulate_catalyst(SimConfig(n=20, t_max=30.0, seed=s))[0] for s in seeds),
+        scales)]
+
+
+def _catalyst_blocks(count: int) -> list[MassPath]:
+    # the blocks of one catalyst call at n = 5: some die out early, some
+    # live to t_max
+    _, forest = simulate_catalyst(SimConfig(n=5, t_max=30.0, seed=9,
+                                            initial_catalyst_mass=count))
+    return harness._block_mass_paths(forest, 5, 5)
+
+
+# copies of one medium, and media with different values, knot counts (one,
+# for the constant) and absorption times, four and 120 of them, so that a
+# node read in the wrong medium would read the wrong time
+MEDIA = {
+    "copies": lambda: _catalysts((4, 4, 4, 4), (1.0, 1.0, 1.0, 1.0)),
+    "distinct": lambda: _catalysts((4, 6, 5, 4), (1.0, 2.0, 0.5, 1.5)),
+    "120-media": lambda: _catalyst_blocks(119) + [MassPath.constant(1.0)],
+}
+
+
 def _digest(mass, forest) -> str:
     return hashlib.sha256(repr((mass.times.tolist(), forest.canonical_shape()))
                           .encode()).hexdigest()
@@ -155,37 +179,34 @@ class TestPerReplicaMedia:
                 n * mass.value_at(s))
 
     @pytest.mark.parametrize("t_max", [0.8, 30.0])  # below and past absorption
-    @pytest.mark.parametrize("seeds, scales", [
-        ((4, 4, 4, 4), (1.0, 1.0, 1.0, 1.0)),
-        ((4, 6, 5, 4), (1.0, 2.0, 0.5, 1.5)),
-    ], ids=["copies", "distinct"])
-    def test_each_medium_inverts_as_that_medium_alone(self, t_max, seeds, scales):
-        # copies of one medium, and media with different values, knot counts
-        # and absorption times, so that a node searched in the wrong
-        # medium's knots would read the wrong time
-        media = [MassPath(m.times, c * m.values) for m, c in zip(
-            (simulate_catalyst(SimConfig(n=20, t_max=30.0, seed=s))[0] for s in seeds),
-            scales)]
-        assert min(m.times.size for m in media) > 50
+    @pytest.mark.parametrize("media", list(MEDIA))
+    def test_each_medium_inverts_as_that_medium_alone(self, t_max, media):
+        media = MEDIA[media]()
+        # at least four media with many knots (all of them, in the cases of four)
+        assert sorted(m.times.size for m in media)[-4] > 50
         horizons = np.minimum(t_max, [particle.stopping_time(m, 0.0) for m in media])
         scale = 2.0 * 5
-        joined, tops = particle._time_of_hazards(media, scale, horizons)
+        several, tops = particle._time_of_hazards(media, scale, horizons)
+        totals = np.array([scale * m.integral(0.0, horizon)
+                           for m, horizon in zip(media, horizons)])
+        # the nodes of all media in one call, in random order of media, and
+        # each medium's hazard at its horizon; keys of the engine's dtype
         rng = np.random.default_rng(3)
+        block = rng.permutation(np.arange(len(media)).repeat(20_000))
+        h = np.append(rng.uniform(0.0, 1.2, block.size) * totals[block], totals)
+        block = np.append(block, np.arange(len(media))).astype(
+            np.min_scalar_type(len(media) - 1))
+        got = several(h, block)
         for j, (medium, horizon) in enumerate(zip(media, horizons)):
             single, top = particle._time_of_hazard(medium, scale, horizon)
-            total = scale * medium.integral(0.0, horizon)
             # the hazard at the horizon, which decides whether a node ends
-            assert tops[j] == top == pytest.approx(total, rel=1e-12)
-            h = np.append(rng.uniform(0.0, 1.2 * total, 20_000), total)
-            want = single(h)
-            got = joined(h, np.full(h.size, j))
-            # np.interp's slope is a ratio of rounded differences, and ours
-            # the medium's rate: up to 5 ulps apart were seen
-            assert (np.abs(got - want) <= 8 * np.spacing(want)).all()
+            assert tops[j] == top == pytest.approx(totals[j], rel=1e-12)
+            mine = block == j
+            assert np.array_equal(got[mine], single(h[mine]))
 
     def test_copies_of_one_medium_draw_the_single_medium_forest(self):
-        # one seed, so one stream: the same nodes, and every death within a
-        # few ulps of the single-medium engine's
+        # one seed, so one stream: the same nodes at the same times as the
+        # single-medium engine's
         medium = harness.saved_catalyst(4)
         copies, k, n = 5, 4, 4
         cfg = SimConfig(n=n, t_max=3.0, seed=17,
@@ -193,10 +214,9 @@ class TestPerReplicaMedia:
         mass1, one = simulate_reactant_quenched(cfg, medium)
         mass, many = simulate_reactant_quenched(cfg, [medium] * copies)
         assert len(one) > 1000
-        assert np.array_equal(one.parent, many.parent)
-        assert np.array_equal(one.roots, many.roots)
-        assert (np.abs(many.death - one.death) <= 4 * np.spacing(one.death)).all()
-        assert (np.abs(many.birth - one.birth) <= 4 * np.spacing(one.birth)).all()
+        for field in ("parent", "roots", "birth", "death"):
+            assert np.array_equal(getattr(one, field), getattr(many, field)), field
+        assert np.array_equal(mass.times, mass1.times)
         assert np.array_equal(mass.values, mass1.values)
         assert many.height_cap == one.height_cap
 
