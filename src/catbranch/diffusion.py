@@ -473,6 +473,12 @@ def _fold(path: np.ndarray, top: float) -> None:
     np.subtract(top, path, out=path)
 
 
+class _StepCapReached(InputError):
+    """The limit contour reached its step cap before its local-time
+    budget: bad input where the caller chose the cap, an outcome of the
+    draw where a suite draws many contours under one generous cap."""
+
+
 def _limit_contour_from_scale(sf: ScaleFunction, budget: float, seed=0,
                               theta_step: float = DEFAULT_CONTOUR_STEP,
                               max_steps: int = DEFAULT_CONTOUR_STEP_CAP) -> DiffusionPath:
@@ -541,7 +547,7 @@ def _limit_contour_from_scale(sf: ScaleFunction, budget: float, seed=0,
         beta = float(blocks[-1][-1])
         steps += chunk
     if not reached:
-        raise InputError("step cap reached before the local-time budget")
+        raise _StepCapReached("step cap reached before the local-time budget")
     beta_path = np.concatenate(pieces)
     zeta = sf.inverse(2.0 * beta_path)
     return DiffusionPath(theta_step, zeta, brownian=beta_path, scale=sf)

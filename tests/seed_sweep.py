@@ -7,14 +7,16 @@ suite's replica seed range (as the benchmark's passes are), so no two runs
 share a seed.  The reports of one offset are one family.  Prints, per
 report, how many offsets it passed, the range of its statistic and its
 lowest p-value (for the reports that have one), then the family-wise
-false-fail rate: the share of offsets at which some report failed.  Next
-to it stands the Bonferroni bound m * alpha for the m reports at alpha =
-0.01, which holds when each report alone fails the right model with
-chance at most alpha.  Holm's step-down procedure (Holm, Scand. J.
-Statist. 6, 1979) keeps the family-wise rate under alpha with the p-valued
-reports alone; the count of offsets at which it rejects one of them at
-0.01 is printed too.  Each offset runs the suites whole: about 10 s for
-comparison and criticality together on a 2-CPU Xeon.
+false-fail rate: the share of offsets at which some report failed or some
+suite raised.  A suite that raises is named with its error on the
+offset's line, its traceback goes to standard error, and the sweep goes
+on.  Next to the rate stands the Bonferroni bound m * alpha for the m
+reports at alpha = 0.01, which holds when each report alone fails the
+right model with chance at most alpha.  Holm's step-down procedure
+(Holm, Scand. J. Statist. 6, 1979) keeps the family-wise rate under alpha
+with the p-valued reports alone; the count of offsets at which it rejects
+one of them at 0.01 is printed too.  Each offset runs the suites whole:
+about 10 s for comparison and criticality together on a 2-CPU Xeon.
 
     python tests/seed_sweep.py comparison criticality [--offsets 5]
 
@@ -28,6 +30,7 @@ import inspect
 import os
 import sys
 import time
+import traceback
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "src"))
@@ -63,22 +66,28 @@ def main(argv=None) -> int:
     families_failed = holm_families = 0
     for j in range(args.offsets):
         t0 = time.perf_counter()
-        overrides = {name: {"seed": seed + j * SEED_STRIDE}
-                     for name, seed in seeds.items()}
-        reports, all_pass = harness.run_suites(args.suites, overrides, echo=False)
+        reports, errors = [], []
+        for name in args.suites:
+            try:
+                reports += harness.run_suites(
+                    [name], {name: {"seed": seeds[name] + j * SEED_STRIDE}},
+                    echo=False)[0]
+            except Exception as exc:  # fails the family; the sweep goes on
+                traceback.print_exc()
+                errors.append(f"{name} raised {type(exc).__name__}: {exc}")
         for r in reports:
             passed[r.name] = passed.get(r.name, 0) + bool(r.passed)
             stats.setdefault(r.name, []).append(float(r.statistic))
             if r.p_value is not None:
                 lowest_p[r.name] = min(lowest_p.get(r.name, 1.0), r.p_value)
         p_values = [r.p_value for r in reports if r.p_value is not None]
-        families_failed += not all_pass
+        failing = [r.name for r in reports if not r.passed] + errors
+        families_failed += bool(failing)
         holm_families += holm_rejects(p_values, ALPHA)
-        failing = [r.name for r in reports if not r.passed]
         print(f"offset {j}: {time.perf_counter() - t0:6.1f} s, failing: "
               f"{', '.join(failing) or 'none'}", flush=True)
 
-    width = max(map(len, passed))
+    width = max(map(len, passed), default=0)
     print(f"\n{'report':<{width}}  passed  {'statistic range':<21}  lowest p")
     for name, count in passed.items():
         p = f"{lowest_p[name]:.4g}" if name in lowest_p else "-"
@@ -86,7 +95,8 @@ def main(argv=None) -> int:
         print(f"{name:<{width}}  {f'{count}/{args.offsets}':<6}  {span:<21}  {p}")
     m = len(passed)
     print(f"\nfamily-wise false-fail rate: {families_failed}/{args.offsets} offsets "
-          f"with a failing report ({families_failed / args.offsets:.2f}); "
+          f"with a failing report or a raise "
+          f"({families_failed / args.offsets:.2f}); "
           f"Bonferroni bound for {m} reports at alpha {ALPHA}: "
           f"{min(1.0, m * ALPHA):.2f}")
     if lowest_p:

@@ -242,3 +242,22 @@ class TestQvDichotomy:
     def test_empty_group_is_an_input_error(self):
         with pytest.raises(InputError, match="group is empty"):
             harness.run_qv_dichotomy(replicas=1, theta_step=1e-3)
+
+    def test_a_capped_contour_fails_the_monotone_report(self, monkeypatch):
+        contour = harness.dfn._limit_contour_from_scale
+        calls = []
+
+        def cap_the_first(*args, **kwargs):
+            calls.append(kwargs["seed"])
+            if len(calls) == 1:
+                kwargs["max_steps"] = 0
+            return contour(*args, **kwargs)
+
+        monkeypatch.setattr(harness.dfn, "_limit_contour_from_scale", cap_the_first)
+        monotone, *groups = harness.run_qv_dichotomy(replicas=20, theta_step=1e-3)
+        assert len(calls) > 1 and len(groups) == 2
+        assert monotone.name == "qv_dichotomy[monotone]"
+        assert not monotone.passed and monotone.statistic == 0.0
+        assert monotone.details == {"kept": len(calls), "capped": 1}
+        # the capped replica is in neither group
+        assert sum(g.details["n"] for g in groups) == len(calls) - 1

@@ -9,6 +9,7 @@ loops of `reference_replicas`.
 
 import hashlib
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ import pytest
 import reference_replicas as ref
 from catbranch import harness, particle
 from catbranch.errors import InputError
+from catbranch.forest import FamilyForest
 from catbranch.oracles import two_sample_counts_chi2, two_sample_ks
 from catbranch.particle import (MassPath, SimConfig, simulate_catalyst,
                                 simulate_reactant_quenched)
@@ -115,6 +117,24 @@ class TestBlocks:
         got = harness._tree_counts(40, seed, medium, 10, 1.0)
         assert np.array_equal(got, want) and 0 < want.max() and 0 in want
 
+    def test_tree_sizes_read_each_block_at_its_level(self):
+        # two trees that split (roots 0 and 2) and two single edges, capped
+        # at 1; the linear order puts root 2's tree first
+        forest = FamilyForest.from_children(
+            [-1, -1, -1, -1, 0, 0, 2, 2],
+            [0.0, 0.0, 0.0, 0.0, 0.4, 0.4, 0.3, 0.3],
+            [0.4, 0.2, 0.3, 1.0, 1.0, 0.7, 0.8, 1.0],
+            [[4, 5], [], [6, 7], [], [], [], [], []], [2, 3, 0, 1], height_cap=1.0)
+        # block 0 between its split and the deaths below, block 1 at the cap
+        assert harness._tree_sizes(forest, 2, np.array([0.5, 1.0])).tolist() == [
+            [2, 1], [1, 0]]
+        # a node counts at its death, its children only after their birth
+        assert harness._tree_sizes(forest, 2, np.array([0.3, 0.4])).tolist() == [
+            [1, 1], [1, 0]]
+        # one block of four trees
+        assert harness._tree_sizes(forest, 4, np.array([0.5])).tolist() == [
+            [2, 1, 2, 0]]
+
     def test_zero_replicas_is_an_input_error(self):
         with pytest.raises(InputError, match="replicas must be >= 1"):
             harness._tree_counts(0, 1, STEP, 5, 1.0)
@@ -177,6 +197,27 @@ class TestPerReplicaMedia:
         for s in mass.times:
             assert sum(round(n * p.value_at(s)) for p in paths) == round(
                 n * mass.value_at(s))
+
+    def test_catalyst_forest_is_freed_before_the_reactant_call(self, monkeypatch):
+        monkeypatch.setattr(harness, "CHUNK_NODES", 200)
+        catalyst = harness.simulate_catalyst
+        reactant = harness.simulate_reactant_quenched
+        drawn, freed = [], []
+
+        def draw(cfg):
+            mass, forest = catalyst(cfg)
+            # `FamilyForest` has slots and no weakref slot; its arrays do
+            drawn.append(weakref.ref(forest.parent))
+            return mass, forest
+
+        def react(cfg, media):
+            freed.append(drawn[-1]() is None)
+            return reactant(cfg, media)
+
+        monkeypatch.setattr(harness, "simulate_catalyst", draw)
+        monkeypatch.setattr(harness, "simulate_reactant_quenched", react)
+        assert sum(r for r, _, _ in harness._quenched_runs(12, 5, 5, 1.0)) == 12
+        assert len(freed) > 1 and all(freed)
 
     @pytest.mark.parametrize("t_max", [0.8, 30.0])  # below and past absorption
     @pytest.mark.parametrize("media", list(MEDIA))
