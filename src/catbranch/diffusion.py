@@ -30,6 +30,9 @@ Conventions
   quadratic sums are invariant under this reparameterization, and the
   natural-time stamps are a cumulative time change, computed from the
   contour and its scale function on first access (no suite reads them).
+  The contour's own values zeta = s^-1(2 beta) are likewise mapped on first
+  read and cached, so `values == scale.inverse(2 * brownian)` holds for
+  every contour; a local-time estimate maps only the steps near its band.
 * Particle-clock dictionary: the particle model's mass limits are the
   b -> 2b versions of the pair above (a constant time change); closed-form
   cross-checks between the modules always go through the stated formulas,
@@ -86,7 +89,11 @@ class DiffusionPath:
     Contour paths produced by `simulate_limit_contour` also carry the
     driving reflected Brownian path and the scale function used to map it,
     so downstream censuses can work in the coordinate where increments are
-    exactly Gaussian, and their natural-time stamps as `time_change`.
+    exactly Gaussian, and their natural-time stamps as `time_change`.  A
+    contour's values are mapped on first read and cached: a path that
+    carries both `brownian` and `scale` keeps the invariant
+    `values == scale.inverse(2 * brownian)`, on which `local_time_estimate`
+    relies to map only the steps near its band.
     """
 
     step: float
@@ -548,9 +555,24 @@ def _limit_contour_from_scale(sf: ScaleFunction, budget: float, seed=0,
         steps += chunk
     if not reached:
         raise _StepCapReached("step cap reached before the local-time budget")
-    beta_path = np.concatenate(pieces)
-    zeta = sf.inverse(2.0 * beta_path)
-    return DiffusionPath(theta_step, zeta, brownian=beta_path, scale=sf)
+    return _LimitContour(theta_step, np.concatenate(pieces), sf)
+
+
+class _LimitContour(DiffusionPath):
+    """A limit contour as `_limit_contour_from_scale` returns it: the
+    driving path `brownian` (beta) and the `scale` s, with the values
+    zeta = s^-1(2 beta) mapped on first read and cached."""
+
+    def __init__(self, step: float, brownian: np.ndarray,
+                 scale: ScaleFunction) -> None:
+        self.step = step
+        self.absorbed_index = None
+        self.brownian = brownian
+        self.scale = scale
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        return self.scale.inverse(2.0 * self.brownian)
 
 
 def bridge_refined_depths(beta: np.ndarray, level: float, step_var: float,
@@ -605,13 +627,49 @@ def bridge_refined_depths(beta: np.ndarray, level: float, step_var: float,
 
 
 def local_time_estimate(path, t: float, eps: float) -> float:
-    """(1 / 2 eps) * sum of squared increments taken inside the band."""
+    """(1 / 2 eps) * sum of squared increments taken inside the band.
+
+    On a contour (a path with `brownian` and `scale`) only the steps that
+    can start inside the band are mapped to zeta (`_band_steps`); they are
+    the eager estimate's increments, in its order, so the result is the
+    same float."""
     if not 0.0 < eps < math.inf:  # NaN fails too
         raise InputError(f"band half-width must be finite and > 0, got {eps!r}")
-    values = path.values if isinstance(path, DiffusionPath) else np.asarray(path, float)
-    inside = np.abs(values[:-1] - t) < eps
-    inc = np.diff(values)
+    if not math.isfinite(t):
+        raise InputError(f"level must be finite, got {t!r}")
+    if isinstance(path, DiffusionPath) and path.scale is not None \
+            and path.brownian is not None:
+        start, end = _band_steps(path.brownian, path.scale, t, eps)
+    else:
+        values = path.values if isinstance(path, DiffusionPath) else np.asarray(path, float)
+        start, end = values[:-1], values[1:]
+    inside = np.abs(start - t) < eps
+    inc = end - start
     return float(np.sum(inc[inside] ** 2) / (2.0 * eps))
+
+
+def _band_steps(beta: np.ndarray, sf: ScaleFunction, t: float,
+                eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """zeta = s^-1(2 beta) at the start and the end of every step of a
+    contour whose start can map into (t - eps, t + eps), in path order: a
+    superset of the steps inside the band, mapped by the same `np.interp`
+    floats as the whole path.
+
+    s^-1 is linear on each cell [s_j, s_(j+1)] of the scale grid, returns
+    x_j exactly at s_j and rounds monotonically inside a cell, so a start at
+    or above s_b maps to at least x_b.  It can overshoot a cell's top
+    x_(j+1) by a few ulps, far less than a grid cell, so a start below
+    s_(a-1) maps below x_a.  With a the last knot and b the first whose
+    x - t (the band test's subtraction, monotone in x) is <= -eps and
+    >= eps, every start outside [s_(a-1), s_b) fails the band test."""
+    d = sf.x - t
+    a = int(np.count_nonzero(d <= -eps)) - 1
+    b = sf.x.size - int(np.count_nonzero(d >= eps))
+    lo = sf.s[a - 1] if a >= 1 else -math.inf
+    hi = sf.s[b] if b < sf.x.size else math.inf
+    w = 2.0 * beta
+    idx = np.flatnonzero((w[:-1] >= lo) & (w[:-1] < hi))
+    return sf.inverse(w[idx]), sf.inverse(w[idx + 1])
 
 
 def quadratic_variation(path) -> float:

@@ -179,7 +179,9 @@ def _quenched_runs(replicas: int, seed: int, n: int, t_max: float) -> Iterator[
     one `simulate_reactant_quenched` call at the chunk's seed, whose block
     j is the reactant of catalyst j, cut at min(t_max, its catalyst's
     absorption).  A seed's catalyst and reactant streams are those of
-    `simulate_joint`.
+    `simulate_joint`.  As in `_replica_runs`, the reactant forest is not
+    held past its yield, so a consumer that drops it frees it before the
+    next chunk's catalyst call.
     """
     c = 0  # counted by hand: `enumerate` would hold the catalyst forest
     for r, _, cat in _replica_runs(replicas, n, seed, None, n=n, t_max=t_max):
@@ -188,6 +190,7 @@ def _quenched_runs(replicas: int, seed: int, n: int, t_max: float) -> Iterator[
         _, rea = simulate_reactant_quenched(SimConfig(
             n=n, t_max=t_max, seed=seed + c, initial_reactant_mass=r), media)
         yield r, media, rea
+        del rea  # not held through the next chunk's catalyst call
         c += 1
 
 
@@ -654,6 +657,7 @@ def _reactant_level_sizes(replicas: int, seed: int, n: int, t: float,
     rows = []
     for r, media, forest in _quenched_runs(replicas, seed, n, t_max):
         rows.append(_tree_sizes(forest, n, np.minimum(t, _caps(media, t_max))))
+        del forest  # freed before the next chunk's engine calls
     return np.concatenate(rows)
 
 
@@ -806,6 +810,7 @@ def _joint_masses(replicas: int, seed: int, n: int,
         caps = _caps(media, t_max)
         rea.append(np.stack([_tree_sizes(forest, n, np.minimum(t, caps)).sum(axis=1)
                              for t in checkpoints], axis=1) / n)
+        del forest  # freed before the next chunk's engine calls
     return np.concatenate(cat), np.concatenate(rea)
 
 

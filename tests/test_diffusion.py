@@ -209,6 +209,17 @@ class TestLimitContour:
         assert z.time_change is z.time_change
         assert DiffusionPath(1e-3, [1.0, 2.0]).time_change is None
 
+    def test_values_are_mapped_once_on_first_read(self):
+        X, _ = integrate_catalytic_feller(SDEConfig(seed=5, step=1e-3,
+                                                    horizon=3.0))
+        sf = scale_function(X, 0.2)
+        z = _limit_contour_from_scale(sf, 0.5, seed=3, theta_step=1e-4)
+        assert "values" not in vars(z)
+        local_time_estimate(z, 0.5, 0.02)
+        assert "values" not in vars(z)
+        assert z.values.tobytes() == sf.inverse(2.0 * z.brownian).tobytes()
+        assert z.values is z.values
+
     def test_level_mass_near_budget(self):
         X = flat_medium()
         ms = []
@@ -306,6 +317,70 @@ class TestLocalTimeAndQV:
         vals = np.linspace(0.0, 1.0, 50)
         with pytest.raises(InputError, match="band half-width"):
             local_time_estimate(vals, 0.5, eps)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_level(self, t):
+        with pytest.raises(InputError, match="level must be finite"):
+            local_time_estimate(np.linspace(0.0, 1.0, 101), t, 0.1)
+        z = simulate_limit_contour(flat_medium(), 0.5, 0.05, seed=1,
+                                   theta_step=1e-4)
+        with pytest.raises(InputError, match="level must be finite"):
+            local_time_estimate(z, t, 0.1)
+
+    def test_contour_estimate_equals_the_eager_one(self):
+        # the contour maps only the steps near the band; the estimate must
+        # be the float of mapping the whole path, on 200 contours in two
+        # media (the unit one, x_top 2, and a Feller path, x_top about 1),
+        # with bands at 0 and x_top, bands no contour enters and bands
+        # narrower than the medium's grid step 1e-3
+        X, _ = integrate_catalytic_feller(SDEConfig(seed=5, step=1e-3,
+                                                    horizon=3.0))
+        media = (scale_function(harness._x_identity_path(horizon=2.0), 0.5),
+                 scale_function(X, 0.2))
+        entered = 0
+        for sf in media:
+            top = sf.x_top
+            bands = [(1.0, 0.02), (0.5, 0.02), (0.0, 0.05), (0.01, 0.02),
+                     (top, 0.05), (top - 0.003, 0.01), (0.3, 2e-4),
+                     (0.7005, 1e-4), (top + 1.0, 0.5), (-3.0, 0.5),
+                     (0.4, 10.0)]
+            for seed in range(100):
+                z = _limit_contour_from_scale(sf, [0.05, 0.5][seed % 2],
+                                              seed=seed, theta_step=1e-4)
+                zeta = sf.inverse(2.0 * z.brownian)
+                for t, eps in bands:
+                    got = local_time_estimate(z, t, eps)
+                    assert got == local_time_estimate(zeta, t, eps), (seed, t, eps)
+                    entered += got > 0.0
+                assert "values" not in vars(z)
+        assert entered > 500  # 884 of the 2200 estimates are not 0
+
+    def test_contour_estimate_at_the_rounding_edges(self):
+        # a path that starts a step at every scale knot, at s(t - eps) and
+        # s(t + eps) of every band, and at 1-3 ulps either side of each: the
+        # starts where a window read off s(t -+ eps) alone drops steps
+        X, _ = integrate_catalytic_feller(SDEConfig(seed=5, step=1e-3,
+                                                    horizon=3.0))
+        for sf in (scale_function(harness._x_identity_path(horizon=2.0), 0.5),
+                   scale_function(X, 0.2)):
+            bands = [(t, eps) for t in np.linspace(0.0, sf.x_top, 23)
+                     for eps in (1e-4, 7e-4, 0.02, 0.1)]
+            bands += [(sf.x[j] + e, e) for j in (3, 200, 700)
+                      for e in (0.25, 0.0625, 0.001)]
+            edges = np.concatenate([sf.s] + [sf([t - e, t + e]) for t, e in bands])
+            w = [edges]
+            for direction in (-np.inf, np.inf):
+                near = edges
+                for _ in range(3):
+                    near = np.nextafter(near, direction)
+                    w.append(near)
+            w = np.repeat(np.clip(np.concatenate(w), 0.0, sf.top), 2)
+            w[1::2] = w[0::2][::-1]
+            beta = w / 2.0
+            z = DiffusionPath(1e-4, sf.inverse(2.0 * beta), brownian=beta, scale=sf)
+            for t, eps in bands:
+                assert local_time_estimate(z, t, eps) == \
+                    local_time_estimate(z.values, t, eps), (t, eps)
 
     def test_halving_consistency(self):
         rng = np.random.default_rng(11)

@@ -1,4 +1,5 @@
 import dataclasses
+import importlib
 import importlib.util
 import inspect
 import json
@@ -6,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -28,6 +30,23 @@ def _benchmark_workloads():
 
 
 workloads = _benchmark_workloads()
+
+
+class TestTracerHooks:
+    def test_extra_private_names_are_functions_of_their_modules(self):
+        # the tracer wraps these private functions by name; a rename in the
+        # package would silently drop them from the per-layer metrics
+        path = os.path.join(os.path.dirname(__file__), "..", "perfbench", "tracer.py")
+        spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+        tracer = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracer)
+        assert tracer.EXTRA_PRIVATE
+        for module, names in tracer.EXTRA_PRIVATE.items():
+            mod = importlib.import_module(f"catbranch.{module}")
+            for name in names:
+                fn = getattr(mod, name, None)
+                assert inspect.isfunction(fn), f"{module}.{name}"
+                assert fn.__module__ == mod.__name__, f"{module}.{name}"
 
 
 class TestHelpers:
@@ -152,6 +171,32 @@ class TestComparison:
         assert all("z_euler" not in r.details for r in reports)
 
 
+class TestQuenchedRuns:
+    @pytest.mark.parametrize("consumer", [
+        lambda: harness._reactant_level_sizes(40, 12_000_000, 40, 0.5, 0.75),
+        lambda: harness._joint_masses(40, 14_000_000, 20, (0.25, 0.5, 1.0))],
+        ids=["reactant_level_sizes", "joint_masses"])
+    def test_last_reactant_forest_is_freed_before_the_next_catalyst(
+            self, monkeypatch, consumer):
+        catalyst = harness.simulate_catalyst
+        reactant = harness.simulate_reactant_quenched
+        refs, alive = [], []
+
+        def counting_catalyst(*args, **kwargs):
+            alive.append(sum(ref() is not None for ref in refs))
+            return catalyst(*args, **kwargs)
+
+        def recording_reactant(*args, **kwargs):
+            out = reactant(*args, **kwargs)
+            refs.append(weakref.ref(out[1].birth))  # forests take no weakref
+            return out
+
+        monkeypatch.setattr(harness, "simulate_catalyst", counting_catalyst)
+        monkeypatch.setattr(harness, "simulate_reactant_quenched", recording_reactant)
+        consumer()
+        assert len(alive) > 1 and alive == [0] * len(alive)
+
+
 class TestHittingProbMutant:
     """The `hitting_prob` gate fails on a wrong reactant rate.
 
@@ -236,6 +281,28 @@ class TestReactantIntensity:
         # NaN or Infinity in the JSON fails the test
         json.loads(harness.reports_to_json(reports),
                    parse_constant=lambda c: pytest.fail(c))
+
+
+class TestLimitIntensity:
+    def test_maps_only_the_band_of_each_contour(self, monkeypatch):
+        inverse = harness.dfn.ScaleFunction.inverse
+        contour = harness.dfn._limit_contour_from_scale
+        mapped, contours = [], []
+
+        def counting_inverse(self, w):
+            mapped.append(np.size(w))
+            return inverse(self, w)
+
+        def recording_contour(*args, **kwargs):
+            contours.append(contour(*args, **kwargs))
+            return contours[-1]
+
+        monkeypatch.setattr(harness.dfn.ScaleFunction, "inverse", counting_inverse)
+        monkeypatch.setattr(harness.dfn, "_limit_contour_from_scale", recording_contour)
+        harness.run_limit_intensity(replicas=6, theta_step=1e-4)
+        held = sum(z.brownian.size for z in contours)
+        assert len(contours) == 6 and 0 < sum(mapped) < held / 4
+        assert all("values" not in vars(z) for z in contours)
 
 
 class TestQvDichotomy:
