@@ -66,7 +66,7 @@ import numpy as np
 from ._columns import read_columns, write_rows
 from .contour import Excursion
 from .errors import InputError, malformed_lines
-from .particle import MassPath
+from .particle import MassPath, stopping_time
 
 DEFAULT_SDE_STEP = 1e-4
 DEFAULT_CONTOUR_STEP = 1e-5
@@ -682,10 +682,14 @@ def quadratic_variation(path) -> float:
 # Random evolution (exact quenched contour)                               #
 # ---------------------------------------------------------------------- #
 
+# Breakpoints at which `simulate_random_evolution` stops; an excursion still
+# open there raises `InputError`.
+_MAX_BREAKPOINTS = 20_000_000
+
+
 def simulate_random_evolution(catalyst: MassPath, n: int, delta: float,
                               seed: int = 0, b2: float = 1.0,
-                              n_excursions: int = 1,
-                              max_breakpoints: int = 20_000_000) -> Excursion:
+                              n_excursions: int = 1) -> Excursion:
     """Piecewise-linear contour of the quenched reactant forest.
 
     The height moves at slope +-2n and the slope sign flips at rate
@@ -711,7 +715,7 @@ def simulate_random_evolution(catalyst: MassPath, n: int, delta: float,
     u = 0.0
     done = 0
     target = rng.exponential()
-    while done < n_excursions and len(us) < max_breakpoints:
+    while done < n_excursions and len(us) < _MAX_BREAKPOINTS:
         # one monotone run: from h toward a boundary unless the clock rings
         flipped = False
         while True:
@@ -754,10 +758,9 @@ def simulate_random_evolution(catalyst: MassPath, n: int, delta: float,
 
 
 def _threshold_entrance(medium: MassPath, delta: float) -> float:
-    hits = np.flatnonzero(medium.values <= delta)
-    if hits.size == 0:
+    top = stopping_time(medium, delta)
+    if top == math.inf:
         raise InputError("medium never reaches the threshold")
-    top = float(medium.times[hits[0]])
     if top <= 0.0:
         raise InputError("medium starts at or below the threshold")
     return top

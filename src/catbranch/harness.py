@@ -3,8 +3,9 @@ harness.py
 ==========
 Named verification suites: each runs a seeded Monte Carlo experiment and
 compares it against the closed-form laws in `oracles`, returning
-self-describing reports.  Every suite is deterministic given its arguments;
-the defaults are the sizes used by the acceptance tests and the CLI.
+self-describing reports.  Laws, sizes, tolerances and levels are constants
+in each suite body; only `seed`, `replicas` (or `count`) and the arguments
+some caller sets can be set, and their defaults are the acceptance sizes.
 
 Suite registry (criterion numbers refer to the package's acceptance list in
 tests/test_acceptance.py):
@@ -252,9 +253,9 @@ def _level_census(replicas: int, seed: int, medium: Optional[MassPath],
             np.concatenate(blocks))
 
 
-def _x_identity_path(horizon: float = 2.0, step: float = 1e-3) -> dfn.DiffusionPath:
-    n = int(round(horizon / step))
-    return dfn.DiffusionPath(step, np.ones(n + 1))
+def _x_identity_path(horizon: float = 2.0) -> dfn.DiffusionPath:
+    step = 1e-3
+    return dfn.DiffusionPath(step, np.ones(int(round(horizon / step)) + 1))
 
 
 # ---------------------------------------------------------------------- #
@@ -291,8 +292,8 @@ def _extinction_times(replicas: int, seed: int, horizon: float) -> np.ndarray:
     return np.where(ends < horizon, ends, math.inf)
 
 
-def run_extinction(seed: int = 2_000_000, replicas: int = 20_000,
-                   checkpoints: Sequence[float] = (0.5, 1.0, 2.0)) -> list[OracleReport]:
+def run_extinction(seed: int = 2_000_000, replicas: int = 20_000) -> list[OracleReport]:
+    checkpoints = (0.5, 1.0, 2.0)
     extinct_at = _extinction_times(replicas, seed, max(checkpoints))
     tol = 0.015
     out = []
@@ -311,8 +312,8 @@ def run_extinction(seed: int = 2_000_000, replicas: int = 20_000,
 # 3. MRCA law                                                             #
 # ---------------------------------------------------------------------- #
 
-def run_mrca(seed: int = 3_000_000, replicas: int = 12_000,
-             t: float = 1.0, min_samples: int = 5_000) -> list[OracleReport]:
+def run_mrca(seed: int = 3_000_000, replicas: int = 12_000) -> list[OracleReport]:
+    t, min_samples = 1.0, 5_000
     # replicas in index order until min_samples heights are pooled
     pooled: list[np.ndarray] = []
     count = 0
@@ -388,8 +389,8 @@ def run_points(seed: int = 5, count: int = 1_000) -> list[OracleReport]:
 # 6. representation equivalence                                           #
 # ---------------------------------------------------------------------- #
 
-def run_representation(seed: int = 6_000_000, replicas: int = 10_000,
-                       horizon: float = 30.0, level: float = 1.0) -> list[OracleReport]:
+def run_representation(seed: int = 6_000_000, replicas: int = 10_000) -> list[OracleReport]:
+    horizon, level = 30.0, 1.0
     data = {}
     # disjoint seeds: the comparison is two-sample by design
     for sample, rep_kind in enumerate((GALTON_WATSON, BIRTH_DEATH)):
@@ -446,9 +447,8 @@ def _tree_heights_and_leaves(replicas: int, seed: int, medium: MassPath,
     return np.concatenate(heights), np.concatenate(leaves)
 
 
-def run_random_evolution(seed: int = 7_000_000, replicas: int = 3_000,
-                         delta: float = 0.2,
-                         catalyst_seed: int = 4) -> list[OracleReport]:
+def run_random_evolution(seed: int = 7_000_000, replicas: int = 3_000) -> list[OracleReport]:
+    delta, catalyst_seed = 0.2, 4
     medium = saved_catalyst(catalyst_seed)
     heights_p, leaves_p = _tree_heights_and_leaves(replicas, seed, medium,
                                                    delta=delta, t_max=50.0)
@@ -471,10 +471,9 @@ def run_random_evolution(seed: int = 7_000_000, replicas: int = 3_000,
 # ---------------------------------------------------------------------- #
 
 def run_limit_intensity(seed: int = 8_000_000, replicas: int = 300,
-                        t: float = 1.0,
-                        bins: Sequence[tuple[float, float]] = ((0.1, 0.3), (0.3, 0.5), (0.5, 0.9)),
-                        theta_step: float = 1e-5,
-                        budget: float = 1.0) -> list[OracleReport]:
+                        theta_step: float = 1e-5) -> list[OracleReport]:
+    t, budget = 1.0, 1.0
+    bins = ((0.1, 0.3), (0.3, 0.5), (0.5, 0.9))
     sf = dfn.scale_function(_x_identity_path(horizon=2.0), 0.5)
     w_t = float(sf(t)) / 2.0
     x_t = float(sf.medium_at(t))
@@ -525,9 +524,7 @@ def _depth_census_particle(n: int, replicas: int, seed: int, t: float,
 
 
 def run_reactant_intensity(seed: int = 9_000_000, replicas: int = 50,
-                           n: int = 50, t: float = 1.0,
-                           bins=((0.1, 0.3), (0.3, 0.5), (0.5, 0.8)),
-                           document_n: int = 100,
+                           n: int = 50,
                            document_replicas: int = 50) -> list[OracleReport]:
     """Binned depth counts of the rescaled particle model against the limit
     intensity, pooled over replicas conditional on the level mass.
@@ -539,6 +536,8 @@ def run_reactant_intensity(seed: int = 9_000_000, replicas: int = 50,
     documents that the deviation shrinks; it gates nothing, and it is left
     out when `document_replicas` is 0.
     """
+    t, document_n = 1.0, 100
+    bins = ((0.1, 0.3), (0.3, 0.5), (0.5, 0.8))
     nu = np.array([orc.oracle_reactant_intensity(1.0, 1.0, t, h1, h2)
                    for h1, h2 in bins])
     # a replica with no level mass has no heights: it adds to neither side
@@ -590,8 +589,7 @@ def _tree_counts(replicas: int, seed: int, medium: MassPath, n: int,
     return np.concatenate(counts).astype(float)
 
 
-def run_tree_count(seed: int = 10_000_000, replicas: int = 600,
-                   n: int = 50, t: float = 1.0) -> list[OracleReport]:
+def run_tree_count(seed: int = 10_000_000, replicas: int = 600) -> list[OracleReport]:
     """Distinct-tree counts at the level versus their Poisson limit.
 
     The zero marks of the level point process separate distinct trees, so
@@ -601,6 +599,7 @@ def run_tree_count(seed: int = 10_000_000, replicas: int = 600,
     count on the level mass instead would tilt it to the heavier
     size-composition posterior, which is not the Poisson statement.
     """
+    n, t = 50, 1.0
     medium = MassPath.constant(1.0)
     counts = _tree_counts(replicas, seed, medium, n, t)
     mean = 1.0 / medium.integral(0.0, t)
@@ -618,9 +617,8 @@ def run_tree_count(seed: int = 10_000_000, replicas: int = 600,
 # 11. stretching map                                                      #
 # ---------------------------------------------------------------------- #
 
-def run_stretching(seed: int = 11_000_000, replicas: int = 150,
-                   n: int = 40, t: float = 1.0,
-                   medium_value: float = 2.0) -> list[OracleReport]:
+def run_stretching(seed: int = 11_000_000, replicas: int = 150) -> list[OracleReport]:
+    n, t, medium_value = 40, 1.0, 2.0
     # quenched reactant in a constant medium, level t
     medium = MassPath.constant(medium_value)
     depths_reactant = t - _level_census(replicas, seed, medium, n, t, b2=1.0)[1]
@@ -662,8 +660,7 @@ def _reactant_level_sizes(replicas: int, seed: int, n: int, t: float,
 
 
 def run_comparison(seed: int = 12_000_000, replicas: int = 700,
-                   n: int = 40, checkpoints: Sequence[float] = (0.5, 1.0),
-                   z_replicas: int = 0, tol: float = 0.02) -> list[OracleReport]:
+                   z_replicas: int = 0) -> list[OracleReport]:
     """Different-tree probability: quenched medium against constant rate.
 
     The constant-rate forest from mass z has z/t expected trees at height t,
@@ -679,6 +676,7 @@ def run_comparison(seed: int = 12_000_000, replicas: int = 700,
     many b1 = 2 paths, reported as `z_euler` with its standard error; it
     documents the closed form and decides nothing.
     """
+    n, checkpoints, tol = 40, (0.5, 1.0), 0.02
     out = []
     for idx, t in enumerate(checkpoints):
         z = t * orc.inverse_area_mean(t)
@@ -726,9 +724,9 @@ def run_comparison(seed: int = 12_000_000, replicas: int = 700,
 # ---------------------------------------------------------------------- #
 
 def run_qv_dichotomy(seed: int = 555, replicas: int = 500,
-                     deltas: Sequence[float] = (0.2, 0.1, 0.05, 0.02),
-                     theta_step: float = 1e-5, budget: float = 1.0,
-                     x_horizon: float = 14.0) -> list[OracleReport]:
+                     theta_step: float = 1e-5) -> list[OracleReport]:
+    deltas = (0.2, 0.1, 0.05, 0.02)
+    budget, x_horizon = 1.0, 14.0
     qt, qr = [], []
     mono_bad = kept = capped = 0
     for rep in range(replicas):
@@ -815,8 +813,8 @@ def _joint_masses(replicas: int, seed: int, n: int,
 
 
 def run_criticality(seed: int = 14_000_000, replicas: int = 4_000,
-                    n: int = 20, checkpoints: Sequence[float] = (0.25, 0.5, 1.0),
-                    sde_replicas: int = 20_000) -> list[OracleReport]:
+                    n: int = 20, sde_replicas: int = 20_000) -> list[OracleReport]:
+    checkpoints = (0.25, 0.5, 1.0)
     cat, rea = _joint_masses(replicas, seed, n, checkpoints)
     out = []
     for label, arr in (("catalyst", cat), ("reactant", rea)):

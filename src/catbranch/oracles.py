@@ -140,9 +140,9 @@ def stretch_map(x: RatePath, t: float, h: float) -> float:
     return _integral(x, t - h, t)
 
 
-def stretch_map_inverse(x: RatePath, t: float, w, tol: float = 1e-12):
+def stretch_map_inverse(x: RatePath, t: float, w):
     """Inverse of `stretch_map` in h, for a scalar or an array of values
-    `w` in [0, total + tol]: the least h with stretch_map(x, t, h) >= w.
+    `w` in [0, total + 1e-12]: the least h with stretch_map(x, t, h) >= w.
 
     The backward integral of a step medium is piecewise linear in h, with
     knots where t - h meets the medium's jumps, so the inverse is exact:
@@ -150,7 +150,7 @@ def stretch_map_inverse(x: RatePath, t: float, w, tol: float = 1e-12):
     """
     total = stretch_map(x, t, t)
     ws = np.asarray(w, dtype=float)
-    if not ((0.0 <= ws) & (ws <= total + tol)).all():  # NaN fails too
+    if not ((0.0 <= ws) & (ws <= total + 1e-12)).all():  # NaN fails too
         raise InputError("value outside the stretch range")
     medium = x if isinstance(x, MassPath) else MassPath.constant(x)
     inside = medium.times[(medium.times > 0.0) & (medium.times < t)]
@@ -225,13 +225,13 @@ def poisson_count_test(counts: Sequence[float], means: Union[float, Sequence[flo
     return max(min(2.0 * min(hi, lo), 1.0), 1.0 / n_sim)
 
 
-def two_sample_counts_chi2(a: Sequence[int], b: Sequence[int],
-                           min_expected: float = 5.0) -> float:
+def two_sample_counts_chi2(a: Sequence[int], b: Sequence[int]) -> float:
     """Two-sample homogeneity test for small nonnegative integer counts.
 
     Bins the union of values, pools sparse tail bins, and runs the standard
     contingency chi-square.
     """
+    min_expected = 5.0
     a = np.asarray(a, dtype=int)
     b = np.asarray(b, dtype=int)
     if a.size == 0 or b.size == 0:

@@ -314,6 +314,37 @@ def _settle(death: np.ndarray, parent: np.ndarray, count0: int,
     np.copyto(death, cap, where=~ended)
 
 
+def _finish(count0: int, hazards: list, splits: list, endings: list,
+            blocks: list, time_map: list, cap, max_live: int):
+    """The generations drawn so far, the last without splits, as nodes:
+    death (mapped and settled), parent and split, with `_live_counts`'s
+    event times and counts; `PopulationCapError` if a count tops `max_live`.
+    With blocks, the map (the one item of `time_map`) takes each node's
+    block and `cap` is per block.  Each list is emptied once used, so the
+    caller's own lists free the generations and the map as they go.
+    """
+    split = np.concatenate(splits)
+    splits.clear()
+    ended = np.concatenate(endings)
+    endings.clear()
+    death = np.concatenate(hazards)
+    hazards.clear()
+    if blocks:
+        block = np.concatenate(blocks)
+        blocks.clear()
+        death, cap = time_map.pop()(death, block), cap[block]
+        del block
+    else:
+        death = time_map.pop()(death)
+    parent = _parents(count0, split)
+    _settle(death, parent, count0, ended, cap)
+    del cap
+    times, counts = _live_counts(count0, death, split, ended)
+    if counts.size and counts.max() > max_live:
+        raise PopulationCapError(f"live population exceeded cap {max_live}")
+    return death, parent, split, times, counts
+
+
 def _simulate_population(n: int, b: float,
                          medium: Union[MassPath, Sequence[MassPath]], count0: int,
                          t_max: float, rng: np.random.Generator,
@@ -338,55 +369,50 @@ def _simulate_population(n: int, b: float,
     cap and the death of every survivor, so the forest needs no truncation
     at the horizon; with an infinite horizon the population has died out
     and the forest is uncapped.  `PopulationCapError` is raised when the
-    live count exceeds `max_live` after some event; generations are
-    checked as they grow, before the whole forest is drawn.
+    live count exceeds `max_live` after some event (see the module's "Cap").
 
     `medium` may also be a sequence of R media, one per block of count0 / R
     consecutive trees of the linear order (see the module docstring); R
     must divide count0, and each medium needs a finite horizon.  A sequence
     of one medium is that medium.
     """
-    exponential = rng.exponential
-    uniform = rng.random
     galton_watson = representation == GALTON_WATSON
 
-    roots = np.arange(count0)
-    if count0 > 1:  # roots sit in a random linear order
-        roots = rng.permutation(count0)
+    # roots sit in a random linear order
+    roots = rng.permutation(count0) if count0 > 1 else np.arange(count0)
     media = [medium] if isinstance(medium, MassPath) else list(medium)
     stops = [stopping_time(m, 0.0) for m in media]
     med_stop = max(stops)
     if len(media) == 1:
-        horizon = min(t_max, med_stop)
-        to_time, top = _time_of_hazard(media[0], 2.0 * n * b, horizon)
+        cap = horizon = min(t_max, med_stop)
+        time_map, top = _time_of_hazard(media[0], 2.0 * n * b, horizon)
         block = None
     else:
-        horizons = np.minimum(t_max, stops)
-        horizon = float(horizons.max())
-        to_time, tops = _time_of_hazards(media, 2.0 * n * b, horizons)
+        cap = np.minimum(t_max, stops)
+        horizon = float(cap.max())
+        time_map, tops = _time_of_hazards(media, 2.0 * n * b, cap)
         # each root's block is its place in the linear order // k
         block = np.empty(count0, dtype=np.min_scalar_type(len(media) - 1))
         block[roots] = np.arange(count0) // (count0 // len(media))
         top = tops[block]
+    time_map = [time_map]  # emptied by the last `_finish`
 
-    # one array per generation, in node order
+    # one array per generation, in node order; an ending is a death below
+    # the node's horizon
     born_hazard = np.zeros(count0)  # cumulative hazard at birth
-    hazards: list[np.ndarray] = []
-    splits: list[np.ndarray] = []
-    endings: list[np.ndarray] = []  # deaths below the node's horizon
-    blocks: list[np.ndarray] = []
+    hazards, splits, endings, blocks = [], [], [], []
     nodes = count0
     next_check = max_live
     while True:  # at least once, so that no roots make empty arrays
         m = born_hazard.size
         if galton_watson:
-            hazard = born_hazard + exponential(size=m)
-            split = uniform(m) < 0.5
+            hazard = born_hazard + rng.exponential(size=m)
+            split = rng.random(m) < 0.5
         else:
             # competing birth and death clocks, each at half the hazard
             # rate; the birth clock ringing first splits the edge
-            birth_clock = exponential(size=m)
-            death_clock = exponential(size=m)
+            birth_clock = rng.exponential(size=m)
+            death_clock = rng.exponential(size=m)
             hazard = born_hazard + 2.0 * np.minimum(birth_clock, death_clock)
             split = birth_clock < death_clock
         ended = hazard < top
@@ -403,19 +429,8 @@ def _simulate_population(n: int, b: float,
         if nodes > next_check:
             # a lower bound on the live count: the new children are left
             # out, so this generation's splits only remove their parents
-            drawn = np.concatenate(splits[:-1] + [np.zeros_like(split)])
-            drawn_ended = np.concatenate(endings)
-            drawn_block = np.concatenate(blocks) if blocks else None
-            death = np.concatenate(hazards)
-            death = (to_time(death) if drawn_block is None
-                     else to_time(death, drawn_block))
-            _settle(death, _parents(count0, drawn[:drawn.size - m]), count0,
-                    drawn_ended,
-                    horizon if drawn_block is None else horizons[drawn_block])
-            _, lower = _live_counts(count0, death, drawn, drawn_ended)
-            if lower.size and lower.max() > max_live:
-                raise PopulationCapError(
-                    f"live population exceeded cap {max_live}")
+            _finish(count0, list(hazards), splits[:-1] + [np.zeros_like(split)],
+                    list(endings), list(blocks), list(time_map), cap, max_live)
             next_check = 2 * nodes
         if not born_hazard.size:
             break
@@ -426,24 +441,8 @@ def _simulate_population(n: int, b: float,
     # return, which is the call's peak
     generations = list(itertools.accumulate((h.size for h in hazards),
                                             initial=0))
-    split = np.concatenate(splits)
-    del splits
-    ended = np.concatenate(endings)
-    del endings
-    block = np.concatenate(blocks) if blocks else None
-    del blocks
-    death = np.concatenate(hazards)
-    del hazards
-    death = to_time(death) if block is None else to_time(death, block)
-    del to_time
-    parent = _parents(count0, split)
-    _settle(death, parent, count0, ended,
-            horizon if block is None else horizons[block])
-    del block
-    times, counts = _live_counts(count0, death, split, ended)
-    del ended
-    if counts.size and counts.max() > max_live:
-        raise PopulationCapError(f"live population exceeded cap {max_live}")
+    death, parent, split, times, counts = _finish(
+        count0, hazards, splits, endings, blocks, time_map, cap, max_live)
     live = int(counts[-1]) if counts.size else count0
     # the recording is valid forever once the population or its medium died
     path_horizon = math.inf if (live == 0 or med_stop <= t_max) else t_max

@@ -562,6 +562,14 @@ class TestRandomEvolution:
             # medium starts at the threshold: nothing to traverse
             simulate_random_evolution(medium, 1, 0.0, seed=1)
 
+    @pytest.mark.parametrize("values, message", [
+        ([1.0, 0.5], "never reaches the threshold"),
+        ([0.1, 0.0], "starts at or below the threshold")])
+    def test_threshold_entrance_errors(self, values, message):
+        medium = MassPath(np.array([0.0, 1.0]), np.array(values))
+        with pytest.raises(InputError, match=message):
+            simulate_random_evolution(medium, 1, 0.2, seed=1)
+
     def test_flip_free_climb_with_tiny_rate(self):
         medium = MassPath(np.array([0.0, 4.0]), np.array([1e-9, 0.0]))
         exc = simulate_random_evolution(medium, 1, 0.0, seed=2,

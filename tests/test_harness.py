@@ -78,6 +78,27 @@ class TestRegistry:
             "reactant_intensity", "tree_count", "stretching", "comparison",
             "qv_dichotomy", "criticality"}
 
+    def test_suites_take_only_the_arguments_some_caller_sets(self):
+        # laws, sizes, tolerances and levels are constants in each suite
+        # body; the CLI sets seed and replicas (or count), the benchmark and
+        # the tests set the rest
+        assert {name: tuple(inspect.signature(fn).parameters)
+                for name, fn in harness.SUITES.items()} == {
+            "hitting_prob": ("seed", "replicas", "step"),
+            "extinction": ("seed", "replicas"),
+            "mrca": ("seed", "replicas"),
+            "codec": ("seed", "count"),
+            "points": ("seed", "count"),
+            "representation": ("seed", "replicas"),
+            "random_evolution": ("seed", "replicas"),
+            "limit_intensity": ("seed", "replicas", "theta_step"),
+            "reactant_intensity": ("seed", "replicas", "n", "document_replicas"),
+            "tree_count": ("seed", "replicas"),
+            "stretching": ("seed", "replicas"),
+            "comparison": ("seed", "replicas", "z_replicas"),
+            "qv_dichotomy": ("seed", "replicas", "theta_step"),
+            "criticality": ("seed", "replicas", "n", "sde_replicas")}
+
     def test_unknown_suite_rejected(self):
         with pytest.raises(InputError):
             harness.run_suites(["nope"], echo=False)
