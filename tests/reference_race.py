@@ -20,8 +20,8 @@ from catbranch.diffusion import SDEConfig, _euler_step
 
 
 def hitting_race(n_replicas: int, cfg: SDEConfig,
-                 epoch_horizon: float = 1.0,
-                 max_epochs: int = 20) -> dict:
+                 epoch_horizon: float = 0.25,
+                 max_epochs: int = 22) -> dict:
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
     m = n_replicas
     z = np.empty(2 * m)

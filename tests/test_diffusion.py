@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import json
 import math
 
@@ -104,6 +105,14 @@ class TestIntegrator:
                       **args)
         with pytest.raises(InputError):
             hitting_race(cfg=SDEConfig(seed=1, step=1e-2), **kwargs)
+
+    def test_hitting_race_defaults_cover_1e6_time_units(self):
+        # a unit catalyst survives 1e6 time units with chance about 2e-6,
+        # which bounds the fraction the race leaves unresolved
+        params = inspect.signature(hitting_race).parameters
+        first, epochs = (params["epoch_horizon"].default,
+                         params["max_epochs"].default)
+        assert first * (2 ** epochs - 1) >= 1e6
 
     def test_hitting_race_smallest_arguments(self):
         res = hitting_race(8, SDEConfig(seed=1, step=1e-2), epoch_horizon=0.1,
@@ -687,11 +696,12 @@ class TestStreamPins:
     # the benchmark's diffusion_gate suites at its "full" sizes and the
     # suites' default seeds (pass 0 of a benchmark run at seed 0), one
     # digest per suite; the hitting_prob digest was recorded after the
-    # race's first epoch became 1 time unit instead of 8, a change of its
-    # stream that leaves the other suites' digests as they were
+    # race's first epoch became 0.25 time units instead of 1 (earlier 8)
+    # and its epoch cap 22 instead of 20, a change of its stream that
+    # leaves the other suites' digests as they were
     GATE_SUITES = {
         "hitting_prob": ({"replicas": 1_000, "step": 1e-3},
-                         "94439cb6a9f5bd9b14b3c1f69a7178198b093d171c6a6609705d13d93d27d8da"),
+                         "b88ab7d6758b9df92dc14a8f5fbb69bf4250a9b598118e15d9bc8ce9fb6ae96b"),
         "limit_intensity": ({"replicas": 60, "theta_step": 1e-4},
                             "b93515de99f6bc21247e0cb1ab3b65ad3c6ce293829170215cde0895fe670532"),
         "qv_dichotomy": ({"replicas": 30, "theta_step": 1e-3},

@@ -223,9 +223,11 @@ class TestHittingProbMutant:
 
     The mutant runs the race with b2 x 1.25 behind the suite's back, which
     moves the law from 0.4472 to 0.4880; the suite still compares with the
-    b2 = 1 target.  At 4000 replicas and step 1e-3 (SE about 0.008) the
-    mutant fell outside the 0.015 tolerance at all of seeds 0-19, and the
-    right model inside it at 18 of them; seed 101 is the gate's."""
+    b2 = 1 target.  At 4000 replicas and step 1e-3 (SE about 0.008), on
+    the race's first epoch of 0.25 time units, the mutant fell outside the
+    0.015 tolerance at all of seeds 0-19 (+0.027 ... +0.052), and the right
+    model inside it at 19 of them (seed 6 read +0.0225).  Seed 101 is the
+    gate's: the right model read +0.0103 there, the mutant +0.0408."""
 
     @staticmethod
     def run():
@@ -247,6 +249,33 @@ class TestHittingProbMutant:
         report = self.run()
         assert not report.passed
         assert report.statistic > report.target + report.alpha_or_tol
+
+
+class TestExtinctionMutant:
+    """The `extinction` gate fails on the undoubled clock.
+
+    The mutant halves the engine's rate behind the suite's back: every
+    inverse cumulative hazard is built at half the rate scale, so an
+    individual branches at rate n b medium instead of 2 n b medium, and
+    the extinction law moves from I/(1+I) to (I/2)/(1+I/2).  At the suite's
+    default seed and 20 000 replicas the mutant read 0.2008, 0.3331 and
+    0.5008 at t = 0.5, 1 and 2 against 1/3, 1/2 and 2/3 (tolerance 0.015),
+    and the right model 0.3338, 0.5007 and 0.6681 (`test_acceptance.py`
+    checks that it passes)."""
+
+    def test_undoubled_clock_fails(self, monkeypatch):
+        from catbranch import particle
+        time_of_hazard = particle._time_of_hazard
+        monkeypatch.setattr(
+            particle, "_time_of_hazard",
+            lambda medium, rate_scale, horizon:
+                time_of_hazard(medium, 0.5 * rate_scale, horizon))
+        reports = harness.run_extinction()
+        assert [r.name for r in reports] == [
+            "extinction[t=0.5]", "extinction[t=1.0]", "extinction[t=2.0]"]
+        for r in reports:
+            assert not r.passed, r.line()
+            assert r.statistic < r.target - r.alpha_or_tol
 
 
 class _BiasedCoin:
