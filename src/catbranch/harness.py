@@ -277,6 +277,22 @@ def run_hitting_prob(seed: int = 101, replicas: int = 20_000,
                  "replicas": replicas})]
 
 
+def _ks_or_empty(test: Callable[..., tuple[float, float]],
+                 **samples: np.ndarray) -> tuple[float, Optional[float], dict]:
+    """(statistic, p-value, {}) of the KS `test` on the named samples.  A
+    valid draw can leave a sample empty, and the test's `InputError` for it
+    is an outcome, not bad input: statistic 0.0, no p-value (the report
+    fails) and details naming the empty samples."""
+    try:
+        stat, p = test(*samples.values())
+    except InputError:
+        empty = [name for name, sample in samples.items() if len(sample) == 0]
+        if not empty:
+            raise
+        return 0.0, None, {"empty_samples": empty}
+    return stat, p, {}
+
+
 # ---------------------------------------------------------------------- #
 # 2. extinction law                                                       #
 # ---------------------------------------------------------------------- #
@@ -326,14 +342,15 @@ def run_mrca(seed: int = 3_000_000, replicas: int = 12_000) -> list[OracleReport
         count += pooled[-1].size
         if count >= min_samples:
             break
-    stat, p = orc.ks_test(np.concatenate(pooled),
-                          lambda h: orc.oracle_mrca_cdf(1.0, t, h))
+    stat, p, empty = _ks_or_empty(
+        lambda heights: orc.ks_test(heights, lambda h: orc.oracle_mrca_cdf(1.0, t, h)),
+        pooled=np.concatenate(pooled))
     return [OracleReport(
         name="mrca", law="neighbor MRCA height CDF",
         statistic=stat, target="KS", test="one-sample KS",
-        p_value=p, alpha_or_tol=ALPHA, passed=p >= ALPHA,
+        p_value=p, alpha_or_tol=ALPHA, passed=p is not None and p >= ALPHA,
         details={"pooled": count,
-                 "cdf_at_half": orc.oracle_mrca_cdf(1.0, t, t / 2)})]
+                 "cdf_at_half": orc.oracle_mrca_cdf(1.0, t, t / 2), **empty})]
 
 
 # ---------------------------------------------------------------------- #
@@ -410,13 +427,13 @@ def run_representation(seed: int = 6_000_000, replicas: int = 10_000) -> list[Or
     out = []
     for name, idx in (("extinction_time", 0), ("level_population", 1),
                       ("level_max_distance", 2)):
-        stat, p = orc.two_sample_ks(data[GALTON_WATSON][idx], data[BIRTH_DEATH][idx])
+        gw, bd = data[GALTON_WATSON][idx], data[BIRTH_DEATH][idx]
+        stat, p, empty = _ks_or_empty(orc.two_sample_ks, gw=gw, bd=bd)
         out.append(OracleReport(
             name=f"representation[{name}]", law="recordings agree in law",
             statistic=stat, target="two-sample KS", test="two-sample KS",
-            p_value=p, alpha_or_tol=ALPHA, passed=p >= ALPHA,
-            details={"n_gw": len(data[GALTON_WATSON][idx]),
-                     "n_bd": len(data[BIRTH_DEATH][idx])}))
+            p_value=p, alpha_or_tol=ALPHA, passed=p is not None and p >= ALPHA,
+            details={"n_gw": len(gw), "n_bd": len(bd), **empty}))
     return out
 
 
@@ -455,15 +472,19 @@ def run_random_evolution(seed: int = 7_000_000, replicas: int = 3_000) -> list[O
     exc = dfn.simulate_random_evolution(medium, 1, delta, seed=seed - 1,
                                         n_excursions=replicas)
     heights_r, leaves_r = _heights_and_leaves(tree_from_excursion(exc))
-    _, p_h = orc.two_sample_ks(heights_p, heights_r)
-    p_l = orc.two_sample_counts_chi2(leaves_p, leaves_r)
-    mk = lambda nm, p, stat: OracleReport(
+    # the leaf counts come from the same trees as the heights
+    _, p_h, empty = _ks_or_empty(orc.two_sample_ks, particle=heights_p,
+                                 flip_clock=heights_r)
+    p_l = None if empty else orc.two_sample_counts_chi2(leaves_p, leaves_r)
+    mk = lambda nm, p, a, b: OracleReport(
         name=f"random_evolution[{nm}]", law="contour law equals flip-clock law",
-        statistic=stat, target="two-sample", test="KS" if nm == "height" else "chi2",
-        p_value=p, alpha_or_tol=ALPHA, passed=p >= ALPHA,
-        details={"replicas": replicas, "truncation_top": stopping_time(medium, delta)})
-    return [mk("height", p_h, float(np.mean(heights_p) - np.mean(heights_r))),
-            mk("leaf_count", p_l, float(np.mean(leaves_p) - np.mean(leaves_r)))]
+        statistic=0.0 if empty else float(np.mean(a) - np.mean(b)),
+        target="two-sample", test="KS" if nm == "height" else "chi2",
+        p_value=p, alpha_or_tol=ALPHA, passed=p is not None and p >= ALPHA,
+        details={"replicas": replicas, "truncation_top": stopping_time(medium, delta),
+                 **empty})
+    return [mk("height", p_h, heights_p, heights_r),
+            mk("leaf_count", p_l, leaves_p, leaves_r)]
 
 
 # ---------------------------------------------------------------------- #
@@ -627,13 +648,14 @@ def run_stretching(seed: int = 11_000_000, replicas: int = 150) -> list[OracleRe
     depths_classic = t_z - _level_census(replicas, seed + 500_000, None, n, t_z,
                                          b1=1.0)[1]
     mapped = orc.stretch_map_inverse(medium, t, depths_classic)
-    stat, p = orc.two_sample_ks(depths_reactant, mapped)
+    stat, p, empty = _ks_or_empty(orc.two_sample_ks, reactant=depths_reactant,
+                                  classic=mapped)
     return [OracleReport(
         name="stretching", law="metric stretching by the backward medium integral",
         statistic=stat, target="two-sample KS", test="two-sample KS",
-        p_value=p, alpha_or_tol=ALPHA, passed=p >= ALPHA,
+        p_value=p, alpha_or_tol=ALPHA, passed=p is not None and p >= ALPHA,
         details={"n_reactant": depths_reactant.size,
-                 "n_classic": depths_classic.size, "stretched_level": t_z})]
+                 "n_classic": depths_classic.size, "stretched_level": t_z, **empty})]
 
 
 # ---------------------------------------------------------------------- #

@@ -319,6 +319,21 @@ class TestVerify:
         assert "group is empty" in err
         assert not os.listdir(tmp_path)
 
+    @pytest.mark.parametrize("suite, empty", [
+        ("representation", ["gw", "bd"]), ("stretching", ["reactant"]),
+        ("mrca", ["pooled"])])
+    def test_empty_sample_fails_its_report(self, tmp_path, suite, empty):
+        # one replica leaves a sample empty: a failed report (exit 1) with
+        # no NaN and the sample named, not an input error
+        rc = main(["verify", "--suite", suite, "--replicas", "1",
+                   "--out", str(tmp_path)])
+        assert rc == 1
+        report = json.loads(read(tmp_path / "verify_report.json"),
+                            parse_constant=lambda c: pytest.fail(c))
+        failed = [e for e in report if not e["passed"]]
+        assert [e["details"]["empty_samples"] for e in failed] == [empty]
+        assert failed[0]["p_value"] is None
+
     def test_unknown_suite(self, tmp_path):
         rc = main(["verify", "--suite", "nonsense", "--out", str(tmp_path)])
         assert rc == 2

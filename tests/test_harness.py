@@ -322,6 +322,23 @@ class TestCriticalityMutant:
         assert not any(r.passed for r in reports)
 
 
+class TestEmptySamples:
+    def test_random_evolution_reports_an_empty_sample(self, monkeypatch):
+        # no valid size empties its samples, so the particle side is emptied
+        monkeypatch.setattr(harness, "_tree_heights_and_leaves",
+                            lambda *a, **k: (np.array([]), np.array([], dtype=int)))
+        reports = harness.run_random_evolution(replicas=5)
+        assert [r.passed for r in reports] == [False, False]
+        assert [r.details["empty_samples"] for r in reports] == [["particle"]] * 2
+        json.loads(harness.reports_to_json(reports),
+                   parse_constant=lambda c: pytest.fail(c))
+
+    def test_non_finite_values_still_raise(self):
+        with pytest.raises(InputError, match="finite"):
+            harness._ks_or_empty(harness.orc.two_sample_ks, a=np.array([math.nan]),
+                                 b=np.array([1.0]))
+
+
 class TestReactantIntensity:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_no_documentation_report_without_replicas(self):

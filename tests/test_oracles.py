@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -6,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from catbranch import _ks
 from catbranch.errors import InputError
 from catbranch.oracles import (feller_extinction_cdf, hitting_probability,
                                inverse_area_mean, ks_test, laplace_branching,
@@ -255,3 +259,154 @@ class TestStatTools:
         assert m == 2.5 and se > 0
         with pytest.raises(InputError):
             mean_confidence([1.0])
+
+    def test_ks_reads_an_integer_cdf_value_as_a_float(self):
+        # the first CDF value is the integer 0; the others are fractions
+        cdf = lambda x: 0 if x < 0 else x
+        assert ks_test([-1.0, 0.25, 0.5, 0.75], cdf) == ks_test(
+            [-1.0, 0.25, 0.5, 0.75], lambda x: float(cdf(x)))
+
+    @pytest.mark.parametrize("bad", [[], [0.5, math.nan], [math.inf, 0.2],
+                                     [-math.inf]])
+    def test_ks_rejects_empty_and_non_finite_samples(self, bad):
+        with pytest.raises(InputError):
+            ks_test(bad, lambda x: x)
+        with pytest.raises(InputError):
+            two_sample_ks(bad, [0.1, 0.2])
+        with pytest.raises(InputError):
+            two_sample_ks([0.1, 0.2], bad)
+
+
+def _exp_cdf(x: float) -> float:
+    return 1.0 - math.exp(-max(x, 0.0))
+
+
+class TestScipyEquality:
+    """The p-values equal `scipy.stats`' bit for bit, statistic and p-value
+    both, on cases that reach every branch of the ported code.  Only this
+    class imports `scipy.stats`; the package never does."""
+
+    # n d^2 at the one-sample branch points (Durbin's matrix up to 0.754693
+    # and Pomeranz up to 4 at n <= 140; above n = 140 twice the one-sided
+    # law from 2.2 and 0 from 370), and just beside them
+    NDSQ = (0.3, 0.754693, 0.7547, 1.0, 2.19, 2.2, 2.21, 3.99, 4.0, 4.01,
+            18.0, 369.0, 370.0, 371.0)
+    # either side of n = 140 (the exact methods) and of n = 100 000
+    # (Durbin's matrix against Pelz-Good for n d^1.5 <= 1.4); at the large
+    # sizes `smirnov` takes 0.15 s a call, so they skip its middle range
+    SIZES = (1, 2, 3, 10, 140, 141, 1_000, 100_000, 100_001)
+
+    @staticmethod
+    def _one_sample_cases():
+        for n in TestScipyEquality.SIZES:
+            for ndsq in TestScipyEquality.NDSQ:
+                if n < 100_000 or ndsq < 2.2 or ndsq >= 369.0:
+                    yield n, math.sqrt(ndsq / n)
+            # n d <= 0.5, <= 1 and >= n - 1 (Ruben-Gambino); d >= 0.5
+            for nd in (0.25, 0.5, 0.5000001, 0.75, 1.0, max(n - 1, 1e-3), n - 0.5):
+                yield n, nd / n
+            for d in (0.5, 0.7, 0.999, 1.0, 1.5):
+                yield n, d
+            # Durbin's matrix above n = 140: 1 < n d, n d^1.5 <= 1.4
+            yield n, min(1.5 / n, 0.5 * (1.4 / n) ** (2.0 / 3.0))
+
+    def test_kstwo_sf_every_branch(self, monkeypatch):
+        from scipy import stats
+
+        reached = set()
+        for name in ("_kolmogn_DMTW", "_kolmogn_Pomeranz", "_kolmogn_PelzGood",
+                     "smirnov"):
+            def spy(*args, _name=name, _f=getattr(_ks, name)):
+                reached.add(_name)
+                return _f(*args)
+            monkeypatch.setattr(_ks, name, spy)
+        for n, d in self._one_sample_cases():
+            got = _ks.kstwo_sf(np.float64(d), n)
+            assert got == float(stats.kstwo.sf(np.float64(d), n)), (n, d)
+        assert reached == {"_kolmogn_DMTW", "_kolmogn_Pomeranz",
+                           "_kolmogn_PelzGood", "smirnov"}
+
+    @pytest.mark.parametrize("n, scale", [(1, 1.0), (20, 1.0), (140, 1.2),
+                                          (141, 1.0), (3_000, 1.05)])
+    def test_ks_test(self, n, scale):
+        from scipy import stats
+
+        sample = np.random.default_rng(n).exponential(scale, size=n)
+        want = stats.kstest(sample, np.vectorize(_exp_cdf))
+        assert ks_test(sample, _exp_cdf) == (float(want.statistic),
+                                             float(want.pvalue))
+
+    @pytest.mark.parametrize("n1, n2, shift", [
+        (500, 500, 0.0), (500, 500, 0.3),        # equal sizes
+        (300, 200, 0.0), (2_530, 2_466, 0.05),   # unequal sizes, exact
+        (40, 40, None), (37, 55, None),          # identical draws: h = 0
+        (10_001, 300, 0.1), (12_000, 11_000, 0.0),  # over 10 000: asymptotic
+    ])
+    def test_two_sample_ks(self, n1, n2, shift):
+        from scipy import stats
+
+        rng = np.random.default_rng(n1 + n2)
+        a = rng.normal(size=n1)
+        b = np.resize(a, n2) if shift is None else rng.normal(size=n2) + shift
+        want = stats.ks_2samp(a, b)
+        assert two_sample_ks(a, b) == (float(want.statistic), float(want.pvalue))
+
+    def test_two_sample_ks_with_ties(self):
+        from scipy import stats
+
+        rng = np.random.default_rng(5)
+        a = np.round(rng.normal(size=700), 1)
+        b = np.round(rng.normal(size=650), 1)
+        want = stats.ks_2samp(a, b)
+        assert two_sample_ks(a, b) == (float(want.statistic), float(want.pvalue))
+
+    @pytest.mark.parametrize("values, lam", [(2, 0.0), (2, 0.15), (5, 0.0), (5, 0.1)],
+                             ids=["dof1", "dof1-shifted", "dof4", "dof4-shifted"])
+    def test_counts_chi2(self, values, lam):
+        from scipy import stats
+
+        # every value holds at least 10 counts, so no bin is pooled and the
+        # contingency table is the two histograms
+        rng = np.random.default_rng(values)
+        a = rng.integers(0, values, size=300)
+        b = np.minimum(rng.integers(0, values, size=280)
+                       + (rng.random(280) < lam), values - 1)
+        table = np.vstack([np.bincount(a, minlength=values),
+                           np.bincount(b, minlength=values)]).astype(float)
+        assert table.sum(axis=0).min() >= 10
+        want = stats.chi2_contingency(table)
+        assert want.dof == values - 1
+        assert two_sample_counts_chi2(a, b) == float(want.pvalue)
+
+
+@pytest.mark.parametrize("tau", [1e-4, 1e-2, 0.5, 1.0, 2.0, 100.0])
+def test_inverse_area_mean_matches_quad(tau):
+    # adaptive quadrature of the same integrand in w = c u
+    c = min(1.0, math.sqrt(tau))
+    a = tau / c
+    j, _ = quad(lambda w: w * math.exp(-(w / c) * math.tanh(a * w)), 0.0, math.inf,
+                epsabs=0.0, epsrel=1e-12, limit=200)
+    # x0 = 1 and b1 = 2 make t = tau
+    assert inverse_area_mean(tau) == pytest.approx(2.0 * j / c ** 2, rel=1e-13, abs=0.0)
+
+
+def test_no_scipy_stats_or_integrate_import():
+    """A fresh interpreter that runs the command line's and the harness's
+    statistics loads neither `scipy.stats` nor `scipy.integrate`."""
+    code = """
+import sys
+import catbranch.cli, catbranch.harness
+from catbranch import oracles
+oracles.ks_test([0.2, 0.5, 0.7], lambda x: x)
+oracles.two_sample_ks([0.1, 0.4, 0.5], [0.2, 0.3])
+oracles.two_sample_counts_chi2([0, 1, 2] * 10, [1, 2, 0] * 10)
+oracles.inverse_area_mean(1.0)
+print(sorted(m for m in sys.modules if m.startswith(("scipy.stats", "scipy.integrate"))))
+"""
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    got = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, timeout=120, env=env)
+    assert got.returncode == 0, got.stderr
+    assert got.stdout.strip() == "[]"
