@@ -48,6 +48,7 @@ def _read_config_file(path: str) -> dict:
     return out
 
 
+# the model's keys, each a config-file key and a simulate flag
 _CONFIG_CASTS = {"b1": float, "b2": float, "n": int, "delta": float,
                  "t_max": float, "seed": int, "representation": str,
                  "initial_catalyst_mass": float, "initial_reactant_mass": float}
@@ -221,18 +222,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     sim = sub.add_parser("simulate", help="run the two-type particle model")
     sim.add_argument("--config", help="flat key=value config file")
-    sim.add_argument("--b1", type=float)
-    sim.add_argument("--b2", type=float)
-    sim.add_argument("--n", type=int)
-    sim.add_argument("--delta", type=float)
-    sim.add_argument("--t-max", dest="t_max", type=float)
-    sim.add_argument("--seed", type=int)
-    sim.add_argument("--representation",
-                     choices=[GALTON_WATSON, BIRTH_DEATH])
-    sim.add_argument("--initial-catalyst-mass", dest="initial_catalyst_mass",
-                     type=float)
-    sim.add_argument("--initial-reactant-mass", dest="initial_reactant_mass",
-                     type=float)
+    for key, cast in _CONFIG_CASTS.items():
+        sim.add_argument("--" + key.replace("_", "-"), type=cast,
+                         choices=([GALTON_WATSON, BIRTH_DEATH]
+                                  if key == "representation" else None))
     sim.add_argument("--replicas", type=int, default=1)
     sim.add_argument("--jobs", type=int, default=1)
     sim.add_argument("--contours", action="store_true",

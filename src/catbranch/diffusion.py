@@ -33,6 +33,16 @@ Conventions
   The contour's own values zeta = s^-1(2 beta) are likewise mapped on first
   read and cached, so `values == scale.inverse(2 * brownian)` holds for
   every contour; a local-time estimate maps only the steps near its band.
+* The limit contour's local-time budget is counted in band steps: the
+  contour stops on the `need`-th step that ends in the band [0, band),
+  band = 20 sqrt(theta_step), where `need` is the least count whose
+  occupation need * theta_step / band reaches the budget in floats.  An
+  integer count carries no rounding from one block to the next, which a
+  float sum of the blocks' occupations would.  beta is stepped in blocks of
+  at most 16384 steps but re-folded into [0, top] only at every 65536th
+  step, the unfolded cumulative sum carried in between: a fold moves the
+  floats of every later step, so a fold per block would draw other contours
+  than the pinned ones.
 * Particle-clock dictionary: the particle model's mass limits are the
   b -> 2b versions of the pair above (a constant time change); closed-form
   cross-checks between the modules always go through the stated formulas,
@@ -84,23 +94,11 @@ RACE_FLOAT_LANES = 24
 
 @dataclass
 class DiffusionPath:
-    """Uniform-grid sampled path; constant after absorption if absorbed.
-
-    Contour paths produced by `simulate_limit_contour` also carry the
-    driving reflected Brownian path and the scale function used to map it,
-    so downstream censuses can work in the coordinate where increments are
-    exactly Gaussian, and their natural-time stamps as `time_change`.  A
-    contour's values are mapped on first read and cached: a path that
-    carries both `brownian` and `scale` keeps the invariant
-    `values == scale.inverse(2 * brownian)`, on which `local_time_estimate`
-    relies to map only the steps near its band.
-    """
+    """Uniform-grid sampled path; constant after absorption if absorbed."""
 
     step: float
     values: np.ndarray
     absorbed_index: Optional[int] = None
-    brownian: Optional[np.ndarray] = None
-    scale: Optional["ScaleFunction"] = None
 
     def __post_init__(self) -> None:
         self.values = np.asarray(self.values, dtype=float)
@@ -113,15 +111,6 @@ class DiffusionPath:
 
     def times(self) -> np.ndarray:
         return self.step * np.arange(len(self.values))
-
-    @cached_property
-    def time_change(self) -> Optional[np.ndarray]:
-        """Natural-time stamps of a contour, du = dtheta / X(zeta), computed
-        on first access and cached; None for a path without a scale."""
-        if self.scale is None:
-            return None
-        med = np.maximum(self.scale.medium_at(self.values), 1e-12)
-        return np.concatenate([[0.0], np.cumsum(self.step / med[:-1])])
 
     def value_at(self, t: float) -> float:
         return float(np.interp(t, self.times(), self.values))
@@ -470,7 +459,9 @@ def simulate_limit_contour(X: DiffusionPath, delta: float,
     the Brownian clock and stop once the one-sided occupation density of
     beta at 0 (its time in the band [0, 20 sqrt(theta_step)) over the
     band's width) reaches the budget (the budget is the initial mass
-    carried by the contour's forest).
+    carried by the contour's forest).  The budget is counted in band steps,
+    and `max_steps` is checked before each block of at most 16384 steps;
+    see the module notes.
 
     The returned path holds zeta on the Brownian-clock grid; its natural-time
     stamps `time_change` are computed on first access.  See the module notes
@@ -510,69 +501,52 @@ def _limit_contour_from_scale(sf: ScaleFunction, budget: float, seed=0,
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     sq = math.sqrt(theta_step)
     band = 20.0 * sq
-    # beta is re-folded and ell0 updated once per logical 65536-step chunk.
-    # A chunk is evaluated in sub-blocks of 2048 steps and then of the size
-    # done so far (doubling), stopping at the first sub-block that can close
-    # the budget; carrying the raw cumulative sum and the integer occupation
-    # count across sub-blocks gives the floats of a whole-chunk evaluation.
-    chunk = 65536
-    first_block = 2048
-    per_step = theta_step / band
-    beta = 0.0
-    ell0 = 0.0
-    pieces = [np.array([0.0])]
-    steps = 0
-    reached = False
-    while steps < max_steps:
-        blocks = []  # folded paths of this chunk's sub-blocks
-        occs = []    # their running occupations
-        raw = 0.0    # unfolded cumulative sum at the end of the last sub-block
-        count = 0    # steps of this chunk spent below the band
-        done = 0
-        while done < chunk:
-            size = min(max(first_block, done), chunk - done)
-            path = rng.standard_normal(size) * sq
-            if done:
-                path[0] += raw
-            np.cumsum(path, out=path)
-            raw = float(path[-1])
-            path += beta
-            _fold(path, top)
-            below = np.cumsum(path < band)
-            below += count
-            count = int(below[-1])
-            occ = below * per_step
-            blocks.append(path)
-            occs.append(occ)
-            done += size
-            # both forms of the budget test hold, so the whole chunk would
-            # stop, and in this sub-block or an earlier one
-            if occ[-1] >= budget - ell0 and ell0 + occ[-1] >= budget:
-                break
-        if ell0 + occs[-1][-1] >= budget:
-            # stop in the first sub-block whose occupation reaches the rest
-            # of the budget; if rounding leaves none, take the whole chunk
-            target = budget - ell0
-            k = next((i for i, o in enumerate(occs) if o[-1] >= target),
-                     len(occs) - 1)
-            stop = int(np.searchsorted(occs[k], target)) + 1
-            pieces.extend(blocks[:k])
-            pieces.append(blocks[k][:stop])
-            reached = True
-            break
-        pieces.extend(blocks)
-        ell0 += float(occs[-1][-1])
-        beta = float(blocks[-1][-1])
-        steps += chunk
-    if not reached:
+    per_step = theta_step / band  # the occupation of one band step
+    if budget / per_step > max_steps + 16384:
+        # more band steps than the loop can take, or an infinite count
         raise _StepCapReached("step cap reached before the local-time budget")
-    return _LimitContour(theta_step, np.concatenate(pieces), sf)
+    # the budget in band steps: the least count c with c * per_step >=
+    # budget in floats (a ceil of the quotient can read one more)
+    need = math.ceil(budget / per_step)
+    while (need - 1) * per_step >= budget:
+        need -= 1
+    while need * per_step < budget:
+        need += 1
+    # blocks of 2048, 2048, 4096, 8192 and then 16384 steps tile every
+    # 65536 steps, at which beta is re-folded; `raw` is the unfolded sum
+    pieces = [np.array([0.0])]
+    beta = raw = 0.0
+    steps = count = 0  # steps taken, and how many of them end in the band
+    while steps < max_steps:
+        size = min(max(2048, steps), 16384)
+        path = rng.standard_normal(size) * sq
+        path[0] += raw
+        np.cumsum(path, out=path)
+        raw = float(path[-1])
+        path += beta
+        _fold(path, top)
+        below = path < band
+        hits = int(np.count_nonzero(below))
+        if count + hits >= need:  # stop on the need-th band step
+            stop = int(np.flatnonzero(below)[need - count - 1]) + 1
+            pieces.append(path[:stop])
+            return _LimitContour(theta_step, np.concatenate(pieces), sf)
+        pieces.append(path)
+        count += hits
+        steps += size
+        if steps % 65536 == 0:
+            beta, raw = float(path[-1]), 0.0
+    raise _StepCapReached("step cap reached before the local-time budget")
 
 
 class _LimitContour(DiffusionPath):
     """A limit contour as `_limit_contour_from_scale` returns it: the
-    driving path `brownian` (beta) and the `scale` s, with the values
-    zeta = s^-1(2 beta) mapped on first read and cached."""
+    driving path `brownian` (beta), in whose coordinate increments are
+    exactly Gaussian, and the `scale` s.  The values zeta = s^-1(2 beta)
+    and the natural-time stamps `time_change` are computed on first read
+    and cached; `local_time_estimate` relies on the invariant
+    `values == scale.inverse(2 * brownian)` to map only the steps near its
+    band."""
 
     def __init__(self, step: float, brownian: np.ndarray,
                  scale: ScaleFunction) -> None:
@@ -584,6 +558,12 @@ class _LimitContour(DiffusionPath):
     @cached_property
     def values(self) -> np.ndarray:
         return self.scale.inverse(2.0 * self.brownian)
+
+    @cached_property
+    def time_change(self) -> np.ndarray:
+        """Natural-time stamps, du = dtheta / X(zeta)."""
+        med = np.maximum(self.scale.medium_at(self.values), 1e-12)
+        return np.concatenate([[0.0], np.cumsum(self.step / med[:-1])])
 
 
 def bridge_refined_depths(beta: np.ndarray, level: float, step_var: float,
@@ -640,16 +620,14 @@ def bridge_refined_depths(beta: np.ndarray, level: float, step_var: float,
 def local_time_estimate(path, t: float, eps: float) -> float:
     """(1 / 2 eps) * sum of squared increments taken inside the band.
 
-    On a contour (a path with `brownian` and `scale`) only the steps that
-    can start inside the band are mapped to zeta (`_band_steps`); they are
-    the eager estimate's increments, in its order, so the result is the
-    same float."""
+    On a limit contour only the steps that can start inside the band are
+    mapped to zeta (`_band_steps`); they are the eager estimate's
+    increments, in its order, so the result is the same float."""
     if not 0.0 < eps < math.inf:  # NaN fails too
         raise InputError(f"band half-width must be finite and > 0, got {eps!r}")
     if not math.isfinite(t):
         raise InputError(f"level must be finite, got {t!r}")
-    if isinstance(path, DiffusionPath) and path.scale is not None \
-            and path.brownian is not None:
+    if isinstance(path, _LimitContour):
         start, end = _band_steps(path.brownian, path.scale, t, eps)
     else:
         values = path.values if isinstance(path, DiffusionPath) else np.asarray(path, float)

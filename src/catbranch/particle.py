@@ -67,12 +67,13 @@ forest sweeps its pre-order from the generations on the first query, so a
 forest that nothing reads (a catalyst that only serves as a medium) costs
 only the concatenation of its generations.
 
-Cap.  `max_live` bounds the live population after every event;
-`PopulationCapError` is raised as soon as the generations drawn so far show
-that the bound is exceeded, so a runaway population stops before its whole
-forest is drawn.  The check runs when the node count first passes
-`max_live` and each time it has doubled since, and maps the hazards drawn
-so far to times.
+Cap.  `max_live` bounds the live population at time 0, the root count,
+and after every event.  A root count above it raises `PopulationCapError`
+before anything is drawn; otherwise the error is raised as soon as the
+generations drawn so far show that the bound is exceeded, so a runaway
+population stops before its whole forest is drawn.  The check runs when
+the node count first passes `max_live` and each time it has doubled since,
+and maps the hazards drawn so far to times.
 """
 
 from __future__ import annotations
@@ -369,7 +370,8 @@ def _simulate_population(n: int, b: float,
     cap and the death of every survivor, so the forest needs no truncation
     at the horizon; with an infinite horizon the population has died out
     and the forest is uncapped.  `PopulationCapError` is raised when the
-    live count exceeds `max_live` after some event (see the module's "Cap").
+    live count exceeds `max_live` at time 0 or after some event (see the
+    module's "Cap").
 
     `medium` may also be a sequence of R media, one per block of count0 / R
     consecutive trees of the linear order (see the module docstring); R
@@ -377,6 +379,8 @@ def _simulate_population(n: int, b: float,
     of one medium is that medium.
     """
     galton_watson = representation == GALTON_WATSON
+    if count0 > max_live:  # the live population at time 0
+        raise PopulationCapError(f"live population exceeded cap {max_live}")
 
     # roots sit in a random linear order
     roots = rng.permutation(count0) if count0 > 1 else np.arange(count0)

@@ -156,6 +156,16 @@ class TestSimulate:
         cut = min(stopping_time(cat, 0.5), 6.0)
         assert rf.height_cap == pytest.approx(cut)
 
+    @pytest.mark.parametrize("mass", ["1e300", "1e8"])
+    def test_root_count_above_the_cap_exits_3(self, tmp_path, capsys, mass):
+        # 2e300 roots used to die in the roots' permutation with a traceback
+        rc = main(["simulate", "--seed", "1", "--n", "2",
+                   "--initial-reactant-mass", mass, "--t-max", "1",
+                   "--out", str(tmp_path)])
+        assert rc == 3
+        assert capsys.readouterr().err == \
+            "resource overflow: live population exceeded cap 10000000\n"
+
 
 class TestOutputBytes:
     def test_simulate_and_convert_bytes_are_pinned(self, tmp_path):

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import inspect
 import json
@@ -8,11 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_contour
 import reference_race
 from catbranch import harness
 from catbranch.contour import tree_from_excursion
 from catbranch.diffusion import (RACE_FLOAT_LANES, DiffusionPath, SDEConfig,
                                  _euler_step, _limit_contour_from_scale,
+                                 _LimitContour,
                                  _race_floats,
                                  bridge_refined_depths, hitting_race,
                                  integrate_catalytic_feller,
@@ -200,6 +203,12 @@ class TestLimitContour:
             simulate_limit_contour(flat_medium(horizon=0.5), 0.5, seed=1,
                                    max_steps=1_000, **kwargs)
 
+    def test_unreachable_budget_raises_before_stepping(self):
+        # 2e311 band steps: the count is infinite in floats
+        with pytest.raises(InputError, match="step cap reached"):
+            _limit_contour_from_scale(scale_function(flat_medium(), 0.5),
+                                      1e308, theta_step=1e-4)
+
     def test_smallest_budget(self):
         z = simulate_limit_contour(harness._x_identity_path(horizon=0.5), 0.5,
                                    0.01, seed=1, theta_step=1e-4)
@@ -216,7 +225,6 @@ class TestLimitContour:
         eager = np.concatenate([[0.0], np.cumsum(1e-4 / med[:-1])])
         assert z.time_change.tobytes() == eager.tobytes()
         assert z.time_change is z.time_change
-        assert DiffusionPath(1e-3, [1.0, 2.0]).time_change is None
 
     def test_values_are_mapped_once_on_first_read(self):
         X, _ = integrate_catalytic_feller(SDEConfig(seed=5, step=1e-3,
@@ -250,6 +258,59 @@ class TestLimitContour:
         lb = local_time_estimate(2.0 * z.brownian, float(z.scale(t)),
                                  slope * eps)
         assert lz == pytest.approx(lb / slope, rel=1e-9)
+
+
+@functools.cache
+def _contour_media():
+    """The unit medium (x_top 2) and a Feller path (x_top about 1), whose
+    scale functions the contour tests step."""
+    X, _ = integrate_catalytic_feller(SDEConfig(seed=5, step=1e-3,
+                                                horizon=3.0))
+    return (scale_function(harness._x_identity_path(horizon=2.0), 0.5),
+            scale_function(X, 0.2))
+
+
+def _band_and_occupation(theta_step):
+    band = 20.0 * math.sqrt(theta_step)
+    return band, theta_step / band
+
+
+class TestContourReference:
+    """`_limit_contour_from_scale` against the loop that summed the
+    occupation in floats per 65536-step chunk
+    (`tests/reference_contour.py`)."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(medium=st.integers(0, 1), theta_step=st.sampled_from([1e-3, 1e-4]),
+           budget=st.floats(0.01, 2.0), frac=st.floats(0.01, 0.99),
+           seed=st.integers(0, 2**32 - 1))
+    def test_same_driving_path_as_the_reference(self, medium, theta_step,
+                                                budget, frac, seed):
+        # the budget is moved to `frac` of the way between two counts of
+        # band steps, away from the float ties on which the two loops differ
+        per_step = _band_and_occupation(theta_step)[1]
+        budget = (math.floor(budget / per_step) + frac) * per_step
+        sf = _contour_media()[medium]
+        z = _limit_contour_from_scale(sf, budget, seed, theta_step)
+        ref = reference_contour.driving_path(sf, budget, seed, theta_step)
+        assert z.brownian.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("medium,theta_step,budget,seed", [
+        # the ties: the reference's chunk sum rounds short of the budget at
+        # 2000 (200) band steps, and it stops on the 2001st (201st)
+        (1, 1e-4, 1.0, 2), (1, 1e-4, 0.1, 7),
+        (0, 1e-4, 0.05, 0), (0, 1e-3, 1.0, 1), (1, 1e-3, 2.0, 3),
+        (0, 1e-5, 0.3, 4), (1, 1e-4, 0.5, 5)])
+    def test_stops_on_the_band_step_that_reaches_the_budget(
+            self, medium, theta_step, budget, seed):
+        band, per_step = _band_and_occupation(theta_step)
+        need = 1
+        while need * per_step < budget:
+            need += 1
+        z = _limit_contour_from_scale(_contour_media()[medium], budget, seed,
+                                      theta_step)
+        assert z.brownian[-1] < band
+        assert np.count_nonzero(z.brownian[1:] < band) == need
 
 
 class TestRaceReference:
@@ -386,7 +447,7 @@ class TestLocalTimeAndQV:
             w = np.repeat(np.clip(np.concatenate(w), 0.0, sf.top), 2)
             w[1::2] = w[0::2][::-1]
             beta = w / 2.0
-            z = DiffusionPath(1e-4, sf.inverse(2.0 * beta), brownian=beta, scale=sf)
+            z = _LimitContour(1e-4, beta, sf)
             for t, eps in bands:
                 assert local_time_estimate(z, t, eps) == \
                     local_time_estimate(z.values, t, eps), (t, eps)
@@ -637,8 +698,9 @@ def _sha(data: bytes) -> str:
 class TestStreamPins:
     """sha256 digests of the diffusion kernels' outputs, recorded before
     `hitting_race` compacted survivors only on hit steps, the limit contour
-    stepped in doubling sub-blocks and `qv_dichotomy` ran its catalyst loop
-    on Python floats; the criticality and comparison digests were recorded
+    stepped in blocks of at most 16384 steps and counted its budget in band
+    steps, and `qv_dichotomy` ran its catalyst loop on Python floats; the
+    criticality and comparison digests were recorded
     before their Euler loops moved to the package's batch step, and the
     diffusion_gate digest before the race's last survivors stepped on Python
     floats and the time change became lazy.  Those changes keep every draw
@@ -664,20 +726,20 @@ class TestStreamPins:
         assert _sha(json.dumps(res, sort_keys=True).encode()) == self.RACES[key]
 
     # (seed, budget): (samples, values, brownian, time_change) on a flat
-    # medium at theta_step 1e-5 (65536-step chunks in sub-blocks of 2048,
-    # 2048, 4096, ..., 32768 steps)
+    # medium at theta_step 1e-5 (re-folded every 65536 steps; blocks of
+    # 2048, 2048, 4096, 8192 and then 16384 steps)
     CONTOURS = {
-        # two whole chunks, stop at step 35677 of the third (last sub-block)
+        # two whole chunks, stop at step 35677 of the third (its third block)
         (1, 1.0): (166750,
                    "81047909a46b1b45ddfe8c4af190aadf51e57e654389e5cfe9d68223c5ff9daf",
                    "1cba0f04c29d1ddb43156a0fe97622043517d9c4167f7a4ef7f9435aa701dad6",
                    "f24e28afaeea6b5b84f2843c4a12b34bee5041721a0510aa9f5099db407acdf1"),
-        # two whole chunks, stop at step 14873 of the third (fourth sub-block)
+        # two whole chunks, stop at step 14873 of the third (its first block)
         (2, 1.0): (145946,
                    "89b5ce9558cbc1f1d851f358dcd6a21da31a5fa4ea50d0be218f450fd02613e5",
                    "4478784f3c5e4e217ed290e6c901cb27971d8c7ae52ebd4c990f0ae819a0d20d",
                    "e7f590f8cc7ac09a0741e03cf7cc2d4b23ba34e7981e9e95bede12dd12ec9e7a"),
-        # stop inside the first sub-block
+        # stop inside the first block
         (6, 0.05): (318,
                     "b83ac66d3ba113d90741e18a0045ea22bfed03659b36b0114e2e3b63e9fa196b",
                     "5b511dc67303770cc95c7aecc88b22b15a44e89baa19a6792298f6554cfe0be7",

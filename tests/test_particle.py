@@ -269,6 +269,17 @@ class TestConsistency:
         with pytest.raises(PopulationCapError):
             simulate_catalyst(cfg)
 
+    def test_root_count_above_the_cap_draws_nothing(self, monkeypatch):
+        class NoDraws:
+            def __getattr__(self, name):
+                raise AssertionError(f"drew from the generator ({name})")
+
+        monkeypatch.setattr(particle, "_stream", lambda seed, which: NoDraws())
+        cfg = SimConfig(n=4, seed=3, t_max=1.0, max_live=7,
+                        initial_catalyst_mass=2.0)
+        with pytest.raises(PopulationCapError, match="exceeded cap 7"):
+            simulate_catalyst(cfg)
+
     def test_medium_coverage_error(self):
         short = MassPath(np.array([0.0]), np.array([1.0]), horizon=1.0)
         cfg = SimConfig(n=1, seed=1, t_max=5.0)
@@ -401,7 +412,7 @@ class TestEngineExact:
             cfg = SimConfig(n=8, t_max=2.0, seed=seed,
                             representation=representation)
             mass, forest = simulate_catalyst(cfg)
-            peak = int(round(mass.values[1:].max() * 8))
+            peak = int(round(mass.values.max() * 8))
             assert len(forest) > peak
             cfg.max_live = peak
             simulate_catalyst(cfg)
