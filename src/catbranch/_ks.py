@@ -3,11 +3,12 @@ _ks.py
 ======
 Exact two-sided Kolmogorov-Smirnov p-values, ported from SciPy 1.17.1
 (`scipy/stats/_ksstats.py`, `scipy/stats/_stats_py.py` and
-`scipy/stats/_stats_pythran.py`) so that `oracles` imports `scipy.special`
-only.  The port keeps SciPy's branches, operations and numpy types (the
-one-sample statistic arrives as a 0-d array, and some scaled products run
-in `np.longdouble`), so its p-values equal `scipy.stats.kstest` and
-`scipy.stats.ks_2samp` bit for bit; `tests/test_oracles.py` checks that.
+`scipy/stats/_stats_pythran.py`) so that `oracles` need not import
+`scipy.stats`.  The port keeps SciPy's branches, operations and numpy
+types (the one-sample statistic arrives as a 0-d array, and some scaled
+products run in `np.longdouble`), so its p-values equal
+`scipy.stats.kstest` and `scipy.stats.ks_2samp` bit for bit;
+`tests/test_oracles.py` checks that.
 
 One sample (`kstwo_sf`, SciPy's `kstwo.sf`): the branch choice of Simard &
 L'Ecuyer, "Computing the Two-Sided Kolmogorov-Smirnov Distribution",
@@ -24,6 +25,10 @@ J. Stat. Softw. 39(11), 2011, over
     Kolmogorov-Smirnov One-sample Statistic", J. R. Stat. Soc. B 38(2),
     1976;
   and twice the one-sided law, `scipy.special.smirnov`.
+The one-sided law serves the tail only (d >= 1/2, or n d^2 above 4 up to
+n = 140 and above 2.2 beyond); past a few points a sample that is a
+p-value below about 0.025.  So `smirnov` imports `scipy.special` (about
+23 MB and 0.15 s) on its first call, not at import.
 
 Two samples (`ks_2samp`): Hodges' lattice-path count, "The Significance
 Probability of the Smirnov Two-Sample Test", Ark. Mat. 3(43), 1958, with
@@ -72,7 +77,6 @@ import math
 from typing import Callable
 
 import numpy as np
-from scipy.special import smirnov
 
 _E128 = 128
 _EP128 = np.ldexp(np.longdouble(1), _E128)
@@ -307,6 +311,13 @@ def _kolmogn_PelzGood(n, x):
     powers_of_n = np.power(n * 1.0, np.arange(len(K0to3)) / 2.0)
     K0to3 /= powers_of_n
     return sum(K0to3)
+
+
+def smirnov(n, x):
+    """`scipy.special.smirnov(n, x)`, P(D_n^+ >= x), imported on first use."""
+    from scipy.special import smirnov as one_sided
+
+    return one_sided(n, x)
 
 
 def _kolmogn_sf(n, x):

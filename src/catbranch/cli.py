@@ -18,7 +18,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from .contour import Excursion, contour_from_forest, tree_from_excursion
 from .errors import InputError, PopulationCapError
@@ -97,17 +96,20 @@ def cmd_simulate(args) -> int:
     if args.level is not None and not 0.0 < args.level < math.inf:
         raise InputError("--level must be finite and > 0")
     cfg = _build_sim_config(args)
-    out = _out_dir(args)
     # max_live is no option of simulate: the replicas keep its default
     cfg_kwargs = dataclasses.asdict(cfg)
     del cfg_kwargs["max_live"]
     payloads = [(cfg_kwargs, r) for r in range(args.replicas)]
     if args.jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             results = list(pool.map(_run_replica, payloads))
     else:
         results = [_run_replica(p) for p in payloads]
     results.sort(key=lambda item: item[0])
+    # made only now, so a run that stops in the engine leaves no directory
+    out = _out_dir(args)
 
     summary = {"config": {**cfg_kwargs}, "replicas": []}
     for replica, (cm, cf), (rm, rf) in results:

@@ -6,14 +6,16 @@ small statistical toolkit (exact one- and two-sample KS tests, a
 contingency chi-square, a Monte Carlo Poisson count test and a mean's
 standard error) used to compare simulations against them.
 
-The toolkit needs `scipy.special` only.  The KS p-values come from
-`_ks`, a port of SciPy 1.17.1's exact distributions that equals
-`scipy.stats` bit for bit; the chi-square keeps SciPy's
-`chi2_contingency` arithmetic and takes its p-value from
-`scipy.special.chdtrc`; `inverse_area_mean` is a double-exponential
-quadrature on numpy.  So `scipy.stats` and `scipy.integrate`, about 45 MB
-and most of a second at import, are never loaded, and the p-values do not
-depend on the installed SciPy's KS code.
+The toolkit needs numpy only.  The KS p-values come from `_ks`, a port of
+SciPy 1.17.1's exact distributions that equals `scipy.stats` bit for bit;
+the chi-square keeps SciPy's `chi2_contingency` arithmetic and takes its
+p-value from `_chi2.chdtrc`, a port that equals `scipy.special.chdtrc` bit
+for bit; `inverse_area_mean` is a double-exponential quadrature on numpy.
+So importing `oracles` loads no SciPy module.  Only a KS p-value far in
+the tail (below about 0.025 past a few points a sample), which `_ks` takes
+from `scipy.special.smirnov`, loads `scipy.special`, about 23 MB and
+0.15 s.  The p-values do not depend on the installed SciPy's KS or
+incomplete-gamma code.
 
 All rate-path arguments follow the package clock convention documented in
 `particle`: a population in medium eta with coefficient b has rate path
@@ -28,9 +30,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence, Union
 
 import numpy as np
-from scipy.special import chdtrc
 
-from . import _ks
+from . import _chi2, _ks
 from .errors import InputError
 from .particle import MassPath
 
@@ -291,7 +292,7 @@ def two_sample_counts_chi2(a: Sequence[int], b: Sequence[int]) -> float:
         diff = expected - observed
         observed = observed + np.minimum(0.5, np.abs(diff)) * np.sign(diff)
     stat = ((observed - expected) ** 2 / expected).sum()
-    return float(chdtrc(dof, stat))
+    return _chi2.chdtrc(dof, stat)
 
 
 def mean_confidence(sample: Sequence[float]) -> tuple[float, float]:

@@ -166,6 +166,15 @@ class TestSimulate:
         assert capsys.readouterr().err == \
             "resource overflow: live population exceeded cap 10000000\n"
 
+    def test_failed_run_leaves_no_out_directory(self, tmp_path, capsys):
+        # the directory used to be made before the replicas ran
+        out = tmp_path / "d"
+        rc = main(["simulate", "--seed", "1", "--initial-catalyst-mass", "1e300",
+                   "--t-max", "1", "--out", str(out)])
+        assert rc == 3
+        assert "live population exceeded cap" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestOutputBytes:
     def test_simulate_and_convert_bytes_are_pinned(self, tmp_path):

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from catbranch import _ks
+from catbranch import _chi2, _ks
 from catbranch.errors import InputError
 from catbranch.oracles import (feller_extinction_cdf, hitting_probability,
                                inverse_area_mean, ks_test, laplace_branching,
@@ -282,9 +282,10 @@ def _exp_cdf(x: float) -> float:
 
 
 class TestScipyEquality:
-    """The p-values equal `scipy.stats`' bit for bit, statistic and p-value
-    both, on cases that reach every branch of the ported code.  Only this
-    class imports `scipy.stats`; the package never does."""
+    """The p-values equal `scipy.stats`' and `scipy.special.chdtrc`'s bit for
+    bit, statistic and p-value both, on cases that reach every branch of the
+    ported code.  Only this class imports `scipy.stats`; the package never
+    does, and it loads `scipy.special` only for `_ks.smirnov`."""
 
     # n d^2 at the one-sample branch points (Durbin's matrix up to 0.754693
     # and Pomeranz up to 4 at n <= 140; above n = 140 twice the one-sided
@@ -378,6 +379,70 @@ class TestScipyEquality:
         assert want.dof == values - 1
         assert two_sample_counts_chi2(a, b) == float(want.pvalue)
 
+    # degrees of freedom: a = dof / 2 either side of 20 and 200 (the
+    # Temme regions), the gate's 45-48, and 1, 2 and 500
+    DOFS = (1, 2, 3, 39, 40, 41, 45, 46, 47, 48, 399, 400, 401, 500, 2_000)
+
+    @staticmethod
+    def _igamc_points(a):
+        """Points x of Q(a, x): 0, beside the switches x = 0.5 and 1.1 and
+        x = 200, |x - a| / a at and beside 0.3 and, past a = 200, at
+        4.5 / sqrt(a), and a spread of others."""
+        def beside(v):
+            return (math.nextafter(v, 0.0), v, math.nextafter(v, math.inf))
+
+        xs = [0.0, 0.25, 0.8, 2.0, 0.5 * a, a, 2.0 * a, 3.0 * a + 10.0]
+        xs += [*beside(0.5), *beside(1.1), *beside(200.0)]
+        for ratio in (0.3, 4.5 / math.sqrt(a)) if a > 200 else (0.3,):
+            xs += [*beside(a * (1.0 - ratio)), *beside(a * (1.0 + ratio))]
+        return xs
+
+    def test_chdtrc_every_branch(self, monkeypatch):
+        from scipy import special
+
+        reached = set()
+
+        def spy(name, label):
+            f = getattr(_chi2, name)
+
+            def wrapped(*args):
+                reached.add(label(*args))
+                return f(*args)
+            monkeypatch.setattr(_chi2, name, wrapped)
+
+        spy("_asymptotic_series", lambda a, x: "temme, a < 200" if a < 200
+            else "temme, a > 200")
+        spy("_igam_series", lambda a, x: "1 - igam_series")
+        spy("_igamc_continued_fraction", lambda a, x: "continued fraction")
+        spy("_igamc_series", lambda a, x: "igamc_series")
+        spy("_lgam1p_taylor", lambda x: "lgam1p taylor")
+        spy("_igam_fac", lambda a, x: "fac: lgam" if abs(a - x) > 0.4 * abs(a)
+            else "fac: lanczos" if a < 200 and x < 200 else "fac: log1pmx")
+        for dof in self.DOFS:
+            for x in self._igamc_points(dof / 2.0):
+                # chdtrc halves both arguments exactly
+                got = _chi2.chdtrc(dof, 2.0 * x)
+                assert got == float(special.chdtrc(dof, 2.0 * x)), (dof, 2.0 * x)
+        assert reached == {"temme, a < 200", "temme, a > 200", "1 - igam_series",
+                           "continued fraction", "igamc_series", "lgam1p taylor",
+                           "fac: lgam", "fac: lanczos", "fac: log1pmx"}
+
+    def test_chdtrc_tables(self):
+        """The Taylor series' zeta(n, 1) equal SciPy's, and the corner
+        d_{k,n}, k, n < 3, of Temme's table equals SciPy's generator of it
+        at 50 digits."""
+        from scipy import special
+
+        assert [special.zeta(n, 1) for n in range(2, 42)] == list(_chi2._ZETA1)
+        pytest.importorskip("mpmath")
+        from mpmath import mp
+        from scipy.special._precompute.gammainc_asy import compute_d
+
+        with mp.workdps(50):
+            corner = compute_d(3, 3)
+        assert [[float(v) for v in row] for row in corner] == \
+            [list(row[:3]) for row in _chi2._D[:3]]
+
 
 @pytest.mark.parametrize("tau", [1e-4, 1e-2, 0.5, 1.0, 2.0, 100.0])
 def test_inverse_area_mean_matches_quad(tau):
@@ -390,23 +455,36 @@ def test_inverse_area_mean_matches_quad(tau):
     assert inverse_area_mean(tau) == pytest.approx(2.0 * j / c ** 2, rel=1e-13, abs=0.0)
 
 
-def test_no_scipy_stats_or_integrate_import():
-    """A fresh interpreter that runs the command line's and the harness's
-    statistics loads neither `scipy.stats` nor `scipy.integrate`."""
-    code = """
-import sys
-import catbranch.cli, catbranch.harness
-from catbranch import oracles
-oracles.ks_test([0.2, 0.5, 0.7], lambda x: x)
-oracles.two_sample_ks([0.1, 0.4, 0.5], [0.2, 0.3])
-oracles.two_sample_counts_chi2([0, 1, 2] * 10, [1, 2, 0] * 10)
-oracles.inverse_area_mean(1.0)
-print(sorted(m for m in sys.modules if m.startswith(("scipy.stats", "scipy.integrate"))))
-"""
+def _fresh_interpreter(code: str) -> str:
     src = os.path.join(os.path.dirname(__file__), "..", "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     got = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, timeout=120, env=env)
     assert got.returncode == 0, got.stderr
-    assert got.stdout.strip() == "[]"
+    return got.stdout.strip()
+
+
+def test_no_scipy_stats_or_integrate_import():
+    """A fresh interpreter that runs the command line's and the harness's
+    statistics loads no SciPy module and no `multiprocessing`; only a KS
+    p-value in the one-sided law's tail loads `scipy.special`."""
+    imports = """
+import sys
+import catbranch.cli, catbranch.harness
+from catbranch import _chi2, _ks, oracles
+"""
+    calls = """
+oracles.ks_test([0.2, 0.5, 0.7], lambda x: x)
+oracles.two_sample_ks([0.1, 0.4, 0.5], [0.2, 0.3])
+oracles.two_sample_counts_chi2([0, 1, 2] * 10, [1, 2, 0] * 10)
+assert oracles.two_sample_counts_chi2([0, 1, 2] * 10, [0, 0, 1] * 10) < 0.05
+assert 0.0 < _chi2.chdtrc(46, 40.0) < 1.0  # Temme's expansion
+oracles.inverse_area_mean(1.0)
+"""
+    # d >= 1/2 at n = 3: twice `smirnov`
+    tail = "assert 0.0 < _ks.kstwo_sf(0.6, 3) < 1.0\n"
+    report = ('print(sorted(m for m in sys.modules\n'
+              '             if m.partition(".")[0] in ("scipy", "multiprocessing")))\n')
+    assert _fresh_interpreter(imports + calls + report) == "[]"
+    assert "'scipy.special'" in _fresh_interpreter(imports + tail + report)
