@@ -104,6 +104,8 @@ class DiffusionPath:
         self.values = np.asarray(self.values, dtype=float)
         if not 0.0 < self.step < math.inf:
             raise InputError("grid step must be finite and > 0")
+        if not np.isfinite(self.values).all():
+            raise InputError("path values must be finite")
 
     @property
     def duration(self) -> float:
@@ -117,10 +119,10 @@ class DiffusionPath:
 
     def first_hit_time(self, level: float) -> float:
         """First grid time the path is <= level; +inf if never."""
-        hits = np.flatnonzero(self.values <= level)
-        if hits.size == 0:
-            return math.inf
-        return float(hits[0] * self.step)
+        if math.isnan(level):
+            raise InputError("hitting level must not be NaN")
+        i = _first_at_or_below(self.values, level)
+        return math.inf if i is None else float(i * self.step)
 
     def write(self, fh, seed: int | None = None) -> None:
         fh.write(f"# step={self.step!r} seed={seed} "
@@ -138,6 +140,18 @@ class DiffusionPath:
             values = np.array(values, dtype=float)
             step = float(fields["step"])
         return cls(step, values)
+
+
+def _first_at_or_below(values: np.ndarray, level: float) -> int | None:
+    """Index of the first value <= level, or None if there is none;
+    `argmax` stops at the first hit, where `flatnonzero` would list them
+    all (a frozen tail is one long run of hits)."""
+    below = values <= level
+    if below.size:
+        i = int(below.argmax())
+        if below[i]:
+            return i
+    return None
 
 
 @dataclass
@@ -190,7 +204,11 @@ def _feller_path(rng: np.random.Generator, n_steps: int, step: float,
     normals are drawn in blocks of 4096, only as far as the path needs them.
     A `clock` path c, which stays at 0 once it is 0, scales step k's normal
     by sqrt(c[k]): the reactant of the pair is this path with b = b2 on the
-    catalyst's clock, frozen once the catalyst absorbs."""
+    catalyst's clock, frozen once the catalyst absorbs.
+
+    `floor` must be >= 0: a step then needs one test, `xv <= floor`, since
+    every negative proposal passes it and is clipped to 0 inside it."""
+    sqrt = math.sqrt
     x = np.empty(n_steps + 1)
     x[0] = xv = x0
     bs = b * step
@@ -201,13 +219,15 @@ def _feller_path(rng: np.random.Generator, n_steps: int, step: float,
         if clock is not None:
             noise *= np.sqrt(clock[k - 1:k - 1 + size])
         block = []
+        append = block.append
         for nk in noise.tolist():
-            xv = xv + math.sqrt(xv * bs) * nk
-            if xv < 0.0:
-                xv = 0.0
-            block.append(xv)
+            xv = xv + sqrt(xv * bs) * nk
             if xv <= floor:
+                if xv < 0.0:
+                    xv = 0.0
+                append(xv)
                 break
+            append(xv)
         x[k:k + len(block)] = block
         k += len(block)
     x[k:] = xv
@@ -432,10 +452,12 @@ def scale_function(X: DiffusionPath, delta: float) -> ScaleFunction:
     if not delta >= 0:
         raise InputError("threshold must be >= 0")
     vals = X.values
+    if not vals.size:
+        raise InputError("medium has no samples")
     if vals[0] <= delta:
         raise InputError("medium starts at or below the threshold")
-    hits = np.flatnonzero(vals <= delta)
-    end = int(hits[0]) + 1 if hits.size else len(vals)
+    hit = _first_at_or_below(vals, delta)
+    end = len(vals) if hit is None else hit + 1
     xs = X.step * np.arange(end)
     vs = vals[:end]
     s = np.concatenate([[0.0], np.cumsum(0.5 * (vs[1:] + vs[:-1]) * X.step)])
@@ -475,8 +497,16 @@ def simulate_limit_contour(X: DiffusionPath, delta: float,
 
 
 def _fold(path: np.ndarray, top: float) -> None:
-    """Exact triangle map of a free path into [0, top], in place."""
-    np.mod(path, 2.0 * top, out=path)
+    """Exact triangle map of a free path into [0, top], in place.
+
+    `fmod` plus the period where it is negative is `np.mod` bit for bit for
+    a period 2 top > 0: numpy's float `mod` is that sum, except that it
+    turns a zero remainder into +0.0 where this leaves -0.0, and the next
+    three ops take both zeros to the same 0.0.  It takes a third to two
+    thirds of `mod`'s time, more as the path spans more periods."""
+    period = 2.0 * top
+    np.fmod(path, period, out=path)
+    np.add(path, period, out=path, where=path < 0.0)
     np.subtract(path, top, out=path)
     np.abs(path, out=path)
     np.subtract(top, path, out=path)

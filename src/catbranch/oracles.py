@@ -236,16 +236,23 @@ def poisson_count_test(counts: Sequence[float], means: Union[float, Sequence[flo
     m = np.broadcast_to(np.asarray(means, dtype=float), obs.shape).copy()
     if obs.size == 0:
         raise InputError("empty count vector")
-    if np.any(m <= 0):
-        raise InputError("Poisson means must be positive")
+    if not (np.isfinite(obs).all() and np.all(obs >= 0)):
+        raise InputError("counts must be finite and >= 0")
+    if not (np.isfinite(m).all() and np.all(m > 0)):
+        raise InputError("Poisson means must be finite and positive")
+    if n_sim < 1:
+        raise InputError("the test needs at least one simulated null")
 
     def stat(c: np.ndarray) -> float:
         return float(np.sum((c - m) ** 2 / m))
 
     t_obs = stat(obs)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    sims = rng.poisson(m, size=(n_sim,) + m.shape).astype(float)
-    t_null = np.sum((sims - m) ** 2 / m, axis=tuple(range(1, sims.ndim)))
+    # the nulls' deviations, squared and scaled in place
+    dev = rng.poisson(m, size=(n_sim,) + m.shape) - m
+    dev **= 2
+    dev /= m
+    t_null = np.sum(dev, axis=tuple(range(1, dev.ndim)))
     # two-sided in dispersion: too regular is as suspicious as too wild
     hi = float(np.mean(t_null >= t_obs))
     lo = float(np.mean(t_null <= t_obs))

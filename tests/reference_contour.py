@@ -9,6 +9,9 @@ stopping at the first sub-block that can close the budget.  `driving_path`
 takes `_limit_contour_from_scale`'s arguments and returns the driving path
 beta, which must hold the same bytes as the contour's `brownian` wherever
 the float occupation sum and the band-step count agree on the stop.
+
+`fold` is the triangle map that `diffusion._fold` made with `np.mod`, kept
+here so that the reference shares no kernel with the package.
 """
 
 from __future__ import annotations
@@ -19,7 +22,15 @@ import numpy as np
 
 from catbranch.diffusion import (DEFAULT_CONTOUR_STEP,
                                  DEFAULT_CONTOUR_STEP_CAP, ScaleFunction,
-                                 _StepCapReached, _fold)
+                                 _StepCapReached)
+
+
+def fold(path: np.ndarray, top: float) -> None:
+    """Exact triangle map of a free path into [0, top], in place."""
+    np.mod(path, 2.0 * top, out=path)
+    np.subtract(path, top, out=path)
+    np.abs(path, out=path)
+    np.subtract(top, path, out=path)
 
 
 def driving_path(sf: ScaleFunction, budget: float, seed=0,
@@ -51,7 +62,7 @@ def driving_path(sf: ScaleFunction, budget: float, seed=0,
             np.cumsum(path, out=path)
             raw = float(path[-1])
             path += beta
-            _fold(path, top)
+            fold(path, top)
             below = np.cumsum(path < band)
             below += count
             count = int(below[-1])

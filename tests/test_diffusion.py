@@ -10,11 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_contour
+import reference_paths
 import reference_race
 from catbranch import harness
 from catbranch.contour import tree_from_excursion
 from catbranch.diffusion import (RACE_FLOAT_LANES, DiffusionPath, SDEConfig,
-                                 _euler_step, _limit_contour_from_scale,
+                                 _euler_step, _feller_path, _fold,
+                                 _limit_contour_from_scale,
                                  _LimitContour,
                                  _race_floats,
                                  bridge_refined_depths, hitting_race,
@@ -138,6 +140,15 @@ class TestIntegrator:
         with pytest.raises(InputError, match="malformed diffusion path"):
             DiffusionPath.read(io.StringIO("# step=0.01 seed=3\n1.0\nx\n"))
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_path_rejects_non_finite_values(self, value):
+        with pytest.raises(InputError, match="path values must be finite"):
+            DiffusionPath(0.01, [1.0, value, 0.5])
+
+    def test_first_hit_time_rejects_a_nan_level(self):
+        with pytest.raises(InputError, match="hitting level"):
+            flat_medium().first_hit_time(math.nan)
+
     @pytest.mark.parametrize("field,value", [
         ("b1", 0.0), ("b2", -1.0), ("step", 0.0), ("horizon", -1.0),
         ("b1", math.nan), ("step", math.inf), ("horizon", math.inf),
@@ -171,6 +182,111 @@ class TestScaleFunction:
     def test_rejects_bad_threshold(self, delta):
         with pytest.raises(InputError, match="threshold must be >= 0"):
             scale_function(flat_medium(), delta)
+
+    def test_rejects_a_medium_without_samples(self):
+        with pytest.raises(InputError, match="no samples"):
+            scale_function(DiffusionPath(0.01, []), 0.5)
+
+
+# values of the path kernel tests: a path that never falls to 0.5, falls to
+# it first at index 0, in the middle or on the last sample, and no samples
+_HIT_CASES = {
+    "never": [1.0, 2.0, 0.75, 3.0],
+    "first": [0.5, 2.0, 0.1, 3.0],
+    "middle": [1.0, 0.7, 0.2, 0.9, 0.5, 0.4],
+    "last": [1.0, 2.0, 0.75, 0.25],
+    "empty": [],
+}
+
+
+class TestPathKernelReference:
+    """The trimmed path kernels against their earlier forms: the `np.mod`
+    fold (`tests/reference_contour.py`), and the two-test Feller loop and
+    the `flatnonzero` first hits (`tests/reference_paths.py`)."""
+
+    @staticmethod
+    def same_fold(path, top):
+        got, ref = path.copy(), path.copy()
+        _fold(got, top)
+        reference_contour.fold(ref, top)
+        assert got.view(np.int64).tobytes() == ref.view(np.int64).tobytes()
+
+    @pytest.mark.parametrize("top", [1e-9, 3e-7, 1e-3, 0.37, 1.0, 12.5, 3e5])
+    def test_fold_equals_the_mod_fold(self, top):
+        rng = np.random.default_rng(17)
+        period = 2.0 * top
+        walks = [c * np.cumsum(rng.standard_normal(5000)) * top
+                 for c in (1.0, -1.0, 0.01, 30.0)]
+        multiples = np.arange(-40, 41) * period
+        zeros = np.array([0.0, -0.0, 1e-300, -1e-300])
+        wide = np.concatenate((rng.uniform(-1e8, 1e8, 2000),
+                               np.logspace(-12, 8, 500),
+                               -np.logspace(-12, 8, 500), [1e8, -1e8]))
+        path = np.concatenate(walks + [multiples, zeros, wide])
+        assert np.any(path < 0.0) and np.any(path > 0.0)
+        self.same_fold(path, top)
+
+    @settings(max_examples=200, deadline=None)
+    @given(values=st.lists(st.floats(-1e8, 1e8), min_size=1, max_size=50),
+           top=st.floats(1e-9, 3e5))
+    def test_fold_equals_the_mod_fold_on_any_floats(self, values, top):
+        self.same_fold(np.array(values), top)
+
+    @staticmethod
+    def same_feller(seed, n_steps, step, x0, b, floor, clock=None):
+        got = _feller_path(np.random.default_rng(seed), n_steps, step, x0, b,
+                           floor=floor, clock=clock)
+        ref = reference_paths.feller_path(np.random.default_rng(seed), n_steps,
+                                          step, x0, b, floor=floor, clock=clock)
+        assert got.tobytes() == ref.tobytes()
+        return got
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_steps=st.integers(0, 9000),
+           step=st.sampled_from([2e-4, 1e-3, 0.05]), x0=st.floats(0.0, 3.0),
+           b=st.floats(0.1, 4.0))
+    def test_feller_path_with_a_floor(self, seed, n_steps, step, x0, b):
+        # `qv_dichotomy`'s catalyst: frozen from its first value <= 0.02
+        self.same_feller(seed, n_steps, step, x0, b, 0.02)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_steps=st.integers(1, 9000),
+           step=st.sampled_from([1e-3, 0.01, 0.05]), x0=st.floats(0.01, 3.0),
+           y0=st.floats(0.0, 3.0), b2=st.floats(0.1, 4.0))
+    def test_feller_path_on_an_absorbing_clock(self, seed, n_steps, step, x0,
+                                               y0, b2):
+        # `integrate_catalytic_feller`'s reactant, on its catalyst's clock
+        clock = reference_paths.feller_path(np.random.default_rng(seed + 1),
+                                            n_steps, step, x0, 1.0)
+        self.same_feller(seed, n_steps, step, y0, b2, 0.0, clock=clock)
+
+    @pytest.mark.parametrize("floor", [0.0, 0.02])
+    def test_feller_path_clipped_below_zero(self, floor):
+        x = self.same_feller(3, 5000, 0.05, 0.05, 1.0, floor)
+        k = int(np.flatnonzero(x == 0.0)[0])
+        assert x[k - 1] > floor and np.all(x[k:] == 0.0)
+
+    def test_feller_path_to_n_steps(self):
+        x = self.same_feller(3, 9000, 1e-4, 3.0, 1.0, 0.02)
+        assert np.all(x > 0.02) and np.all(np.diff(x[-10:]) != 0.0)
+
+    @pytest.mark.parametrize("case", _HIT_CASES)
+    def test_first_hit_time_equals_the_flatnonzero_form(self, case):
+        path = DiffusionPath(0.25, _HIT_CASES[case])
+        for level in (0.5, -1.0, math.inf, -math.inf):
+            got = path.first_hit_time(level)
+            assert got == reference_paths.first_hit_time(path.values, 0.25,
+                                                         level)
+        assert (path.first_hit_time(0.5) == math.inf) == (case in ("never",
+                                                                   "empty"))
+
+    @pytest.mark.parametrize("case", ["never", "middle", "last"])
+    def test_scale_function_equals_the_flatnonzero_form(self, case):
+        path = DiffusionPath(0.25, _HIT_CASES[case])
+        sf = scale_function(path, 0.5)
+        ref = reference_paths.scale_function(path.values, 0.25, 0.5)
+        for got, want in zip((sf.x, sf.s, sf.m), ref):
+            assert got.tobytes() == want.tobytes()
 
 
 class TestLimitContour:

@@ -246,6 +246,20 @@ class TestStatTools:
         counts = rng.poisson(means)
         assert poisson_count_test(counts, means, seed=2) > 0.01
 
+    @pytest.mark.parametrize("counts,means,n_sim,message", [
+        ([1.0, math.nan], 2.0, 4000, "counts must be finite"),
+        ([1.0, math.inf], 2.0, 4000, "counts must be finite"),
+        ([1.0, -1.0], 2.0, 4000, "counts must be finite and >= 0"),
+        ([1.0, 2.0], [2.0, math.nan], 4000, "means must be finite"),
+        ([1.0, 2.0], math.inf, 4000, "means must be finite"),
+        ([1.0, 2.0], 2.0, 0, "at least one simulated null"),
+    ], ids=["nan-count", "inf-count", "negative-count", "nan-mean", "inf-mean",
+            "no-nulls"])
+    def test_poisson_count_test_rejects_bad_input(self, counts, means, n_sim,
+                                                  message):
+        with pytest.raises(InputError, match=message):
+            poisson_count_test(counts, means, n_sim=n_sim)
+
     def test_counts_chi2(self):
         rng = np.random.default_rng(22)
         a = rng.poisson(3.0, size=800)

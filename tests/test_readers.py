@@ -130,14 +130,16 @@ def test_mass_path_round_trip_is_bit_exact(p):
     (DiffusionPath.read, "# step=inf seed=1\n1.0\n2.0\n"),
     (DiffusionPath.read, "# step=0.0 seed=1\n1.0\n2.0\n"),
     (DiffusionPath.read, "# step=-0.1 seed=1\n1.0\n2.0\n"),
+    (DiffusionPath.read, "# step=0.1 seed=1\n1.0\nnan\n"),
     (MassPath.read, "# horizon=nan\nt,value\n0.0,1.0\n"),
     (MassPath.read, "# horizon=0.0\nt,value\n0.0,1.0\n"),
     (MassPath.read, "# horizon=-inf\nt,value\n0.0,1.0\n"),
     (Excursion.read, "# speed=nan\n0.0 0.0\n1.0 1.0\n2.0 0.0\n"),
     (Excursion.read, "# speed=inf\n0.0 0.0\n1.0 1.0\n2.0 0.0\n"),
     (Excursion.read, "# speed=0.0\n0.0 0.0\n1.0 1.0\n2.0 0.0\n"),
-], ids=["step-nan", "step-inf", "step-zero", "step-negative", "horizon-nan",
-        "horizon-zero", "horizon-minus-inf", "speed-nan", "speed-inf", "speed-zero"])
+], ids=["step-nan", "step-inf", "step-zero", "step-negative", "value-nan",
+        "horizon-nan", "horizon-zero", "horizon-minus-inf", "speed-nan",
+        "speed-inf", "speed-zero"])
 def test_bad_header_is_an_input_error(read, text):
     with pytest.raises(InputError):
         read(io.StringIO(text))
