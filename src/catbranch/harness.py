@@ -386,8 +386,7 @@ def run_points(seed: int = 5, count: int = 1_000) -> list[OracleReport]:
         f = random_binary_forest(rng)
         h = f.height()
         t = float(rng.uniform(0.2, 0.95)) * h
-        pts = f.level_set(t)
-        if len(pts) == 0:
+        if f.level_positions(t).size == 0:
             continue
         checked += 1
         pp = point_process_at_level(f, t, 1.0)

@@ -266,10 +266,16 @@ def two_sample_counts_chi2(a: Sequence[int], b: Sequence[int]) -> float:
     contingency chi-square.
     """
     min_expected = 5.0
-    a = np.asarray(a, dtype=int)
-    b = np.asarray(b, dtype=int)
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
     if a.size == 0 or b.size == 0:
         raise InputError("empty sample")
+    for x in (a, b):
+        # NaN fails every comparison
+        if not (np.isfinite(x).all() and (x >= 0).all()
+                and (x == np.floor(x)).all()):
+            raise InputError("counts must be finite integers >= 0")
+    a, b = a.astype(int), b.astype(int)
     top = int(max(a.max(), b.max()))
     ca = np.bincount(a, minlength=top + 1).astype(float)
     cb = np.bincount(b, minlength=top + 1).astype(float)

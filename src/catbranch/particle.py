@@ -32,8 +32,11 @@ drawn: after the last one, one call of the inverse L^-1 maps every node's
 hazard to its time of death, which is then raised to its parent's where
 rounding put it an ulp below and clipped at the horizon.  Nodes are
 numbered generation by generation, and the two children of a split have
-consecutive ids.  The total-mass path has one entry per event.  Two
-interchangeable recordings draw a generation of m nodes differently:
+consecutive ids.  The total-mass path has one entry per event: its times,
+the sorted deaths below the horizon, are built with it, and its values,
+the live counts after each event, on first read, so a path that nothing
+reads costs no sort of the events by time.  Two interchangeable
+recordings draw a generation of m nodes differently:
 
   galton_watson   `exponential(size=m)` for the branch clocks at rate
                   2 n b * medium, then `random(m) < 0.5` for the 0-or-2
@@ -73,7 +76,10 @@ before anything is drawn; otherwise the error is raised as soon as the
 generations drawn so far show that the bound is exceeded, so a runaway
 population stops before its whole forest is drawn.  The check runs when
 the node count first passes `max_live` and each time it has doubled since,
-and maps the hazards drawn so far to times.
+and once more at the end, and maps the hazards drawn so far to times.
+Each split adds one individual, so the live count never exceeds the root
+count plus the splits: only when that sum tops `max_live` does the check
+sort the events by time and count the live population after each.
 """
 
 from __future__ import annotations
@@ -143,6 +149,11 @@ class MassPath:
 
     `horizon` marks how far the recording is trustworthy; +inf means the
     final value extends forever (absorbed paths, synthetic constants).
+
+    A path that the particle engine returns holds its events until its
+    `values` are first read, and builds them then (`_of_events`); to
+    everything that reads it, it is the path it would be with its values
+    built at once.
     """
 
     times: np.ndarray   # non-decreasing and finite, times[0] == 0
@@ -169,16 +180,51 @@ class MassPath:
     def constant(cls, value: float) -> "MassPath":
         return cls(np.array([0.0]), np.array([float(value)]))
 
+    @classmethod
+    def _of_events(cls, count0: int, n: int, death: np.ndarray,
+                   split: np.ndarray, ended: np.ndarray,
+                   horizon: float) -> "MassPath":
+        """The mass path at rescaling index n of a population of count0
+        roots whose events are the deaths marked `ended`, each a split or
+        not: the times are the events' in order, and the values, the live
+        counts after each over n, are built by `_live_counts` on first
+        read.  The arrays are held, unchanged, until then.
+
+        The times are sorted finite deaths, so they are the bytes of
+        `_live_counts`' gather, and the path needs no check.
+        """
+        path = cls.__new__(cls)
+        path.times = np.concatenate(([0.0], np.sort(death[ended])))
+        path.horizon = horizon
+        path._events = (count0, n, death, split, ended)
+        return path
+
+    def __getattr__(self, name: str):
+        # only reached while a path of `_of_events` has not built `values`
+        events = self.__dict__.get("_events")
+        if name != "values" or events is None:
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}")
+        count0, n, death, split, ended = events
+        _, counts = _live_counts(count0, death, split, ended)
+        self.values = np.concatenate(([count0], counts)) / n
+        del self._events
+        return self.values
+
     @property
     def end_time(self) -> float:
         return float(self.times[-1])
 
     def value_at(self, t: float) -> float:
+        if math.isnan(t):
+            raise InputError("mass path read at time NaN")
         i = int(np.searchsorted(self.times, t, side="right")) - 1
         return float(self.values[max(i, 0)])
 
     def integral(self, a: float, b: float) -> float:
         """Exact integral of the step function over [a, b]."""
+        if math.isnan(a) or math.isnan(b):
+            raise InputError("integral bounds must not be NaN")
         if b < a:
             raise InputError("integral needs a <= b")
         total = 0.0
@@ -187,7 +233,9 @@ class MassPath:
         while lo < b:
             hi = self.times[i + 1] if i + 1 < self.times.size else math.inf
             seg = min(b, hi)
-            total += self.values[i] * (seg - lo)
+            # a zero value adds nothing, also over the unbounded last step
+            if self.values[i] != 0.0:
+                total += self.values[i] * (seg - lo)
             lo = seg
             i += 1
         return total
@@ -216,7 +264,7 @@ class MassPath:
 
 def stopping_time(path: MassPath, delta: float) -> float:
     """First entrance time of the path into [0, delta]; +inf if never."""
-    if delta < 0:
+    if not delta >= 0:  # NaN fails too
         raise InputError("threshold must be >= 0")
     hits = (path.values <= delta).nonzero()[0]
     if hits.size == 0:
@@ -318,8 +366,9 @@ def _settle(death: np.ndarray, parent: np.ndarray, count0: int,
 def _finish(count0: int, hazards: list, splits: list, endings: list,
             blocks: list, time_map: list, cap, max_live: int):
     """The generations drawn so far, the last without splits, as nodes:
-    death (mapped and settled), parent and split, with `_live_counts`'s
-    event times and counts; `PopulationCapError` if a count tops `max_live`.
+    death (mapped and settled), parent, split and ended;
+    `PopulationCapError` if a live count tops `max_live`, which only the
+    events of a population whose roots and splits top it can show.
     With blocks, the map (the one item of `time_map`) takes each node's
     block and `cap` is per block.  Each list is emptied once used, so the
     caller's own lists free the generations and the map as they go.
@@ -340,10 +389,11 @@ def _finish(count0: int, hazards: list, splits: list, endings: list,
     parent = _parents(count0, split)
     _settle(death, parent, count0, ended, cap)
     del cap
-    times, counts = _live_counts(count0, death, split, ended)
-    if counts.size and counts.max() > max_live:
-        raise PopulationCapError(f"live population exceeded cap {max_live}")
-    return death, parent, split, times, counts
+    if count0 + np.count_nonzero(split) > max_live:
+        _, counts = _live_counts(count0, death, split, ended)
+        if counts.max() > max_live:
+            raise PopulationCapError(f"live population exceeded cap {max_live}")
+    return death, parent, split, ended
 
 
 def _simulate_population(n: int, b: float,
@@ -361,7 +411,8 @@ def _simulate_population(n: int, b: float,
     the two children of a split have consecutive ids; the forest keeps the
     generation bounds, from which it derives its pre-order when first read.
     The hazards of all nodes are mapped to times once, at the end.  The
-    mass path has one entry per event.
+    mass path has one entry per event; it holds the event arrays and
+    builds its values when they are first read.
 
     The medium must cover [0, t_max] (step paths cover everything to the
     right of their last jump, so constants always do).  Simulation stops at
@@ -440,20 +491,18 @@ def _simulate_population(n: int, b: float,
             break
 
     # the arrays of the end are built one after another, and each input is
-    # dropped once used: the generation lists, the inverse hazards (16
-    # bytes a knot) and the event arrays would otherwise be held to the
-    # return, which is the call's peak
+    # dropped once used: the generation lists and the inverse hazards (16
+    # bytes a knot) would otherwise be held to the return, which is the
+    # call's peak; the mass path holds the event arrays until it is read
     generations = list(itertools.accumulate((h.size for h in hazards),
                                             initial=0))
-    death, parent, split, times, counts = _finish(
+    death, parent, split, ended = _finish(
         count0, hazards, splits, endings, blocks, time_map, cap, max_live)
-    live = int(counts[-1]) if counts.size else count0
+    # a split replaces its parent by two children, another ending removes one
+    live = count0 + 2 * np.count_nonzero(split) - np.count_nonzero(ended)
     # the recording is valid forever once the population or its medium died
     path_horizon = math.inf if (live == 0 or med_stop <= t_max) else t_max
-    mass = MassPath(np.concatenate(([0.0], times)),
-                    np.concatenate(([count0], counts)) / n,
-                    horizon=path_horizon)
-    del times, counts
+    mass = MassPath._of_events(count0, n, death, split, ended, path_horizon)
 
     # generations are numbered in order and each lists its children in
     # parent order, so the child list is every non-root node, in id order

@@ -12,10 +12,12 @@ at n = 40 (unit rate):
   constant   600 roots, as the first
 
 and prints per shape the mean generations, nodes and milliseconds of a
-call (each call timed as the minimum over `--rounds` runs).  Each shape
+call (each call timed as the minimum over `--rounds` runs), twice: with
+the mass path the call returns unread, as the genealogy suites leave it,
+and with its values read, which sorts the events by time.  Each shape
 but the last is then run with 4 times the roots per medium, and a call's
-time t = a * generations + c * nodes is solved from the two sizes: a in
-microseconds per generation, c in nanoseconds per node.
+time t = a * generations + c * nodes, its path unread, is solved from the
+two sizes: a in microseconds per generation, c in nanoseconds per node.
 
     python tests/engine_cost.py [--seeds 5] [--rounds 15]
 
@@ -66,7 +68,8 @@ def shapes() -> list[tuple[str, object, int, float, bool]]:
 def cost(medium, sizes: list[int], t_max: float, seeds: int,
          rounds: int) -> list[tuple[float, float, float]]:
     """Per root count, the mean generations, nodes and seconds of a call
-    over the seeds.  The sizes are timed in turn within each round, so
+    over the seeds, with the mass path unread and with its values read.
+    The sizes and both readings are timed in turn within each round, so
     that a drift of the host's speed moves them alike."""
     out = []
     for roots in sizes:
@@ -78,16 +81,22 @@ def cost(medium, sizes: list[int], t_max: float, seeds: int,
             gens.append(len(forest._generations) - 1)
             nodes.append(len(forest))
         out.append([float(np.mean(gens)), float(np.mean(nodes))])
-    best = np.full((len(sizes), seeds), np.inf)
+    best = np.full((len(sizes), 2, seeds), np.inf)
     for _ in range(rounds):
         for i, roots in enumerate(sizes):
-            for seed in range(seeds):
-                rng = np.random.default_rng(seed)
-                t0 = time.perf_counter()
-                _simulate_population(N, 1.0, medium, roots, t_max, rng,
-                                     GALTON_WATSON, 10_000_000)
-                best[i, seed] = min(best[i, seed], time.perf_counter() - t0)
-    return [(g, v, float(t)) for (g, v), t in zip(out, best.mean(axis=1))]
+            for read in (0, 1):
+                for seed in range(seeds):
+                    rng = np.random.default_rng(seed)
+                    t0 = time.perf_counter()
+                    mass, _ = _simulate_population(N, 1.0, medium, roots,
+                                                   t_max, rng, GALTON_WATSON,
+                                                   10_000_000)
+                    if read:
+                        mass.values
+                    best[i, read, seed] = min(best[i, read, seed],
+                                              time.perf_counter() - t0)
+    return [(g, v, float(t), float(r))
+            for (g, v), (t, r) in zip(out, best.mean(axis=2))]
 
 
 def main(argv=None) -> int:
@@ -97,13 +106,13 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     print(f"{'shape':<10} {'roots':>6} {'generations':>12} {'nodes':>8} "
-          f"{'ms/call':>8}")
+          f"{'ms/call':>8} {'ms read':>8}  (path unread; values read)")
     fits = []
     for name, medium, roots, t_max, fitted in shapes():
         sizes = [roots, 4 * roots] if fitted else [roots]
         small, *large = cost(medium, sizes, t_max, args.seeds, args.rounds)
         print(f"{name:<10} {roots:>6} {small[0]:>12.1f} {small[1]:>8.0f} "
-              f"{1e3 * small[2]:>8.3f}", flush=True)
+              f"{1e3 * small[2]:>8.3f} {1e3 * small[3]:>8.3f}", flush=True)
         if large:
             a, c = np.linalg.solve([small[:2], large[0][:2]],
                                    [small[2], large[0][2]])

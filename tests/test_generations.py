@@ -6,6 +6,7 @@ be the same, bit for bit.
 """
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -61,6 +62,106 @@ def test_outputs_equal_the_time_unit_loop(monkeypatch, case, representation):
         assert np.array_equal(mass.values, ref_mass.values)
         assert mass.horizon == ref_mass.horizon
     assert nodes > 300
+
+
+def _spy(monkeypatch, name):
+    """Replace `particle.<name>` by a wrapper that records the arguments
+    of each call, and return the list they go to."""
+    calls, real = [], getattr(particle, name)
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+    monkeypatch.setattr(particle, name, spy)
+    return calls
+
+
+def _spy_events(monkeypatch):
+    """Record the arguments of each `MassPath._of_events` call, the events
+    of each engine path, in the list returned."""
+    calls, real = [], MassPath._of_events
+
+    def spy(cls, *args):
+        calls.append(args)
+        return real(*args)
+    monkeypatch.setattr(MassPath, "_of_events", classmethod(spy))
+    return calls
+
+
+@pytest.mark.parametrize("case", list(CASES))
+@pytest.mark.parametrize("representation", [GALTON_WATSON, BIRTH_DEATH])
+class TestLazyMassPath:
+    """The engine's path holds its events and builds its values on first
+    read; read, it is the path that `_live_counts` gives."""
+
+    def test_path_equals_the_live_counts(self, monkeypatch, case,
+                                         representation):
+        made = _spy_events(monkeypatch)
+        for seed in range(4):
+            mass, _ = CASES[case](representation, seed)
+            (count0, n, death, split, ended, horizon), = made
+            made.clear()
+            times, counts = particle._live_counts(count0, death, split, ended)
+            want_times = np.concatenate(([0.0], times))
+            want_values = np.concatenate(([count0], counts)) / n
+            assert np.array_equal(mass.times.view(np.int64),
+                                  want_times.view(np.int64))
+            assert np.array_equal(mass.values.view(np.int64),
+                                  want_values.view(np.int64))
+            assert mass.horizon == horizon
+
+    def test_unread_values_are_never_counted(self, monkeypatch, case,
+                                             representation):
+        counted = _spy(monkeypatch, "_live_counts")
+        for seed in range(4):
+            mass, _ = CASES[case](representation, seed)
+            assert mass.times[0] == 0.0
+            assert not counted
+            mass.values
+            mass.values
+            assert len(counted) == 1
+            counted.clear()
+
+    def test_cap_at_the_peak_passes_and_below_it_raises(self, monkeypatch,
+                                                        case, representation):
+        made = _spy_events(monkeypatch)
+        engine = particle._simulate_population
+        counted = _spy(monkeypatch, "_live_counts")
+        sorted_and_passed = 0
+        for seed in range(4):
+            made.clear()
+            CASES[case](representation, seed)
+            count0, _, death, split, ended, _ = made[0]
+            _, counts = particle._live_counts(count0, death, split, ended)
+            peak = max(count0, counts.max(initial=0))
+            for cap in (peak, peak - 1):
+                monkeypatch.setattr(
+                    particle, "_simulate_population",
+                    lambda *args, cap=cap: engine(*args[:-1], cap))
+                counted.clear()
+                if cap == peak:
+                    CASES[case](representation, seed)
+                    # the bound of roots and splits tops the cap, so the
+                    # events were sorted and counted, and the run passed
+                    if count0 + np.count_nonzero(split) > cap:
+                        assert counted
+                        sorted_and_passed += 1
+                    else:
+                        assert not counted
+                else:
+                    with pytest.raises(PopulationCapError):
+                        CASES[case](representation, seed)
+            monkeypatch.setattr(particle, "_simulate_population", engine)
+        assert sorted_and_passed
+
+    def test_unread_path_survives_a_pickle_round_trip(self, case,
+                                                      representation):
+        mass, _ = CASES[case](representation, 3)
+        back = pickle.loads(pickle.dumps(mass))
+        read, _ = CASES[case](representation, 3)
+        assert np.array_equal(back.times, read.times)
+        assert np.array_equal(back.values, read.values)
+        assert back.horizon == read.horizon
 
 
 class TestSettle:

@@ -268,6 +268,14 @@ class TestStatTools:
         assert two_sample_counts_chi2(a, b) > 0.01
         assert two_sample_counts_chi2(a, c) < 1e-4
 
+    @pytest.mark.parametrize("bad", [-1, math.nan, math.inf, 1.5],
+                             ids=["negative", "nan", "inf", "fraction"])
+    def test_counts_chi2_rejects_bad_counts(self, bad):
+        with pytest.raises(InputError, match="counts must be finite integers"):
+            two_sample_counts_chi2([1, 2, bad], [1, 2, 3])
+        with pytest.raises(InputError, match="counts must be finite integers"):
+            two_sample_counts_chi2([1, 2, 3], [bad, 2, 3])
+
     def test_mean_confidence(self):
         m, se = mean_confidence([1.0, 2.0, 3.0, 4.0])
         assert m == 2.5 and se > 0

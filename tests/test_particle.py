@@ -1,6 +1,7 @@
 import hashlib
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -85,6 +86,38 @@ class TestMassPath:
         assert p.value_at(10.0) == 0.0
         assert p.integral(0.0, 2.0) == pytest.approx(1.0 + 3.0)
         assert p.integral(0.5, 1.5) == pytest.approx(0.5 + 1.5)
+
+    @staticmethod
+    def _absorbed(kind):
+        """A path that ends at value 0: written out, or the engine's (whose
+        values are built on first read)."""
+        if kind == "written":
+            return MassPath(np.array([0.0, 1.0, 2.5]), np.array([1.0, 3.0, 0.0]))
+        mass, _ = simulate_catalyst(SimConfig(n=4, t_max=math.inf, seed=2))
+        return mass
+
+    @pytest.mark.parametrize("kind", ["written", "engine"])
+    def test_readers_reject_nan(self, kind):
+        p = self._absorbed(kind)
+        with pytest.raises(InputError, match="threshold"):
+            stopping_time(p, math.nan)
+        with pytest.raises(InputError, match="NaN"):
+            p.value_at(math.nan)
+        with pytest.raises(InputError, match="NaN"):
+            p.integral(0.0, math.nan)
+        with pytest.raises(InputError, match="NaN"):
+            p.integral(math.nan, 1.0)
+
+    @pytest.mark.parametrize("kind", ["written", "engine"])
+    def test_integral_to_infinity_of_an_absorbed_path_is_its_area(self, kind):
+        p = self._absorbed(kind)
+        assert p.values[-1] == 0.0 and p.horizon == math.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            area = p.integral(0.0, math.inf)
+        assert area == p.integral(0.0, p.end_time) > 0.0
+        if kind == "written":
+            assert area == 1.0 + 4.5
 
     def test_stopping_time(self):
         p = MassPath(np.array([0.0, 1.0, 2.0]), np.array([2.0, 1.0, 0.0]))
