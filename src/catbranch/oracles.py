@@ -9,9 +9,10 @@ standard error) used to compare simulations against them.
 The toolkit needs numpy only.  The KS p-values come from `_ks`, a port of
 SciPy 1.17.1's exact distributions that equals `scipy.stats` bit for bit;
 the chi-square keeps SciPy's `chi2_contingency` arithmetic and takes its
-p-value from `_chi2.chdtrc`, a port that equals `scipy.special.chdtrc` bit
-for bit; `inverse_area_mean` is a double-exponential quadrature on numpy.
-So importing `oracles` loads no SciPy module.  Only a KS p-value far in
+p-value from `_chi2_sf`, the closed form of the chi-square tail at a whole
+number of degrees of freedom, within 1e-11 of `scipy.special.chdtrc`;
+`inverse_area_mean` is a double-exponential quadrature on numpy.  So
+importing `oracles` loads no SciPy module.  Only a KS p-value far in
 the tail (below about 0.025 past a few points a sample), which `_ks` takes
 from `scipy.special.smirnov`, loads `scipy.special`, about 23 MB and
 0.15 s.  The p-values do not depend on the installed SciPy's KS or
@@ -31,7 +32,7 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from . import _chi2, _ks
+from . import _ks
 from .errors import InputError
 from .particle import MassPath
 
@@ -74,7 +75,12 @@ def oracle_mrca_cdf(rate: RatePath, t: float, h: float) -> float:
 
 
 def oracle_mrca_density(rate: RatePath, t: float, h: float) -> float:
+    """Density in h of the neighbor MRCA height at level t, on [0, t]."""
+    if not 0.0 <= h <= t:
+        raise InputError("need 0 <= h <= t")
     i0 = _integral(rate, 0.0, t)
+    if i0 <= 0:
+        raise InputError("medium integral vanishes on [0, t]")
     ih = _integral(rate, h, t)
     return _value_at(rate, h) / (1.0 + ih) ** 2 * (1.0 + i0) / i0
 
@@ -233,7 +239,10 @@ def poisson_count_test(counts: Sequence[float], means: Union[float, Sequence[flo
     it is calibrated even when individual means are small or unequal.
     """
     obs = np.asarray(counts, dtype=float)
-    m = np.broadcast_to(np.asarray(means, dtype=float), obs.shape).copy()
+    try:
+        m = np.broadcast_to(np.asarray(means, dtype=float), obs.shape).copy()
+    except ValueError:
+        raise InputError("Poisson means must be one value or one per count") from None
     if obs.size == 0:
         raise InputError("empty count vector")
     if not (np.isfinite(obs).all() and np.all(obs >= 0)):
@@ -305,12 +314,34 @@ def two_sample_counts_chi2(a: Sequence[int], b: Sequence[int]) -> float:
         diff = expected - observed
         observed = observed + np.minimum(0.5, np.abs(diff)) * np.sign(diff)
     stat = ((observed - expected) ** 2 / expected).sum()
-    return _chi2.chdtrc(dof, stat)
+    return _chi2_sf(dof, stat)
+
+
+def _chi2_sf(dof: int, x: float) -> float:
+    """P{chi^2 with a whole number `dof` of degrees of freedom > x}.
+
+    With h = x/2 this is the regularized upper gamma Q(dof/2, h), a finite
+    sum (DLMF section 8.4): e^-h h^k / k! over k < dof/2 at even `dof`, and
+    erfc(sqrt h) plus e^-h h^(k - 1/2) / Gamma(k + 1/2) over
+    1 <= k <= dof/2 at odd `dof`.  Each term is taken in logs, since e^-h
+    alone underflows past h = 745 while the sum need not.
+    """
+    if x <= 0.0:
+        return 1.0
+    h = 0.5 * x
+    log_h = math.log(h)
+    if dof % 2 == 0:
+        return math.fsum(math.exp(k * log_h - h - math.lgamma(k + 1))
+                         for k in range(dof // 2))
+    return math.erfc(math.sqrt(h)) + math.fsum(
+        math.exp((k - 0.5) * log_h - h - math.lgamma(k + 0.5))
+        for k in range(1, dof // 2 + 1))
 
 
 def mean_confidence(sample: Sequence[float]) -> tuple[float, float]:
-    """Sample mean and its standard error."""
-    arr = np.asarray(sample, dtype=float)
+    """Sample mean and its standard error.  A NaN or infinite value is an
+    `InputError`."""
+    arr = _finite_sample(sample)
     if arr.size < 2:
         raise InputError("sample too small")
     return float(arr.mean()), float(arr.std(ddof=1) / math.sqrt(arr.size))

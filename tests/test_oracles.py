@@ -9,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from catbranch import _chi2, _ks
+from catbranch import _ks
 from catbranch.errors import InputError
-from catbranch.oracles import (feller_extinction_cdf, hitting_probability,
+from catbranch.oracles import (_chi2_sf, feller_extinction_cdf, hitting_probability,
                                inverse_area_mean, ks_test, laplace_branching,
                                mean_confidence, oracle_extinction_prob, oracle_mrca_cdf,
                                oracle_mrca_density, oracle_mrca_survival,
@@ -56,6 +56,22 @@ class TestMrca:
         num = (oracle_mrca_cdf(1.0, 1.0, h + eps)
                - oracle_mrca_cdf(1.0, 1.0, h - eps)) / (2 * eps)
         assert num == pytest.approx(oracle_mrca_density(1.0, 1.0, h), rel=1e-4)
+
+    @pytest.mark.parametrize("rate, h, message", [
+        (1.0, 3.0, "need 0 <= h <= t"),
+        (1.0, 2.0, "need 0 <= h <= t"),
+        (1.0, -0.5, "need 0 <= h <= t"),
+        (1.0, math.nan, "need 0 <= h <= t"),
+        (0.0, 0.5, "medium integral vanishes"),
+        (MassPath(np.array([0.0, 2.0]), np.array([0.0, 1.0])), 0.5,
+         "medium integral vanishes"),
+    ], ids=["h-above-t", "h-twice-t", "h-negative", "h-nan", "zero-medium",
+            "zero-until-after-t"])
+    @pytest.mark.parametrize("law", [oracle_mrca_density, oracle_mrca_survival])
+    def test_rejects_heights_outside_the_level_and_a_zero_medium(
+            self, law, rate, h, message):
+        with pytest.raises(InputError, match=message):
+            law(rate, 1.0, h)
 
 
 class TestIntensities:
@@ -253,8 +269,9 @@ class TestStatTools:
         ([1.0, 2.0], [2.0, math.nan], 4000, "means must be finite"),
         ([1.0, 2.0], math.inf, 4000, "means must be finite"),
         ([1.0, 2.0], 2.0, 0, "at least one simulated null"),
+        ([1.0, 2.0, 3.0], [1.0, 2.0], 4000, "one value or one per count"),
     ], ids=["nan-count", "inf-count", "negative-count", "nan-mean", "inf-mean",
-            "no-nulls"])
+            "no-nulls", "means-shape"])
     def test_poisson_count_test_rejects_bad_input(self, counts, means, n_sim,
                                                   message):
         with pytest.raises(InputError, match=message):
@@ -282,6 +299,11 @@ class TestStatTools:
         with pytest.raises(InputError):
             mean_confidence([1.0])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_mean_confidence_rejects_non_finite_values(self, bad):
+        with pytest.raises(InputError, match="finite"):
+            mean_confidence([1.0, bad, 2.0])
+
     def test_ks_reads_an_integer_cdf_value_as_a_float(self):
         # the first CDF value is the integer 0; the others are fractions
         cdf = lambda x: 0 if x < 0 else x
@@ -304,10 +326,11 @@ def _exp_cdf(x: float) -> float:
 
 
 class TestScipyEquality:
-    """The p-values equal `scipy.stats`' and `scipy.special.chdtrc`'s bit for
-    bit, statistic and p-value both, on cases that reach every branch of the
-    ported code.  Only this class imports `scipy.stats`; the package never
-    does, and it loads `scipy.special` only for `_ks.smirnov`."""
+    """The KS p-values equal `scipy.stats`' bit for bit, statistic and
+    p-value both, on cases that reach every branch of the ported code, and
+    the chi-square tail agrees with `scipy.special.chdtrc` to 1e-11.  Only
+    this class imports `scipy.stats`; the package never does, and it loads
+    `scipy.special` only for `_ks.smirnov`."""
 
     # n d^2 at the one-sample branch points (Durbin's matrix up to 0.754693
     # and Pomeranz up to 4 at n <= 140; above n = 140 twice the one-sided
@@ -399,71 +422,30 @@ class TestScipyEquality:
         assert table.sum(axis=0).min() >= 10
         want = stats.chi2_contingency(table)
         assert want.dof == values - 1
-        assert two_sample_counts_chi2(a, b) == float(want.pvalue)
+        assert two_sample_counts_chi2(a, b) == pytest.approx(float(want.pvalue),
+                                                             rel=1e-12)
 
-    # degrees of freedom: a = dof / 2 either side of 20 and 200 (the
-    # Temme regions), the gate's 45-48, and 1, 2 and 500
-    DOFS = (1, 2, 3, 39, 40, 41, 45, 46, 47, 48, 399, 400, 401, 500, 2_000)
+    # degrees of freedom: every one to 100, the gate's 45-48 among them,
+    # and 399-401, 500 and 2000 (at the last two, e^-x/2 alone underflows
+    # at the top of the sweep)
+    DOFS = (*range(1, 101), 399, 400, 401, 500, 2_000)
 
-    @staticmethod
-    def _igamc_points(a):
-        """Points x of Q(a, x): 0, beside the switches x = 0.5 and 1.1 and
-        x = 200, |x - a| / a at and beside 0.3 and, past a = 200, at
-        4.5 / sqrt(a), and a spread of others."""
-        def beside(v):
-            return (math.nextafter(v, 0.0), v, math.nextafter(v, math.inf))
-
-        xs = [0.0, 0.25, 0.8, 2.0, 0.5 * a, a, 2.0 * a, 3.0 * a + 10.0]
-        xs += [*beside(0.5), *beside(1.1), *beside(200.0)]
-        for ratio in (0.3, 4.5 / math.sqrt(a)) if a > 200 else (0.3,):
-            xs += [*beside(a * (1.0 - ratio)), *beside(a * (1.0 + ratio))]
-        return xs
-
-    def test_chdtrc_every_branch(self, monkeypatch):
+    def test_chi2_sf(self):
         from scipy import special
 
-        reached = set()
-
-        def spy(name, label):
-            f = getattr(_chi2, name)
-
-            def wrapped(*args):
-                reached.add(label(*args))
-                return f(*args)
-            monkeypatch.setattr(_chi2, name, wrapped)
-
-        spy("_asymptotic_series", lambda a, x: "temme, a < 200" if a < 200
-            else "temme, a > 200")
-        spy("_igam_series", lambda a, x: "1 - igam_series")
-        spy("_igamc_continued_fraction", lambda a, x: "continued fraction")
-        spy("_igamc_series", lambda a, x: "igamc_series")
-        spy("_lgam1p_taylor", lambda x: "lgam1p taylor")
-        spy("_igam_fac", lambda a, x: "fac: lgam" if abs(a - x) > 0.4 * abs(a)
-            else "fac: lanczos" if a < 200 and x < 200 else "fac: log1pmx")
         for dof in self.DOFS:
-            for x in self._igamc_points(dof / 2.0):
-                # chdtrc halves both arguments exactly
-                got = _chi2.chdtrc(dof, 2.0 * x)
-                assert got == float(special.chdtrc(dof, 2.0 * x)), (dof, 2.0 * x)
-        assert reached == {"temme, a < 200", "temme, a > 200", "1 - igam_series",
-                           "continued fraction", "igamc_series", "lgam1p taylor",
-                           "fac: lgam", "fac: lanczos", "fac: log1pmx"}
+            for x in np.linspace(0.0, 3.0 * dof + 10.0, 61):
+                want = float(special.chdtrc(dof, x))
+                if want >= 1e-300:
+                    assert _chi2_sf(dof, float(x)) == pytest.approx(
+                        want, rel=1e-11, abs=0.0), (dof, x)
 
-    def test_chdtrc_tables(self):
-        """The Taylor series' zeta(n, 1) equal SciPy's, and the corner
-        d_{k,n}, k, n < 3, of Temme's table equals SciPy's generator of it
-        at 50 digits."""
-        from scipy import special
-
-        assert [special.zeta(n, 1) for n in range(2, 42)] == list(_chi2._ZETA1)
-        pytest.importorskip("mpmath")
-        from mpmath import mp
-        from scipy.special._precompute.gammainc_asy import compute_d
-
-        with mp.workdps(50):
-            corner = compute_d(3, 3)
-        assert [[float(v) for v in row] for row in corner] == \
-            [list(row[:3]) for row in _chi2._D[:3]]
+    @pytest.mark.parametrize("x", [1e-300, 1e-8, 0.3, 1.0, 7.5, 80.0, 1400.0])
+    def test_chi2_sf_exact_cases(self, x):
+        assert _chi2_sf(2, x) == math.exp(-x / 2.0)
+        assert _chi2_sf(1, x) == math.erfc(math.sqrt(x / 2.0))
+        for dof in (1, 2, 3, 46, 2_000):
+            assert _chi2_sf(dof, 0.0) == 1.0
 
 
 @pytest.mark.parametrize("tau", [1e-4, 1e-2, 0.5, 1.0, 2.0, 100.0])
@@ -494,14 +476,17 @@ def test_no_scipy_stats_or_integrate_import():
     imports = """
 import sys
 import catbranch.cli, catbranch.harness
-from catbranch import _chi2, _ks, oracles
+from catbranch import _ks, oracles
 """
     calls = """
 oracles.ks_test([0.2, 0.5, 0.7], lambda x: x)
 oracles.two_sample_ks([0.1, 0.4, 0.5], [0.2, 0.3])
 oracles.two_sample_counts_chi2([0, 1, 2] * 10, [1, 2, 0] * 10)
 assert oracles.two_sample_counts_chi2([0, 1, 2] * 10, [0, 0, 1] * 10) < 0.05
-assert 0.0 < _chi2.chdtrc(46, 40.0) < 1.0  # Temme's expansion
+# 47 values of 16 or 24 counts each: no bin is pooled, and dof = 46 as
+# in the gate
+wide = [k for k in range(47) for _ in range(6 + 8 * (k % 2))]
+assert 0.0 < oracles.two_sample_counts_chi2(list(range(47)) * 10, wide) < 1.0
 oracles.inverse_area_mean(1.0)
 """
     # d >= 1/2 at n = 3: twice `smirnov`
