@@ -78,6 +78,8 @@ from typing import Callable
 
 import numpy as np
 
+from .errors import InputError
+
 _E128 = 128
 _EP128 = np.ldexp(np.longdouble(1), _E128)
 _EM128 = np.ldexp(np.longdouble(1), -_E128)
@@ -361,8 +363,6 @@ def kstwo_sf(d: float, n: int) -> float:
     """P(D_n >= d) for the two-sided one-sample KS statistic D_n of n
     points, n >= 1 integer-valued: SciPy's `kstwo.sf(d, n)`."""
     x = np.asarray(d, dtype=np.float64)  # 0-d, as `kstwo.sf` passes it on
-    if np.isnan(x):  # a callable CDF can return NaN
-        return math.nan
     if x <= 0.5 / n:
         return 1.0
     if x >= 1.0:
@@ -375,10 +375,14 @@ def ks_1samp(x: np.ndarray, cdf: Callable[[float], float]) -> tuple[float, float
     sample `x` against `cdf`: SciPy's `kstest(x, np.vectorize(cdf))` for a
     CDF that returns floats.  The values are read as floats whatever the
     CDF returns; `np.vectorize` alone takes its output type from the first
-    value, so an integer 0 there would truncate every value to 0 or 1."""
+    value, so an integer 0 there would truncate every value to 0 or 1.
+    A NaN CDF value is an `InputError`, where SciPy returns NaN for the
+    statistic and the p-value."""
     n = x.size
     x = np.sort(x)
     cdfvals = np.vectorize(cdf, otypes=[float])(x)
+    if np.isnan(cdfvals).any():
+        raise InputError("the CDF returned NaN")
     dplus = (np.arange(1.0, n + 1) / n - cdfvals).max()
     dminus = (cdfvals - np.arange(0.0, n) / n).max()
     d = dplus if dplus > dminus else dminus

@@ -96,9 +96,7 @@ def cmd_simulate(args) -> int:
     if args.level is not None and not 0.0 < args.level < math.inf:
         raise InputError("--level must be finite and > 0")
     cfg = _build_sim_config(args)
-    # max_live is no option of simulate: the replicas keep its default
     cfg_kwargs = dataclasses.asdict(cfg)
-    del cfg_kwargs["max_live"]
     payloads = [(cfg_kwargs, r) for r in range(args.replicas)]
     if args.jobs > 1:
         from concurrent.futures import ProcessPoolExecutor

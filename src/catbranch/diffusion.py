@@ -76,7 +76,7 @@ import numpy as np
 from ._columns import read_columns, write_rows
 from .contour import Excursion
 from .errors import InputError, malformed_lines
-from .particle import MassPath, stopping_time
+from .particle import MassPath, _positive_int, stopping_time
 
 DEFAULT_SDE_STEP = 1e-4
 DEFAULT_CONTOUR_STEP = 1e-5
@@ -722,6 +722,9 @@ def simulate_random_evolution(catalyst: MassPath, n: int, delta: float,
     """
     if n_excursions < 1:
         raise InputError("need at least one excursion")
+    n = _positive_int(n, "rescaling index")
+    if not 0.0 < b2 < math.inf:
+        raise InputError("b2 must be finite and > 0")
     top = _threshold_entrance(catalyst, delta)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     med_t = catalyst.times

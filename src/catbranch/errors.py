@@ -8,7 +8,8 @@ class InputError(ValueError):
 
 
 class PopulationCapError(RuntimeError):
-    """Raised when a particle simulation exceeds its live-population guard."""
+    """Raised when a particle simulation exceeds its node budget
+    (`particle.MAX_NODES`)."""
 
 
 @contextmanager

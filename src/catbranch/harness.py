@@ -112,10 +112,10 @@ def _replica_runs(replicas: int, k: int, seed: int, medium: Optional[MassPath],
     `simulate_catalyst`.  Calls are cut at `CHUNK_NODES` expected nodes,
     1 + 2 n b * (integral of the medium to the engine's horizon) per root,
     and call c takes seed `seed + c`.  `config` holds the other `SimConfig`
-    fields (n, t_max, rates, ...); its `max_live` caps the live population
-    of a whole call, all its replicas together.  Each call's result is
-    yielded unbound, so that a consumer that drops a forest frees it before
-    the next call.
+    fields (n, t_max, rates, ...).  The engine's node budget
+    (`particle.MAX_NODES`) bounds a whole call, all its replicas together.
+    Each call's result is yielded unbound, so that a consumer that drops a
+    forest frees it before the next call.
     """
     if replicas < 1:
         raise InputError(f"replicas must be >= 1, got {replicas!r}")

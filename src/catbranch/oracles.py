@@ -56,6 +56,8 @@ def oracle_extinction_prob(rate: RatePath, t: float) -> float:
     if t < 0:
         raise InputError("time must be >= 0")
     total = _integral(rate, 0.0, t)
+    if not 0.0 <= total < math.inf:  # NaN fails too
+        raise InputError("rate integral over [0, t] must be finite and >= 0")
     return total / (1.0 + total)
 
 
@@ -104,11 +106,22 @@ def oracle_reactant_intensity(X: RatePath, y_t: float, t: float,
 
 def hitting_probability(b1: float, b2: float, x0: float, y0: float) -> float:
     """P{reactant mass absorbs before catalyst mass} for the SDE pair."""
+    for name, value in (("b1", b1), ("b2", b2), ("x0", x0)):
+        if not 0.0 < value < math.inf:
+            raise InputError(f"{name} must be finite and > 0")
+    if not 0.0 <= y0 < math.inf:
+        raise InputError("y0 must be finite and >= 0")
     return (4.0 * b1 / b2 * y0 / x0 ** 2 + 1.0) ** -0.5
 
 
 def feller_extinction_cdf(x0: float, t: float, b1: float = 1.0) -> float:
     """P{the square-root diffusion from x0 is absorbed by t}."""
+    if not 0.0 < b1 < math.inf:
+        raise InputError("b1 must be finite and > 0")
+    if not 0.0 <= x0 < math.inf:
+        raise InputError("x0 must be finite and >= 0")
+    if math.isnan(t):
+        raise InputError("t must not be NaN")
     if t <= 0:
         return 0.0
     return math.exp(-2.0 * x0 / (b1 * t))
@@ -218,8 +231,8 @@ def _finite_sample(sample: Sequence[float]) -> np.ndarray:
 
 def ks_test(sample: Sequence[float], cdf: Callable[[float], float]) -> tuple[float, float]:
     """One-sample KS statistic and exact two-sided p-value against a
-    callable CDF (`scipy.stats.kstest`'s, bit for bit).  An empty sample or
-    a NaN or infinite value is an `InputError`."""
+    callable CDF (`scipy.stats.kstest`'s, bit for bit).  An empty sample, a
+    NaN or infinite value or a NaN value of the CDF is an `InputError`."""
     return _ks.ks_1samp(_finite_sample(sample), cdf)
 
 

@@ -70,16 +70,17 @@ forest sweeps its pre-order from the generations on the first query, so a
 forest that nothing reads (a catalyst that only serves as a medium) costs
 only the concatenation of its generations.
 
-Cap.  `max_live` bounds the live population at time 0, the root count,
-and after every event.  A root count above it raises `PopulationCapError`
-before anything is drawn; otherwise the error is raised as soon as the
-generations drawn so far show that the bound is exceeded, so a runaway
-population stops before its whole forest is drawn.  The check runs when
-the node count first passes `max_live` and each time it has doubled since,
-and once more at the end, and maps the hazards drawn so far to times.
-Each split adds one individual, so the live count never exceeds the root
-count plus the splits: only when that sum tops `max_live` does the check
-sort the events by time and count the live population after each.
+Node budget.  What a call stores grows with its nodes, not with its live
+population: every node drawn is held in the call's arrays to the return,
+and a population of count0 roots draws about count0 * (1 + 2 n b *
+integral of the medium) nodes while its live count stays near count0.  A
+catalyst at n = 1000 to t = 5 drew 13.8M nodes with at most 6 393 alive,
+and held 62 bytes a node at the engine's return and 118 once its forest's
+order and tree index and its mass values were read.  `MAX_NODES` (30M
+nodes, about 3.5 GB once read) bounds the nodes of a call: a root count
+above it raises `PopulationCapError` before anything is drawn, and so does
+a node count above it after a generation, before the next is drawn, so a
+call never draws more than `MAX_NODES` nodes.
 """
 
 from __future__ import annotations
@@ -98,6 +99,9 @@ from .forest import FamilyForest
 GALTON_WATSON = "galton_watson"
 BIRTH_DEATH = "birth_death"
 
+# the most nodes one engine call may store (see the module's "Node budget")
+MAX_NODES = 30_000_000
+
 
 @dataclass
 class SimConfig:
@@ -110,7 +114,6 @@ class SimConfig:
     t_max: float = math.inf
     seed: int = 0
     representation: str = GALTON_WATSON
-    max_live: int = 10_000_000
 
     def __post_init__(self) -> None:
         for name in ("b1", "b2", "delta", "initial_catalyst_mass",
@@ -122,7 +125,6 @@ class SimConfig:
         if self.b1 <= 0 or self.b2 <= 0:
             raise InputError("rates must be positive")
         self.n = _positive_int(self.n, "rescaling index")
-        self.max_live = _positive_int(self.max_live, "max_live")
         if self.delta < 0:
             raise InputError("truncation threshold must be >= 0")
         if self.seed < 0:
@@ -363,44 +365,10 @@ def _settle(death: np.ndarray, parent: np.ndarray, count0: int,
     np.copyto(death, cap, where=~ended)
 
 
-def _finish(count0: int, hazards: list, splits: list, endings: list,
-            blocks: list, time_map: list, cap, max_live: int):
-    """The generations drawn so far, the last without splits, as nodes:
-    death (mapped and settled), parent, split and ended;
-    `PopulationCapError` if a live count tops `max_live`, which only the
-    events of a population whose roots and splits top it can show.
-    With blocks, the map (the one item of `time_map`) takes each node's
-    block and `cap` is per block.  Each list is emptied once used, so the
-    caller's own lists free the generations and the map as they go.
-    """
-    split = np.concatenate(splits)
-    splits.clear()
-    ended = np.concatenate(endings)
-    endings.clear()
-    death = np.concatenate(hazards)
-    hazards.clear()
-    if blocks:
-        block = np.concatenate(blocks)
-        blocks.clear()
-        death, cap = time_map.pop()(death, block), cap[block]
-        del block
-    else:
-        death = time_map.pop()(death)
-    parent = _parents(count0, split)
-    _settle(death, parent, count0, ended, cap)
-    del cap
-    if count0 + np.count_nonzero(split) > max_live:
-        _, counts = _live_counts(count0, death, split, ended)
-        if counts.max() > max_live:
-            raise PopulationCapError(f"live population exceeded cap {max_live}")
-    return death, parent, split, ended
-
-
 def _simulate_population(n: int, b: float,
                          medium: Union[MassPath, Sequence[MassPath]], count0: int,
                          t_max: float, rng: np.random.Generator,
-                         representation: str,
-                         max_live: int) -> tuple[MassPath, FamilyForest]:
+                         representation: str) -> tuple[MassPath, FamilyForest]:
     """Run one population with per-individual clock rate n*b*medium(t) for
     each of birth and death, recording mass path and forest.
 
@@ -421,8 +389,8 @@ def _simulate_population(n: int, b: float,
     cap and the death of every survivor, so the forest needs no truncation
     at the horizon; with an infinite horizon the population has died out
     and the forest is uncapped.  `PopulationCapError` is raised when the
-    live count exceeds `max_live` at time 0 or after some event (see the
-    module's "Cap").
+    root count, or the node count after a generation, exceeds `MAX_NODES`
+    (see the module's "Node budget").
 
     `medium` may also be a sequence of R media, one per block of count0 / R
     consecutive trees of the linear order (see the module docstring); R
@@ -430,8 +398,9 @@ def _simulate_population(n: int, b: float,
     of one medium is that medium.
     """
     galton_watson = representation == GALTON_WATSON
-    if count0 > max_live:  # the live population at time 0
-        raise PopulationCapError(f"live population exceeded cap {max_live}")
+    if count0 > MAX_NODES:  # before anything is drawn
+        raise PopulationCapError(
+            f"node budget exceeded: more than {MAX_NODES} nodes")
 
     # roots sit in a random linear order
     roots = rng.permutation(count0) if count0 > 1 else np.arange(count0)
@@ -450,14 +419,12 @@ def _simulate_population(n: int, b: float,
         block = np.empty(count0, dtype=np.min_scalar_type(len(media) - 1))
         block[roots] = np.arange(count0) // (count0 // len(media))
         top = tops[block]
-    time_map = [time_map]  # emptied by the last `_finish`
 
     # one array per generation, in node order; an ending is a death below
     # the node's horizon
     born_hazard = np.zeros(count0)  # cumulative hazard at birth
     hazards, splits, endings, blocks = [], [], [], []
     nodes = count0
-    next_check = max_live
     while True:  # at least once, so that no roots make empty arrays
         m = born_hazard.size
         if galton_watson:
@@ -481,12 +448,9 @@ def _simulate_population(n: int, b: float,
             block = block[split].repeat(2)
             top = tops[block]
         nodes += born_hazard.size
-        if nodes > next_check:
-            # a lower bound on the live count: the new children are left
-            # out, so this generation's splits only remove their parents
-            _finish(count0, list(hazards), splits[:-1] + [np.zeros_like(split)],
-                    list(endings), list(blocks), list(time_map), cap, max_live)
-            next_check = 2 * nodes
+        if nodes > MAX_NODES:  # before the next generation is drawn
+            raise PopulationCapError(
+                f"node budget exceeded: more than {MAX_NODES} nodes")
         if not born_hazard.size:
             break
 
@@ -496,8 +460,24 @@ def _simulate_population(n: int, b: float,
     # call's peak; the mass path holds the event arrays until it is read
     generations = list(itertools.accumulate((h.size for h in hazards),
                                             initial=0))
-    death, parent, split, ended = _finish(
-        count0, hazards, splits, endings, blocks, time_map, cap, max_live)
+    split = np.concatenate(splits)
+    del splits
+    ended = np.concatenate(endings)
+    del endings
+    death = np.concatenate(hazards)
+    del hazards
+    # with blocks, the map takes each node's block and `cap` is per block
+    if blocks:
+        block = np.concatenate(blocks)
+        del blocks
+        death, cap = time_map(death, block), cap[block]
+        del block
+    else:
+        death = time_map(death)
+    del time_map
+    parent = _parents(count0, split)
+    _settle(death, parent, count0, ended, cap)
+    del cap
     # a split replaces its parent by two children, another ending removes one
     live = count0 + 2 * np.count_nonzero(split) - np.count_nonzero(ended)
     # the recording is valid forever once the population or its medium died
@@ -537,7 +517,7 @@ def _catalyst(cfg: SimConfig):
     count0 = round(cfg.initial_catalyst_mass * cfg.n)
     return _simulate_population(
         cfg.n, cfg.b1, MassPath.constant(1.0), count0, cfg.t_max,
-        _stream(cfg.seed, _CATALYST), cfg.representation, cfg.max_live)
+        _stream(cfg.seed, _CATALYST), cfg.representation)
 
 
 def simulate_reactant_quenched(
@@ -582,8 +562,7 @@ def _reactant(cfg: SimConfig, catalyst: Union[MassPath, Sequence[MassPath]]):
     # reference engine (tests/reference_engine.py) also takes
     mass, forest = _simulate_population(
         cfg.n, cfg.b2, media[0] if len(media) == 1 else media, count0,
-        cfg.t_max, _stream(cfg.seed, _REACTANT), cfg.representation,
-        cfg.max_live)
+        cfg.t_max, _stream(cfg.seed, _REACTANT), cfg.representation)
     # the engine stops at min(t_max, catalyst absorption), which is the cut
     # unless a positive threshold is reached earlier (one medium only)
     if len(media) == 1 and (forest.height_cap is None

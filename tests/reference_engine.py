@@ -17,15 +17,13 @@ import math
 
 import numpy as np
 
-from catbranch.errors import PopulationCapError
 from catbranch.forest import NEVER, FamilyForest
 from catbranch.particle import GALTON_WATSON, MassPath, stopping_time
 
 
 def simulate_population(n: int, b: float, medium: MassPath, count0: int,
                         t_max: float, rng: np.random.Generator,
-                        representation: str,
-                        max_live: int) -> tuple[MassPath, FamilyForest]:
+                        representation: str) -> tuple[MassPath, FamilyForest]:
     """Run one population with per-individual clock rate n*b*medium(t) for
     each of birth and death, recording mass path and forest.
 
@@ -120,9 +118,6 @@ def simulate_population(n: int, b: float, medium: MassPath, count0: int,
             alive[k] = alive[-1]
             alive.pop()
             live -= 1
-        if live > max_live:
-            raise PopulationCapError(
-                f"live population exceeded cap {max_live}")
         times.append(t)
         counts.append(live)
 

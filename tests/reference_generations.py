@@ -7,7 +7,9 @@ ends iff its time is below its horizon, and its children are born at that
 time.  The time maps take the birth times, which bound a time from below.
 `simulate_population` has the signature and outputs of
 `particle._simulate_population`, so a test can put it in the engine's place
-and run the public `simulate_*` functions through it.
+and run the public `simulate_*` functions through it.  It keeps the engine's
+node budget, `particle.MAX_NODES`, read at each call, so that the two stop
+at the same generation.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
+from catbranch import particle
 from catbranch.errors import PopulationCapError
 from catbranch.forest import FamilyForest
 from catbranch.particle import (GALTON_WATSON, MassPath, _live_counts,
@@ -56,13 +59,15 @@ def time_of_hazard(medium: MassPath, rate_scale: float, horizon: float):
 def simulate_population(n: int, b: float,
                         medium: Union[MassPath, Sequence[MassPath]], count0: int,
                         t_max: float, rng: np.random.Generator,
-                        representation: str,
-                        max_live: int) -> tuple[MassPath, FamilyForest]:
+                        representation: str) -> tuple[MassPath, FamilyForest]:
     """`particle._simulate_population` with each generation's deaths read
     on the time axis as the generation is drawn."""
     exponential = rng.exponential
     uniform = rng.random
     galton_watson = representation == GALTON_WATSON
+    if count0 > particle.MAX_NODES:
+        raise PopulationCapError(
+            f"node budget exceeded: more than {particle.MAX_NODES} nodes")
 
     roots = np.arange(count0)
     if count0 > 1:  # roots sit in a random linear order
@@ -100,7 +105,6 @@ def simulate_population(n: int, b: float,
     splits: list[np.ndarray] = []
     endings: list[np.ndarray] = []  # deaths below the node's horizon
     nodes = count0
-    next_check = max_live
     while True:  # at least once, so that no roots make empty arrays
         m = born.size
         if galton_watson:
@@ -129,17 +133,9 @@ def simulate_population(n: int, b: float,
             cap = horizons[block]
         births.append(born)
         nodes += born.size
-        if nodes > next_check:
-            # a lower bound on the live count: the new children are left
-            # out, so this generation's splits only remove their parents
-            _, lower = _live_counts(
-                count0, np.concatenate(deaths),
-                np.concatenate(splits[:-1] + [np.zeros_like(split)]),
-                np.concatenate(endings))
-            if lower.size and lower.max() > max_live:
-                raise PopulationCapError(
-                    f"live population exceeded cap {max_live}")
-            next_check = 2 * nodes
+        if nodes > particle.MAX_NODES:
+            raise PopulationCapError(
+                f"node budget exceeded: more than {particle.MAX_NODES} nodes")
         if not born.size:
             break
 
@@ -158,8 +154,6 @@ def simulate_population(n: int, b: float,
     del endings
     times, counts = _live_counts(count0, death, split, ended)
     del ended
-    if counts.size and counts.max() > max_live:
-        raise PopulationCapError(f"live population exceeded cap {max_live}")
     live = int(counts[-1]) if counts.size else count0
     # the recording is valid forever once the population or its medium died
     path_horizon = math.inf if (live == 0 or med_stop <= t_max) else t_max

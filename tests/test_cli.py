@@ -164,7 +164,7 @@ class TestSimulate:
                    "--out", str(tmp_path)])
         assert rc == 3
         assert capsys.readouterr().err == \
-            "resource overflow: live population exceeded cap 10000000\n"
+            "resource overflow: node budget exceeded: more than 30000000 nodes\n"
 
     def test_failed_run_leaves_no_out_directory(self, tmp_path, capsys):
         # the directory used to be made before the replicas ran
@@ -172,7 +172,7 @@ class TestSimulate:
         rc = main(["simulate", "--seed", "1", "--initial-catalyst-mass", "1e300",
                    "--t-max", "1", "--out", str(out)])
         assert rc == 3
-        assert "live population exceeded cap" in capsys.readouterr().err
+        assert "node budget exceeded" in capsys.readouterr().err
         assert not out.exists()
 
 

@@ -756,6 +756,17 @@ class TestRandomEvolution:
         with pytest.raises(InputError, match=message):
             simulate_random_evolution(medium, 1, 0.2, seed=1)
 
+    @pytest.mark.parametrize("n, b2, message", [
+        (0, 1.0, "rescaling index"), (1.5, 1.0, "rescaling index"),
+        (1, math.nan, "b2"), (1, 0.0, "b2"), (1, -1.0, "b2")],
+        ids=["n-zero", "n-fraction", "b2-nan", "b2-zero", "b2-negative"])
+    def test_rejects_bad_index_and_rate(self, n, b2, message):
+        # n = 0 used to divide by zero, and a NaN or non-positive b2 gave
+        # a contour without flips
+        medium = MassPath(np.array([0.0, 1.0]), np.array([1.0, 0.0]))
+        with pytest.raises(InputError, match=message):
+            simulate_random_evolution(medium, n, 0.0, seed=1, b2=b2)
+
     def test_flip_free_climb_with_tiny_rate(self):
         medium = MassPath(np.array([0.0, 4.0]), np.array([1e-9, 0.0]))
         exc = simulate_random_evolution(medium, 1, 0.0, seed=2,

@@ -122,38 +122,6 @@ class TestLazyMassPath:
             assert len(counted) == 1
             counted.clear()
 
-    def test_cap_at_the_peak_passes_and_below_it_raises(self, monkeypatch,
-                                                        case, representation):
-        made = _spy_events(monkeypatch)
-        engine = particle._simulate_population
-        counted = _spy(monkeypatch, "_live_counts")
-        sorted_and_passed = 0
-        for seed in range(4):
-            made.clear()
-            CASES[case](representation, seed)
-            count0, _, death, split, ended, _ = made[0]
-            _, counts = particle._live_counts(count0, death, split, ended)
-            peak = max(count0, counts.max(initial=0))
-            for cap in (peak, peak - 1):
-                monkeypatch.setattr(
-                    particle, "_simulate_population",
-                    lambda *args, cap=cap: engine(*args[:-1], cap))
-                counted.clear()
-                if cap == peak:
-                    CASES[case](representation, seed)
-                    # the bound of roots and splits tops the cap, so the
-                    # events were sorted and counted, and the run passed
-                    if count0 + np.count_nonzero(split) > cap:
-                        assert counted
-                        sorted_and_passed += 1
-                    else:
-                        assert not counted
-                else:
-                    with pytest.raises(PopulationCapError):
-                        CASES[case](representation, seed)
-            monkeypatch.setattr(particle, "_simulate_population", engine)
-        assert sorted_and_passed
-
     def test_unread_path_survives_a_pickle_round_trip(self, case,
                                                       representation):
         mass, _ = CASES[case](representation, 3)
@@ -205,18 +173,20 @@ class _CountedDraws:
         return self._count(self._rng.permutation(x))
 
 
-# runaway populations: (draw, config, cap, least forest size)
+# runaway populations: (draw, config, node budget, least forest size)
 CAPPED = {
-    # a peak of 158 (galton_watson) or 179 (birth_death) live individuals
-    "one-medium": (simulate_catalyst, dict(n=64, seed=5, t_max=5.0), 100, 7_000),
-    # 4 blocks of 16 roots, a peak of 350 (galton_watson) or 361
-    # (birth_death) live individuals
+    # 15 138 (galton_watson) or 7 482 (birth_death) nodes
+    "one-medium": (simulate_catalyst, dict(n=64, seed=5, t_max=5.0), 3_000,
+                   7_000),
+    # 4 blocks of 16 roots, 23 836 (galton_watson) or 18 908 (birth_death)
+    # nodes
     "four-media": (lambda cfg: simulate_reactant_quenched(cfg, [
         MassPath(np.array([0.0, 1.0, 2.5]), np.array([1.0, 1.5, 0.75])),
         MassPath(np.array([0.0, 0.5]), np.array([2.0, 0.5])),
         MassPath.constant(1.0),
         MassPath(np.array([0.0, 2.0, 3.0]), np.array([0.5, 1.0, 0.0]))]),
-        dict(n=16, seed=7, t_max=5.0, initial_reactant_mass=4.0), 120, 15_000),
+        dict(n=16, seed=7, t_max=5.0, initial_reactant_mass=4.0), 6_000,
+        15_000),
 }
 
 
@@ -228,12 +198,12 @@ def test_population_cap_stops_before_the_forest_is_drawn(monkeypatch, case,
     stream = particle._stream
     monkeypatch.setattr(particle, "_stream", lambda seed, which: _CountedDraws(
         stream(seed, which), drawn))
-    draw, config, cap, least = CAPPED[case]
+    draw, config, budget, least = CAPPED[case]
     cfg = SimConfig(representation=representation, **config)
     _, forest = draw(cfg)
     whole, drawn[0] = drawn[0], 0
     assert len(forest) > least
-    cfg.max_live = cap
+    monkeypatch.setattr(particle, "MAX_NODES", budget)
     with pytest.raises(PopulationCapError):
         draw(cfg)
     capped, drawn[0] = drawn[0], 0
@@ -243,3 +213,21 @@ def test_population_cap_stops_before_the_forest_is_drawn(monkeypatch, case,
     with pytest.raises(PopulationCapError):
         draw(cfg)
     assert capped == drawn[0] < 0.7 * whole
+
+
+def test_budget_binds_below_a_live_count_cap(monkeypatch):
+    # 23 110 nodes with at most 217 alive: what a call stores follows its
+    # nodes, so the budget stops it though few are ever alive
+    drawn = [0]
+    stream = particle._stream
+    monkeypatch.setattr(particle, "_stream", lambda seed, which: _CountedDraws(
+        stream(seed, which), drawn))
+    cfg = SimConfig(n=50, t_max=2.0, seed=0)
+    mass, forest = simulate_catalyst(cfg)
+    assert (len(forest), round(mass.values.max() * 50)) == (23_110, 217)
+    drawn[0] = 0
+    monkeypatch.setattr(particle, "MAX_NODES", 10_000)
+    with pytest.raises(PopulationCapError, match="more than 10000 nodes"):
+        simulate_catalyst(cfg)
+    # the roots' order, then two variates a node for at most the budget
+    assert drawn[0] <= 50 + 2 * 10_000

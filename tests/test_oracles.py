@@ -105,6 +105,23 @@ class TestHittingAndTransforms:
         assert feller_extinction_cdf(1.0, 1.0) == pytest.approx(math.exp(-2.0))
         assert feller_extinction_cdf(1.0, 0.0) == 0.0
 
+    @pytest.mark.parametrize("oracle, args, message", [
+        (oracle_extinction_prob, (1.0, math.nan), "rate integral"),
+        (oracle_extinction_prob, (1.0, math.inf), "rate integral"),
+        (oracle_extinction_prob, (-1.0, 1.0), "rate integral"),
+        (hitting_probability, (1.0, 0.0, 1.0, 1.0), "b2"),
+        (hitting_probability, (1.0, 1.0, 0.0, 1.0), "x0"),
+        (hitting_probability, (1.0, 1.0, 1.0, math.nan), "y0"),
+        (feller_extinction_cdf, (1.0, math.nan), "t must not be NaN"),
+        (feller_extinction_cdf, (1.0, 1.0, 0.0), "b1"),
+    ], ids=["extinction-t-nan", "extinction-t-inf", "extinction-negative-rate",
+            "hitting-b2-zero", "hitting-x0-zero", "hitting-y0-nan",
+            "feller-t-nan", "feller-b1-zero"])
+    def test_closed_forms_reject_bad_arguments(self, oracle, args, message):
+        # each used to return NaN or divide by zero
+        with pytest.raises(InputError, match=message):
+            oracle(*args)
+
     def test_stretch_pinned(self):
         assert stretch_map(2.0, 1.0, 0.25) == pytest.approx(0.5)
         assert stretch_map(2.0, 1.0, 0.0) == 0.0
@@ -309,6 +326,13 @@ class TestStatTools:
         cdf = lambda x: 0 if x < 0 else x
         assert ks_test([-1.0, 0.25, 0.5, 0.75], cdf) == ks_test(
             [-1.0, 0.25, 0.5, 0.75], lambda x: float(cdf(x)))
+
+    def test_ks_rejects_a_nan_cdf_value(self):
+        # (nan, nan) before, which a `p < alpha` check reads as a pass
+        with pytest.raises(InputError, match="CDF returned NaN"):
+            ks_test([0.1, 0.2], lambda x: math.nan)
+        with pytest.raises(InputError, match="CDF returned NaN"):
+            ks_test([0.1, 0.2], lambda x: x if x < 0.15 else math.nan)
 
     @pytest.mark.parametrize("bad", [[], [0.5, math.nan], [math.inf, 0.2],
                                      [-math.inf]])

@@ -37,17 +37,9 @@ class TestSimConfig:
         with pytest.raises(InputError, match="rescaling index"):
             SimConfig(n=value)
 
-    @pytest.mark.parametrize("value", [-5, 0, 2.5, math.nan, math.inf])
-    def test_max_live_must_be_a_positive_integer(self, value):
-        # a NaN cap would switch the check off, and a cap below 1 would
-        # stop every run with PopulationCapError
-        with pytest.raises(InputError, match="max_live"):
-            SimConfig(n=50, t_max=3.0, seed=3, max_live=value)
-
     def test_integral_values_become_ints(self):
-        cfg = SimConfig(n=4.0, max_live=16.0)
-        assert (cfg.n, cfg.max_live) == (4, 16)
-        assert type(cfg.n) is int and type(cfg.max_live) is int
+        cfg = SimConfig(n=4.0)
+        assert cfg.n == 4 and type(cfg.n) is int
 
     def test_mass_granularity(self):
         with pytest.raises(InputError):
@@ -297,9 +289,17 @@ class TestConsistency:
         mass, _ = simulate_reactant_quenched(cfg, catalyst)
         assert mass.times[-1] <= 1.5
 
-    def test_population_cap(self):
-        cfg = SimConfig(n=64, seed=3, t_max=5.0, max_live=16)
-        with pytest.raises(PopulationCapError):
+    @pytest.mark.parametrize("representation", [GALTON_WATSON, BIRTH_DEATH])
+    def test_population_cap(self, monkeypatch, representation):
+        # a forest of exactly the budget passes, one node more does not
+        cfg = SimConfig(n=64, seed=3, t_max=5.0, representation=representation)
+        _, forest = simulate_catalyst(cfg)
+        monkeypatch.setattr(particle, "MAX_NODES", len(forest))
+        _, again = simulate_catalyst(cfg)
+        assert np.array_equal(again.death, forest.death)
+        monkeypatch.setattr(particle, "MAX_NODES", len(forest) - 1)
+        with pytest.raises(PopulationCapError,
+                           match=f"more than {len(forest) - 1} nodes"):
             simulate_catalyst(cfg)
 
     def test_root_count_above_the_cap_draws_nothing(self, monkeypatch):
@@ -308,9 +308,9 @@ class TestConsistency:
                 raise AssertionError(f"drew from the generator ({name})")
 
         monkeypatch.setattr(particle, "_stream", lambda seed, which: NoDraws())
-        cfg = SimConfig(n=4, seed=3, t_max=1.0, max_live=7,
-                        initial_catalyst_mass=2.0)
-        with pytest.raises(PopulationCapError, match="exceeded cap 7"):
+        monkeypatch.setattr(particle, "MAX_NODES", 7)
+        cfg = SimConfig(n=4, seed=3, t_max=1.0, initial_catalyst_mass=2.0)
+        with pytest.raises(PopulationCapError, match="more than 7 nodes"):
             simulate_catalyst(cfg)
 
     def test_medium_coverage_error(self):
@@ -437,21 +437,6 @@ class TestEngineExact:
         for v in range(len(forest)):
             kids = forest.children_of(v)
             assert kids == [] or kids == [kids[0], kids[0] + 1]
-
-    @pytest.mark.parametrize("representation", [GALTON_WATSON, BIRTH_DEATH])
-    def test_population_cap_at_peak(self, representation):
-        # caps below the forest size, so the check as generations grow runs
-        for seed in range(10):
-            cfg = SimConfig(n=8, t_max=2.0, seed=seed,
-                            representation=representation)
-            mass, forest = simulate_catalyst(cfg)
-            peak = int(round(mass.values.max() * 8))
-            assert len(forest) > peak
-            cfg.max_live = peak
-            simulate_catalyst(cfg)
-            cfg.max_live = peak - 1
-            with pytest.raises(PopulationCapError):
-                simulate_catalyst(cfg)
 
 
 class TestStatisticalSmoke:
