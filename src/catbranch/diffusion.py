@@ -720,8 +720,9 @@ def simulate_random_evolution(catalyst: MassPath, n: int, delta: float,
     excursion (one tree) and at the medium's threshold entrance time clips
     the forest.
     """
-    if n_excursions < 1:
-        raise InputError("need at least one excursion")
+    n_excursions = _positive_int(n_excursions, "n_excursions")
+    if seed < 0:
+        raise InputError("seed must be >= 0")
     n = _positive_int(n, "rescaling index")
     if not 0.0 < b2 < math.inf:
         raise InputError("b2 must be finite and > 0")

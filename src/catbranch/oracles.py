@@ -7,16 +7,14 @@ contingency chi-square, a Monte Carlo Poisson count test and a mean's
 standard error) used to compare simulations against them.
 
 The toolkit needs numpy only.  The KS p-values come from `_ks`, a port of
-SciPy 1.17.1's exact distributions that equals `scipy.stats` bit for bit;
-the chi-square keeps SciPy's `chi2_contingency` arithmetic and takes its
-p-value from `_chi2_sf`, the closed form of the chi-square tail at a whole
-number of degrees of freedom, within 1e-11 of `scipy.special.chdtrc`;
-`inverse_area_mean` is a double-exponential quadrature on numpy.  So
-importing `oracles` loads no SciPy module.  Only a KS p-value far in
-the tail (below about 0.025 past a few points a sample), which `_ks` takes
-from `scipy.special.smirnov`, loads `scipy.special`, about 23 MB and
-0.15 s.  The p-values do not depend on the installed SciPy's KS or
-incomplete-gamma code.
+SciPy 1.17.1's exact distributions that equals `scipy.stats` bit for bit
+except where Durbin's matrix takes Pomeranz's place and in the one-sided
+tail, where it agrees to 1e-10; the chi-square keeps SciPy's
+`chi2_contingency` arithmetic and takes its p-value from `_chi2_sf`, the
+closed form of the chi-square tail at a whole number of degrees of
+freedom, within 1e-11 of `scipy.special.chdtrc`; `inverse_area_mean` is a
+double-exponential quadrature on numpy.  So neither importing `oracles`
+nor running its statistics loads a SciPy module; SciPy is a test dependency.
 
 All rate-path arguments follow the package clock convention documented in
 `particle`: a population in medium eta with coefficient b has rate path
@@ -210,9 +208,13 @@ def stretch_map_inverse(x: RatePath, t: float, w):
 def laplace_branching(y: float, lam: float, rate: RatePath, t: float) -> float:
     """Laplace transform of the branching-diffusion mass at time t started
     from y, with time-dependent rate path (noise variance 2*rate*mass)."""
-    if lam < 0:
+    if not lam >= 0:  # NaN fails too
         raise InputError("Laplace argument must be >= 0")
+    if math.isnan(y):
+        raise InputError("starting mass must not be NaN")
     total = _integral(rate, 0.0, t)
+    if not 0.0 <= total < math.inf:
+        raise InputError("rate integral over [0, t] must be finite and >= 0")
     return math.exp(-y * lam / (1.0 + lam * total))
 
 
@@ -231,15 +233,17 @@ def _finite_sample(sample: Sequence[float]) -> np.ndarray:
 
 def ks_test(sample: Sequence[float], cdf: Callable[[float], float]) -> tuple[float, float]:
     """One-sample KS statistic and exact two-sided p-value against a
-    callable CDF (`scipy.stats.kstest`'s, bit for bit).  An empty sample, a
-    NaN or infinite value or a NaN value of the CDF is an `InputError`."""
+    callable CDF (`scipy.stats.kstest`'s; see `_ks` for where it is bit for
+    bit).  An empty sample, a NaN or infinite value or a NaN value of the
+    CDF is an `InputError`."""
     return _ks.ks_1samp(_finite_sample(sample), cdf)
 
 
 def two_sample_ks(a: Sequence[float], b: Sequence[float]) -> tuple[float, float]:
     """Two-sample KS statistic and two-sided p-value, exact up to 10 000
-    values a sample (`scipy.stats.ks_2samp`'s, bit for bit).  An empty
-    sample or a NaN or infinite value is an `InputError`."""
+    values a sample (`scipy.stats.ks_2samp`'s; see `_ks` for where it is
+    bit for bit).  An empty sample or a NaN or infinite value is an
+    `InputError`."""
     return _ks.ks_2samp(_finite_sample(a), _finite_sample(b))
 
 

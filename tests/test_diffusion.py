@@ -756,16 +756,22 @@ class TestRandomEvolution:
         with pytest.raises(InputError, match=message):
             simulate_random_evolution(medium, 1, 0.2, seed=1)
 
-    @pytest.mark.parametrize("n, b2, message", [
-        (0, 1.0, "rescaling index"), (1.5, 1.0, "rescaling index"),
-        (1, math.nan, "b2"), (1, 0.0, "b2"), (1, -1.0, "b2")],
-        ids=["n-zero", "n-fraction", "b2-nan", "b2-zero", "b2-negative"])
-    def test_rejects_bad_index_and_rate(self, n, b2, message):
-        # n = 0 used to divide by zero, and a NaN or non-positive b2 gave
-        # a contour without flips
+    @pytest.mark.parametrize("n, b2, n_excursions, seed, message", [
+        (0, 1.0, 1, 1, "rescaling index"), (1.5, 1.0, 1, 1, "rescaling index"),
+        (1, math.nan, 1, 1, "b2"), (1, 0.0, 1, 1, "b2"), (1, -1.0, 1, 1, "b2"),
+        (1, 1.0, math.nan, 1, "n_excursions"), (1, 1.0, 2.5, 1, "n_excursions"),
+        (1, 1.0, 1, -1, "seed")],
+        ids=["n-zero", "n-fraction", "b2-nan", "b2-zero", "b2-negative",
+             "excursions-nan", "excursions-fraction", "seed-negative"])
+    def test_rejects_bad_index_and_rate(self, n, b2, n_excursions, seed, message):
+        # n = 0 used to divide by zero, a NaN or non-positive b2 gave a
+        # contour without flips, a NaN n_excursions a one-point contour, a
+        # fractional one a rounded-up count, and a negative seed numpy's
+        # bare ValueError
         medium = MassPath(np.array([0.0, 1.0]), np.array([1.0, 0.0]))
         with pytest.raises(InputError, match=message):
-            simulate_random_evolution(medium, n, 0.0, seed=1, b2=b2)
+            simulate_random_evolution(medium, n, 0.0, seed=seed, b2=b2,
+                                      n_excursions=n_excursions)
 
     def test_flip_free_climb_with_tiny_rate(self):
         medium = MassPath(np.array([0.0, 4.0]), np.array([1e-9, 0.0]))

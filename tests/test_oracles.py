@@ -114,9 +114,15 @@ class TestHittingAndTransforms:
         (hitting_probability, (1.0, 1.0, 1.0, math.nan), "y0"),
         (feller_extinction_cdf, (1.0, math.nan), "t must not be NaN"),
         (feller_extinction_cdf, (1.0, 1.0, 0.0), "b1"),
+        (laplace_branching, (math.nan, 1.0, 1.0, 1.0), "starting mass"),
+        (laplace_branching, (1.0, math.nan, 1.0, 1.0), "Laplace argument"),
+        (laplace_branching, (1.0, 1.0, 1.0, math.nan), "rate integral"),
+        (laplace_branching, (1.0, 1.0, -2.0, 1.0), "rate integral"),
+        (laplace_branching, (1.0, 1.0, 1.0, -1.0), "rate integral"),
     ], ids=["extinction-t-nan", "extinction-t-inf", "extinction-negative-rate",
             "hitting-b2-zero", "hitting-x0-zero", "hitting-y0-nan",
-            "feller-t-nan", "feller-b1-zero"])
+            "feller-t-nan", "feller-b1-zero", "laplace-y-nan", "laplace-lam-nan",
+            "laplace-t-nan", "laplace-negative-rate", "laplace-t-negative"])
     def test_closed_forms_reject_bad_arguments(self, oracle, args, message):
         # each used to return NaN or divide by zero
         with pytest.raises(InputError, match=message):
@@ -351,19 +357,22 @@ def _exp_cdf(x: float) -> float:
 
 class TestScipyEquality:
     """The KS p-values equal `scipy.stats`' bit for bit, statistic and
-    p-value both, on cases that reach every branch of the ported code, and
-    the chi-square tail agrees with `scipy.special.chdtrc` to 1e-11.  Only
-    this class imports `scipy.stats`; the package never does, and it loads
-    `scipy.special` only for `_ks.smirnov`."""
+    p-value both, on cases that reach every branch of `_ks`, except where
+    `_ks` leaves SciPy's code: Durbin's matrix where SciPy runs Pomeranz's
+    recursion, and the one-sided tail, which agree to 1e-10.  The
+    one-sided tail agrees with `scipy.special.smirnov` to 1e-12 and the
+    chi-square tail with `scipy.special.chdtrc` to 1e-11.  Only the tests
+    import SciPy; the package never does."""
 
-    # n d^2 at the one-sample branch points (Durbin's matrix up to 0.754693
-    # and Pomeranz up to 4 at n <= 140; above n = 140 twice the one-sided
-    # law from 2.2 and 0 from 370), and just beside them
+    # n d^2 at the one-sample branch points (Durbin's matrix up to 4 at
+    # n <= 140, where SciPy switches to Pomeranz at 0.754693; above n = 140
+    # twice the one-sided law from 2.2 and 0 from 370), and just beside them
     NDSQ = (0.3, 0.754693, 0.7547, 1.0, 2.19, 2.2, 2.21, 3.99, 4.0, 4.01,
             18.0, 369.0, 370.0, 371.0)
     # either side of n = 140 (the exact methods) and of n = 100 000
     # (Durbin's matrix against Pelz-Good for n d^1.5 <= 1.4); at the large
-    # sizes `smirnov` takes 0.15 s a call, so they skip its middle range
+    # sizes the one-sided law takes 0.1 s a call, so they skip its middle
+    # range
     SIZES = (1, 2, 3, 10, 140, 141, 1_000, 100_000, 100_001)
 
     @staticmethod
@@ -380,31 +389,75 @@ class TestScipyEquality:
             # Durbin's matrix above n = 140: 1 < n d, n d^1.5 <= 1.4
             yield n, min(1.5 / n, 0.5 * (1.4 / n) ** (2.0 / 3.0))
 
-    def test_kstwo_sf_every_branch(self, monkeypatch):
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """The `_ks` methods that each one-sample p-value calls, with their
+        arguments."""
+        calls = []
+        for name in ("_kolmogn_DMTW", "_kolmogn_PelzGood", "_smirnov"):
+            def spy(*args, _name=name, _f=getattr(_ks, name)):
+                calls.append((_name, args))
+                return _f(*args)
+            monkeypatch.setattr(_ks, name, spy)
+        return calls
+
+    @staticmethod
+    def _method(name, args):
+        """The method a spied call runs, telling apart Durbin's matrix
+        where SciPy runs Pomeranz's recursion (n <= 140, n d^2 > 0.754693)."""
+        if name == "_kolmogn_DMTW" and args[0] <= 140 and args[0] * args[1] * args[1] > 0.754693:
+            return "Durbin for Pomeranz"
+        return name
+
+    @classmethod
+    def _scipy_p(cls, calls, want):
+        """`want` itself where `_ks` ran SciPy's code, and `want` to 1e-10
+        where it left it: the one-sided sum, and Durbin's matrix in
+        Pomeranz's place.  Below 1e-300 the match is absolute: SciPy's
+        subnormal tail is a few percent off (2 x 1.56e-321 at n = 100 000,
+        n d^2 = 369, where the sum and 30-digit arithmetic give
+        2 x 1.62e-321)."""
+        if {cls._method(*call) for call in calls} & {"_smirnov", "Durbin for Pomeranz"}:
+            return pytest.approx(want, rel=1e-10, abs=1e-300)
+        return want
+
+    def test_kstwo_sf_every_branch(self, calls):
         from scipy import stats
 
         reached = set()
-        for name in ("_kolmogn_DMTW", "_kolmogn_Pomeranz", "_kolmogn_PelzGood",
-                     "smirnov"):
-            def spy(*args, _name=name, _f=getattr(_ks, name)):
-                reached.add(_name)
-                return _f(*args)
-            monkeypatch.setattr(_ks, name, spy)
         for n, d in self._one_sample_cases():
+            calls.clear()
             got = _ks.kstwo_sf(np.float64(d), n)
-            assert got == float(stats.kstwo.sf(np.float64(d), n)), (n, d)
-        assert reached == {"_kolmogn_DMTW", "_kolmogn_Pomeranz",
-                           "_kolmogn_PelzGood", "smirnov"}
+            assert got == self._scipy_p(calls, float(stats.kstwo.sf(np.float64(d), n))), (n, d)
+            reached.update(self._method(*call) for call in calls)
+        assert reached == {"_kolmogn_DMTW", "Durbin for Pomeranz", "_kolmogn_PelzGood",
+                           "_smirnov"}
+
+    # sizes either side of n = 140, up to n = 100 000
+    TAIL_SIZES = (1, 2, 3, 5, 10, 50, 140, 141, 1_000, 5_000, 10_000, 100_000)
+
+    def test_one_sided_sum(self):
+        from scipy import special
+
+        for n in self.TAIL_SIZES:
+            step = 4 if n >= 100_000 else 1
+            xs = np.concatenate([np.linspace(0.0, 1.0, 42)[1:-1][::step],
+                                 np.sqrt(np.array([2.2, 4.0, 18.0, 369.0]) / n)])
+            for x in xs[xs < 1.0]:
+                want = float(special.smirnov(n, x))
+                if want >= 1e-300:
+                    assert _ks._smirnov(n, float(x)) == pytest.approx(
+                        want, rel=1e-12, abs=0.0), (n, x)
 
     @pytest.mark.parametrize("n, scale", [(1, 1.0), (20, 1.0), (140, 1.2),
                                           (141, 1.0), (3_000, 1.05)])
-    def test_ks_test(self, n, scale):
+    def test_ks_test(self, n, scale, calls):
         from scipy import stats
 
         sample = np.random.default_rng(n).exponential(scale, size=n)
         want = stats.kstest(sample, np.vectorize(_exp_cdf))
-        assert ks_test(sample, _exp_cdf) == (float(want.statistic),
-                                             float(want.pvalue))
+        assert ks_test(sample, _exp_cdf) == (
+            float(want.statistic), self._scipy_p(calls, float(want.pvalue)))
 
     @pytest.mark.parametrize("n1, n2, shift", [
         (500, 500, 0.0), (500, 500, 0.3),        # equal sizes
@@ -412,14 +465,15 @@ class TestScipyEquality:
         (40, 40, None), (37, 55, None),          # identical draws: h = 0
         (10_001, 300, 0.1), (12_000, 11_000, 0.0),  # over 10 000: asymptotic
     ])
-    def test_two_sample_ks(self, n1, n2, shift):
+    def test_two_sample_ks(self, n1, n2, shift, calls):
         from scipy import stats
 
         rng = np.random.default_rng(n1 + n2)
         a = rng.normal(size=n1)
         b = np.resize(a, n2) if shift is None else rng.normal(size=n2) + shift
         want = stats.ks_2samp(a, b)
-        assert two_sample_ks(a, b) == (float(want.statistic), float(want.pvalue))
+        assert two_sample_ks(a, b) == (float(want.statistic),
+                                       self._scipy_p(calls, float(want.pvalue)))
 
     def test_two_sample_ks_with_ties(self):
         from scipy import stats
@@ -495,8 +549,8 @@ def _fresh_interpreter(code: str) -> str:
 
 def test_no_scipy_stats_or_integrate_import():
     """A fresh interpreter that runs the command line's and the harness's
-    statistics loads no SciPy module and no `multiprocessing`; only a KS
-    p-value in the one-sided law's tail loads `scipy.special`."""
+    statistics, a KS p-value in the one-sided law's tail among them, loads
+    no SciPy module and no `multiprocessing`."""
     imports = """
 import sys
 import catbranch.cli, catbranch.harness
@@ -513,9 +567,8 @@ wide = [k for k in range(47) for _ in range(6 + 8 * (k % 2))]
 assert 0.0 < oracles.two_sample_counts_chi2(list(range(47)) * 10, wide) < 1.0
 oracles.inverse_area_mean(1.0)
 """
-    # d >= 1/2 at n = 3: twice `smirnov`
+    # d >= 1/2 at n = 3: twice the one-sided law
     tail = "assert 0.0 < _ks.kstwo_sf(0.6, 3) < 1.0\n"
     report = ('print(sorted(m for m in sys.modules\n'
               '             if m.partition(".")[0] in ("scipy", "multiprocessing")))\n')
-    assert _fresh_interpreter(imports + calls + report) == "[]"
-    assert "'scipy.special'" in _fresh_interpreter(imports + tail + report)
+    assert _fresh_interpreter(imports + calls + tail + report) == "[]"
