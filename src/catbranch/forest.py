@@ -77,7 +77,7 @@ class TreePoint(NamedTuple):
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
+    a.setflags(write=False)  # half the time of setting `a.flags.writeable`
     return a
 
 
@@ -719,31 +719,75 @@ def _aligned_supnorm(e1, e2) -> float:
 # Random forests for verification                                          #
 # ---------------------------------------------------------------------- #
 
+# edge lengths and split coins a generator call draws in `random_binary_forest`
+_DRAW_BLOCK = 64
+
+
 def random_binary_forest(rng, max_roots: int = 3, split_prob: float = 0.45,
                          max_depth: int = 6, length_grid: int = 64) -> FamilyForest:
-    """Random critical-binary-shaped forest with dyadic rational edge lengths.
+    """Random critical-binary-shaped forest with rational edge lengths.
 
-    Edge lengths are multiples of 1/length_grid, so every height in the
-    forest is exactly representable and codec round trips can be asserted
-    with zero tolerance.  Nodes are numbered in pre-order.
+    The law: 1 to `max_roots` trees, uniformly.  Every node lives for an
+    edge length uniform on {1, ..., length_grid} / length_grid, and a node
+    at depth d < `max_depth` (roots are at depth 0) splits into two
+    children with probability `split_prob`; all draws are independent.
+    On a power-of-two grid (the default) every height in the forest is
+    exactly representable, so codec round trips can be asserted with zero
+    tolerance.
+
+    The edge lengths and the split coins come from `rng` in blocks of 64
+    (`_DRAW_BLOCK`), a new block only when the last one is used up; what
+    a forest leaves of its blocks is dropped.  These block draws replaced
+    one generator call per node, so a seed draws other forests than it
+    did before, from the same law.  Nodes are numbered in pre-order by one
+    walk with an explicit stack that writes every array as it goes: a
+    split reserves two `kids` slots, which its children fill when the
+    walk reaches them.
     """
+    for name, value, least in (("max_roots", max_roots, 1), ("max_depth", max_depth, 0),
+                               ("length_grid", length_grid, 1)):
+        if not (math.isfinite(value) and value == int(value) and value >= least):
+            raise InputError(f"{name} must be an integer >= {least}, got {value!r}")
+    if not 0.0 <= split_prob <= 1.0:  # NaN fails too
+        raise InputError(f"split_prob must lie in [0, 1], got {split_prob!r}")
+    max_roots, max_depth, length_grid = int(max_roots), int(max_depth), int(length_grid)
+
     parent: list[int] = []
     birth: list[float] = []
     death: list[float] = []
-
-    def grow(up: int, born: float, depth: int) -> None:
+    kid_ptr, kids, roots = [0], [], []
+    lengths = coins = ()
+    used_lengths = used_coins = _DRAW_BLOCK
+    # the nodes still to number, next on top: (parent, birth, depth, the
+    # `kids` slot that names it, -1 for a root)
+    stack = [(-1, 0.0, 0, -1)] * int(rng.integers(1, max_roots + 1))
+    pop, push = stack.pop, stack.append
+    while stack:
+        up, born, depth, slot = pop()
         node = len(parent)
+        if slot < 0:
+            roots.append(node)
+        else:
+            kids[slot] = node
+        if used_lengths == _DRAW_BLOCK:
+            lengths = (rng.integers(1, length_grid + 1, size=_DRAW_BLOCK)
+                       / length_grid).tolist()
+            used_lengths = 0
+        top = born + lengths[used_lengths]
+        used_lengths += 1
         parent.append(up)
         birth.append(born)
-        length = (1 + int(rng.integers(length_grid))) / length_grid
-        top = born + length
         death.append(top)
-        if depth < max_depth and rng.random() < split_prob:
-            for _ in range(2):
-                grow(node, top, depth + 1)
-
-    roots = []
-    for _ in range(1 + int(rng.integers(max_roots))):
-        roots.append(len(parent))
-        grow(-1, 0.0, 0)
-    return FamilyForest._from_preorder(parent, birth, death, roots)
+        if depth < max_depth:
+            if used_coins == _DRAW_BLOCK:
+                coins = rng.random(_DRAW_BLOCK).tolist()
+                used_coins = 0
+            used_coins += 1
+            if coins[used_coins - 1] < split_prob:
+                k = len(kids)
+                kids += (-1, -1)
+                push((node, top, depth + 1, k + 1))
+                push((node, top, depth + 1, k))
+        kid_ptr.append(len(kids))
+    return FamilyForest(parent, birth, death, kid_ptr, kids, roots,
+                        order=np.arange(len(parent)))

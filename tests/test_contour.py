@@ -104,8 +104,11 @@ class TestEncode:
             e = contour_from_forest(f, 1.0)
             back = contour_from_forest(tree_from_excursion(e), 1.0)
             assert (back.u, back.e) == (e.u, e.e)
+            # the first-order rounding error of the two float sums compared:
+            # K contour steps against n edge lengths, doubled
             length = 2.0 * f.total_edge_length()
-            assert abs(e.duration - length) <= 1e-15 * length
+            bound = (len(e.u) - 1 + len(f) + 2) * 2.0**-53 * length
+            assert abs(e.duration - length) <= bound
 
 
 class TestDecode:

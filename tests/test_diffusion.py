@@ -26,6 +26,7 @@ from catbranch.diffusion import (RACE_FLOAT_LANES, DiffusionPath, SDEConfig,
                                  simulate_limit_contour,
                                  simulate_random_evolution)
 from catbranch.errors import InputError
+from catbranch.forest import random_binary_forest
 from catbranch.particle import MassPath
 
 
@@ -837,7 +838,15 @@ class TestStreamPins:
     before their Euler loops moved to the package's batch step, and the
     diffusion_gate digest before the race's last survivors stepped on Python
     floats and the time change became lazy.  Those changes keep every draw
-    and every float."""
+    and every float.
+
+    `random_binary_forest` draws other forests since it drew its edge
+    lengths and split coins in blocks, yet the `codec` and `points` digests
+    in `FOREST_GATE_SUITES` did not move: both suites report counts only.
+    `codec` counts failed round trips, 0 while the codec is right, and
+    `points` counts the forests checked, all of them, because a level in
+    [0.2h, 0.95h) always meets the path to the highest leaf.  The forests
+    themselves are pinned in `test_random_binary_forest_draws`."""
 
     RACES = {
         # survivors carried through five epochs
@@ -933,6 +942,13 @@ class TestStreamPins:
         size, digest = self.FOREST_GATE_SUITES[suite]
         reports, _ = harness.run_suites([suite], {suite: size}, echo=False)
         assert _sha(harness.reports_to_json(reports).encode()) == digest
+
+    def test_random_binary_forest_draws(self):
+        # the first 100 forests of seed 0, drawn in blocks of 64
+        rng = np.random.default_rng(0)
+        text = "".join(random_binary_forest(rng).to_text() for _ in range(100))
+        assert _sha(text.encode()) == (
+            "d579eda26e8cc6e87ef8de94cc19415046a6186a0031d406c623dd66e895cffd")
 
     def test_qv_dichotomy_report(self):
         # 17 of 20 catalysts absorbed, 13 of them with a top-hitting contour

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -311,3 +312,66 @@ class TestLabels:
             alive = sum(1 for v in range(len(f))
                         if f.birth[v] < t <= f.death_height(v))
             assert len(f.level_set(t)) == alive
+
+
+class TestRandomBinaryForest:
+    @pytest.mark.parametrize("kwargs", [
+        {"max_roots": 0}, {"max_roots": 2.5}, {"max_roots": math.nan},
+        {"length_grid": 0}, {"length_grid": 1.5}, {"length_grid": math.inf},
+        {"max_depth": -1}, {"max_depth": 0.5}, {"max_depth": math.inf},
+        {"split_prob": math.nan}, {"split_prob": -0.1}, {"split_prob": 1.5},
+    ], ids=lambda kw: "-".join(f"{k}={v}" for k, v in kw.items()))
+    def test_rejects_bad_parameters(self, rng, kwargs):
+        (name,) = kwargs
+        with pytest.raises(InputError, match=name):
+            random_binary_forest(rng, **kwargs)
+
+    def test_preorder_arrays(self):
+        # the parameter grid of tests/test_walks.py, plus coins that never
+        # or always split
+        rng = np.random.default_rng(29)
+        for max_roots, split_prob, max_depth, length_grid in itertools.product(
+                range(1, 5), (0.0, 0.3, 0.45, 0.6, 1.0), range(8), (2, 3, 4, 16, 64)):
+            for _ in range(2):
+                f = random_binary_forest(rng, max_roots=max_roots, split_prob=split_prob,
+                                         max_depth=max_depth, length_grid=length_grid)
+                f.validate()
+                n = len(f)
+                assert np.array_equal(f.order, np.arange(n))
+                assert np.array_equal(f.order, f._walk())
+                counts = np.diff(f.kid_ptr)
+                assert set(counts.tolist()) <= {0, 2}
+                splits = np.flatnonzero(counts)
+                assert np.array_equal(f.kids[f.kid_ptr[splits]], splits + 1)
+                if split_prob == 0.0 or max_depth == 0:
+                    assert n == f.roots.size
+                if split_prob == 1.0:
+                    assert n == f.roots.size * (2 ** (max_depth + 1) - 1)
+
+    def test_law(self):
+        # 20 000 default forests: 1 to 3 roots, edge lengths k / 64 with k
+        # uniform on 1..64, and a split with probability 0.45 at depths 0-5;
+        # the thresholds are the chi-square quantiles at 1e-4 and 4 sigma
+        rng = np.random.default_rng(2029)
+        roots, lengths = [], []
+        trials = splits = 0
+        for _ in range(20_000):
+            f = random_binary_forest(rng)
+            roots.append(f.roots.size)
+            lengths.append((f.death - f.birth) * 64)
+            depth = np.zeros(len(f), dtype=int)
+            for v in range(len(f)):  # a parent precedes its children
+                if f.parent[v] >= 0:
+                    depth[v] = depth[f.parent[v]] + 1
+            split = np.diff(f.kid_ptr) > 0
+            assert not split[depth == 6].any()
+            trials += np.count_nonzero(depth < 6)
+            splits += np.count_nonzero(split)
+        roots_seen = np.bincount(roots, minlength=4)[1:]
+        assert roots_seen.sum() == 20_000
+        assert ((roots_seen - 20_000 / 3) ** 2 / (20_000 / 3)).sum() < 18.42
+        k = np.concatenate(lengths)
+        assert np.array_equal(k, np.round(k)) and k.min() >= 1 and k.max() <= 64
+        seen = np.bincount(k.astype(int), minlength=65)[1:]
+        assert ((seen - k.size / 64) ** 2 / (k.size / 64)).sum() < 113.50
+        assert abs(splits - 0.45 * trials) < 4 * math.sqrt(0.45 * 0.55 * trials)
