@@ -8,9 +8,10 @@ Encoding walks the forest depth first at a constant speed: the traced height
 rises along each edge, dips to the branch height between sibling subtrees,
 and touches zero between consecutive trees.  Peaks are leaf heights, valleys
 are branch heights, and the excursion duration is twice the total edge
-length divided by the speed.  Decoding inverts this by splitting at the
-(leftmost) minimal valley of each zero-to-zero segment, so equal-height
-valleys become distinct branch points in traversal order and the codec is
+length divided by the speed.  Decoding inverts this in one pass with a
+stack: each zero-to-zero segment becomes the Cartesian tree of its
+breakpoints, split at its leftmost lowest valley, so equal-height valleys
+become distinct branch points in traversal order and the codec is
 deterministic on crafted inputs as well.
 
 Breakpoints store exact heights read from the forest (no accumulation into
@@ -154,95 +155,64 @@ def _extrema(hs) -> np.ndarray:
     return h[keep]
 
 
-class _ArgminTable:
-    """Sparse table for leftmost-argmin range queries over a float array."""
-
-    def __init__(self, heights: np.ndarray) -> None:
-        n = heights.size
-        rows = [np.arange(n)]
-        span = 1
-        while 2 * span <= n:
-            prev = rows[-1]
-            a = prev[: n - 2 * span + 1]
-            b = prev[span: n - span + 1]
-            rows.append(np.where(heights[b] < heights[a], b, a))
-            span *= 2
-        # the queries read single entries, which lists serve fastest
-        self.vals = heights.tolist()
-        self.table = [row.tolist() for row in rows]
-
-    def argmin(self, lo: int, hi: int) -> int:
-        """Leftmost argmin over the inclusive range [lo, hi]."""
-        k = (hi - lo + 1).bit_length() - 1  # the largest k with 2**k <= width
-        a = self.table[k][lo]
-        b = self.table[k][hi - (1 << k) + 1]
-        if self.vals[b] < self.vals[a]:
-            return b
-        return a
-
-
 def tree_from_excursion(e: Excursion) -> FamilyForest:
     """Forest whose depth-first contour is the given excursion.
 
     Local maxima become leaves, local minima branch points, zeros separate
-    trees; the linear order is the order of first visits.  The two children
-    of a split get consecutive ids, and each tree is numbered as it is
-    reached.
+    trees, and each breakpoint is the death of the edge that ends there.
+    One pass from the left keeps a stack of the open valleys, lowest first:
+    a valley pops those above it (strictly, so of equal valleys the
+    leftmost splits first), takes the last one popped as its left child and
+    becomes the right child of the new top; a valley at 0 closes a tree.
+    Node ids are pre-order ranks, the forest's linear order.
     """
-    # 0, peak, valley, peak, ..., peak, 0: valley i sits between peaks i
-    # and i + 1, and the valleys at 0 part the trees
-    heights = _extrema(e.e)
-    peaks, valleys = heights[1::2], heights[2:-1:2]
-    table = _ArgminTable(valleys)
-    ends = [-1, *np.flatnonzero(valleys == 0.0).tolist(), peaks.size - 1]
-    peaks, valleys = peaks.tolist(), valleys.tolist()
+    # 0, peak, valley, ..., peak, 0 with the peaks at the odd positions;
+    # the single point codes one root of length 0
+    heights = _extrema(e.e).tolist()
+    if len(heights) == 1:
+        heights = [0.0] * 3
+    # a valley's children are its two peaks until the pass links a valley
+    left = list(range(-1, len(heights) - 1))
+    right = list(range(1, len(heights) + 1))
+    stack: list[int] = []
+    roots: list[int] = []
+    for k in range(2, len(heights), 2):
+        h = heights[k]
+        last = k - 1
+        while stack and heights[stack[-1]] > h:
+            last = stack.pop()
+        if h == 0.0:  # every open valley is above 0
+            roots.append(last)
+            continue
+        left[k] = last
+        if stack:
+            right[stack[-1]] = k
+        stack.append(k)
     parent: list[int] = []
     birth: list[float] = []
     death: list[float] = []
-    first: list[int] = []  # each node's first child, -1 for a leaf
-    roots: list[int] = []
-    order: list[int] = []  # the pre-order, as the nodes are visited
-    # work items (node, peak range lo..hi), the trees' last on top; a tree's
-    # root (node -1) is made when its tree is reached, and a split pushes
-    # its right child first, so the left subtree is visited first
-    stack = [(-1, a + 1, b) for a, b in zip(ends[-2::-1], ends[:0:-1])]
-    while stack:
-        node, lo, hi = stack.pop()
-        if node < 0:
-            node = len(parent)
-            roots.append(node)
-            parent.append(-1)
-            birth.append(0.0)
-            death.append(0.0)
-            first.append(-1)
-        order.append(node)
-        if lo >= hi:  # a leaf, or (an empty range) the single point's root
-            if lo == hi:
-                death[node] = peaks[lo]
-            continue
-        j = table.argmin(lo, hi - 1)
-        split = valleys[j]
-        death[node] = split
-        left = first[node] = len(parent)
-        parent += (node, node)
-        birth += (split, split)
-        death += (split, split)
-        first += (-1, -1)
-        stack.append((left + 1, j + 1, hi))
-        stack.append((left, lo, j))
-    first = np.array(first, dtype=np.intp)
-    inner = first >= 0
-    kid_ptr = np.zeros(first.size + 1, dtype=np.intp)
-    np.cumsum(2 * inner, out=kid_ptr[1:])
-    kids = (first[inner, None] + np.arange(2)).ravel()
-    return FamilyForest(parent, birth, death, kid_ptr, kids, roots, order=order)
+    # (breakpoint, parent's id, birth), the next node on top
+    walk = [(k, -1, 0.0) for k in reversed(roots)]
+    pop, push = walk.pop, walk.append
+    while walk:
+        k, up, born = pop()
+        node = len(parent)
+        parent.append(up)
+        birth.append(born)
+        death.append(heights[k])
+        if not k % 2:
+            push((right[k], node, heights[k]))
+            push((left[k], node, heights[k]))
+    parent = np.array(parent, dtype=np.intp)
+    return FamilyForest._from_preorder(parent, birth, death,
+                                       np.flatnonzero(parent < 0))
 
 
 def excise_above(e: Excursion, t: float) -> Excursion:
     """Remove the open time intervals where the path exceeds t and close the
     gaps; the result never exceeds t and codes the truncation of the tree."""
-    if t < 0:
-        raise InputError("level must be >= 0")
+    if not t >= 0:  # NaN fails too
+        raise InputError(f"level must be >= 0, got {t!r}")
     us, hs = e.u, e.e
     out_u: list[float] = []
     out_h: list[float] = []

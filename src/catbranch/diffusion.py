@@ -171,6 +171,8 @@ class SDEConfig:
         for name in ("x0", "y0"):
             if not 0.0 <= getattr(self, name) < math.inf:
                 raise InputError(f"{name} must be finite and >= 0")
+        if self.seed < 0:
+            raise InputError("seed must be >= 0")
 
 
 def _euler_step(rng: np.random.Generator, z: np.ndarray, w: np.ndarray,
@@ -296,8 +298,7 @@ def hitting_race(n_replicas: int, cfg: SDEConfig,
     Once at most `RACE_FLOAT_LANES` replicas survive, `_race_floats` steps
     them on Python floats, with the same draws and the same floats.
     """
-    if n_replicas < 1:
-        raise InputError("the race needs at least one replica")
+    n_replicas = _positive_int(n_replicas, "n_replicas")
     if not 0.0 < epoch_horizon < math.inf:
         raise InputError("epoch_horizon must be finite and > 0")
     if round(epoch_horizon / cfg.step) < 1:
@@ -525,6 +526,8 @@ def _limit_contour_from_scale(sf: ScaleFunction, budget: float, seed=0,
     for name, value in (("local-time budget", budget), ("theta_step", theta_step)):
         if not 0.0 < value < math.inf:
             raise InputError(f"{name} must be finite and > 0")
+    if seed < 0:
+        raise InputError("seed must be >= 0")
     top = sf.top / 2.0  # beta reflects on [0, top]
     if top <= 0:
         raise InputError("degenerate scale range")

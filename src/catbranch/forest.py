@@ -24,8 +24,8 @@ cheapest:
     it from its generations: one reverse sweep gives subtree sizes, one
     forward sweep places each left child right after its parent and each
     right child after the left child's subtree;
-  * a builder that numbers or visits its nodes in pre-order (`truncate`,
-    `trim`, `random_binary_forest`, the contour decoder) hands it over;
+  * a builder that numbers its nodes in pre-order (`truncate`, `trim`,
+    `random_binary_forest`, the contour decoder) hands it over;
   * any other forest (files, `from_children`) takes one walk over `kids`.
 
 Every level query is array work over the pre-order: the level-t
@@ -447,8 +447,8 @@ class FamilyForest:
 
     def trim(self, eps: float) -> "FamilyForest":
         """Keep the root and every point with a descendant at distance >= eps."""
-        if eps <= 0:
-            raise InputError("trim radius must be > 0")
+        if not eps > 0:  # NaN fails too
+            raise InputError(f"trim radius must be > 0, got {eps!r}")
         cut = np.array(self.subtree_max_height()) - eps
         order = self.order
         # a kept node's parent is kept: its cut is no lower and its birth
@@ -481,8 +481,8 @@ class FamilyForest:
         stabilizes at the quadratic variation of the generating contour for
         meshes well above the sampling scale.
         """
-        if mesh <= 0:
-            raise InputError("mesh must be > 0")
+        if not mesh > 0:  # NaN fails too
+            raise InputError(f"mesh must be > 0, got {mesh!r}")
         total = 0.0
         for length in (self.death - self.birth).tolist():
             if length <= 0.0:

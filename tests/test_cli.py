@@ -197,7 +197,7 @@ class TestOutputBytes:
                              "--level", "0.25", "--spacing", repr(1 / 3)]) == 0
         assert len(os.listdir(sim)) == 18 and len(os.listdir(conv)) == 12
         assert tree_digest(tmp_path) == (
-            "2e442b6c25874cf3211e8134b898844b552ee6ff0c7afe4dc13f6b99cb768b21")
+            "2fe81466ab7daeab9748b6ce77492ce0b3e95345d9d90c19f6ae9eb36512da3b")
 
 
 class TestConvert:

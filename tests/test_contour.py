@@ -5,12 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from catbranch.contour import (Excursion, contour_from_forest, excise_above,
-                               tree_from_excursion)
+from catbranch.contour import (Excursion, _extrema, contour_from_forest,
+                               excise_above, tree_from_excursion)
 from catbranch.errors import InputError
 from catbranch.forest import FamilyForest, random_binary_forest
 from catbranch.harness import _heights_and_leaves
 from forest_strategies import forests
+
+# excursions on a quarter grid, one breakpoint a time unit, with flats,
+# equal valleys and valleys at 0; and the single point
+dyadic_excursions = st.one_of(
+    st.just([0.0]),
+    st.lists(st.integers(0, 8), max_size=14).map(
+        lambda ks: [0.0, *(k / 4 for k in ks), 0.0])).map(
+    lambda hs: Excursion([float(i) for i in range(len(hs))], hs))
 
 
 class TestExcursionType:
@@ -177,8 +185,22 @@ class TestDecode:
         shapes = f.canonical_shape()
         assert shapes[0][1] == 0.5
 
+    @settings(max_examples=400, deadline=None)
+    @given(e=dyadic_excursions)
+    def test_decodes_any_excursion_in_pre_order(self, e):
+        f = tree_from_excursion(e)
+        f.validate()
+        assert f.order.tolist() == list(range(len(f)))
+        assert contour_from_forest(f, 2.0).e == _extrema(e.e).tolist()
+
 
 class TestExcise:
+    @pytest.mark.parametrize("t", [-0.5, math.nan])
+    def test_rejects_bad_level(self, cherry, t):
+        # a NaN level used to fail later as "excursion must end at height 0"
+        with pytest.raises(InputError, match=f"level must be >= 0, got {t!r}"):
+            excise_above(contour_from_forest(cherry, 2.0), t)
+
     def test_above_max_noop(self, cherry):
         e = contour_from_forest(cherry, 2.0)
         g = excise_above(e, 2.0)

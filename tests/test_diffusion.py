@@ -102,11 +102,14 @@ class TestIntegrator:
 
     @pytest.mark.parametrize("args", [
         {"n_replicas": 0}, {"n_replicas": -3},
+        {"n_replicas": 2.5}, {"n_replicas": math.nan},
         {"epoch_horizon": 0.0}, {"epoch_horizon": -1.0},
         {"epoch_horizon": math.nan}, {"epoch_horizon": math.inf},
         {"epoch_horizon": 4e-3},  # under half the step: no epoch steps
         {"max_epochs": 0}, {"max_epochs": -1}], ids=str)
     def test_hitting_race_rejects_bad_arguments(self, args):
+        # a fractional or NaN replica count used to raise numpy's bare
+        # TypeError from `np.empty`
         kwargs = dict({"n_replicas": 8, "epoch_horizon": 0.1, "max_epochs": 1},
                       **args)
         with pytest.raises(InputError):
@@ -153,9 +156,11 @@ class TestIntegrator:
     @pytest.mark.parametrize("field,value", [
         ("b1", 0.0), ("b2", -1.0), ("step", 0.0), ("horizon", -1.0),
         ("b1", math.nan), ("step", math.inf), ("horizon", math.inf),
-        ("x0", -0.5), ("y0", math.nan), ("x0", math.inf)])
+        ("x0", -0.5), ("y0", math.nan), ("x0", math.inf), ("seed", -1)])
     def test_config_rejects_bad_values(self, field, value):
-        with pytest.raises(InputError):
+        # a negative seed used to pass here and raise numpy's bare
+        # ValueError in the integrators
+        with pytest.raises(InputError, match=field):
             SDEConfig(**{field: value})
 
 
@@ -319,6 +324,12 @@ class TestLimitContour:
         with pytest.raises(InputError, match="must be finite and > 0"):
             simulate_limit_contour(flat_medium(horizon=0.5), 0.5, seed=1,
                                    max_steps=1_000, **kwargs)
+
+    def test_rejects_negative_seed(self):
+        # numpy's SeedSequence used to raise a bare ValueError
+        with pytest.raises(InputError, match="seed must be >= 0"):
+            simulate_limit_contour(flat_medium(horizon=0.5), 0.5, 0.01,
+                                   seed=-1, theta_step=1e-4)
 
     def test_unreachable_budget_raises_before_stepping(self):
         # 2e311 band steps: the count is infinite in floats

@@ -150,9 +150,11 @@ class TestTrim:
             b = f.trim(e1 + e2)
             assert a.canonical_shape() == b.canonical_shape()
 
-    def test_rejects_nonpositive(self, cherry):
-        with pytest.raises(InputError):
-            cherry.trim(0.0)
+    @pytest.mark.parametrize("eps", [0.0, -0.5, math.nan])
+    def test_rejects_nonpositive(self, cherry, eps):
+        # a NaN radius used to return a forest with NaN deaths
+        with pytest.raises(InputError, match="trim radius must be > 0"):
+            cherry.trim(eps)
 
 
 class TestLevelSetAndAncestors:
@@ -209,6 +211,12 @@ class TestI2Length:
         for m in (1, 2, 5, 10):
             mesh = 2.0 / m
             assert single_edge.i2_length(mesh) == pytest.approx(4.0 / m)
+
+    @pytest.mark.parametrize("mesh", [0.0, -1.0, math.nan])
+    def test_rejects_nonpositive_mesh(self, single_edge, mesh):
+        # a NaN mesh used to raise a bare ValueError from `math.ceil`
+        with pytest.raises(InputError, match="mesh must be > 0"):
+            single_edge.i2_length(mesh)
 
     def test_refinement_decreases(self, rng):
         for _ in range(10):
